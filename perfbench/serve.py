@@ -59,7 +59,7 @@ LATENESS_BOUND_MS = 10.0
 #: p99 of the ~1,080 open-loop latencies spread 0.32 (IQR over median)
 #: across seeds, p98 0.09 and p95 0.04: the tail is reported at p95.
 TAIL = 95
-SETUP_REPS = 5
+SETUP_REPS = 7
 #: Every CONTRACT_EVERY-th sample request is redrawn in-process.
 CONTRACT_EVERY = 7
 #: Seconds between reference-speed samples during the load phases.
@@ -218,13 +218,14 @@ class Conn:
 # ----------------------------------------------------------------------
 
 
-def warm_up(server: Server, specs: list[Spec]) -> tuple[list[tuple], list[tuple]]:
+def warm_up(server: Server, specs: list[Spec], meter: Speedometer) -> tuple[list[tuple], list[tuple]]:
     """Each spec's first request (a cold count) with its ``(start, end)``,
     then one request of every op."""
     first_at, answered = [], []
     with Conn(server.port, timeout=60) as conn:
         for index, spec in enumerate(specs):
             request = {"id": -1, "op": "count", "spec_index": index}
+            meter.sample(1)
             started = time.perf_counter()
             response = conn.call(encode(request, specs))
             first_at.append((started, time.perf_counter()))
@@ -443,7 +444,7 @@ def run(ctx) -> dict:
             meter.sample()
             started = time.perf_counter()
             server = Server(ctx.scratch, rep)
-            firsts, warm = warm_up(server, specs)
+            firsts, warm = warm_up(server, specs, meter)
             setups.append((started, time.perf_counter()))
             meter.sample()
             first_at.extend(firsts)
