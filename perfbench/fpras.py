@@ -10,8 +10,10 @@ to 2x.  Set-up computes exact counts with the benchmark's own subset
 counter and builds each instance's reachable kernel once.  Then, round
 robin over the instances, each FPRAS seed runs one estimate
 ``ws.count(backend="fpras", delta=0.3, rng=seed)`` with sketch size
-k=32, followed by 150 Las Vegas witnesses drawn from the instance's
+k=32, followed by 300 Las Vegas witnesses drawn from the instance's
 reference sketch (built in the first round with a fixed seed).
+``first_ms.p50`` and ``next_ms.p50`` sum the instances' own medians, so
+a regression on any one instance moves them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 
 import gen
 from run import peak_rss_mb, percentile
-from spans import Tracer
+from spans import NULL, Tracer
 from speed import Speedometer
 
 DELTA = 0.3
@@ -31,8 +33,9 @@ K = 32
 #: Witnesses drawn after each estimate, timed in batches of BATCH (the
 #: "10 Las Vegas witnesses" operation).  One witness costs a geometric
 #: number of attempts, so single-witness times spread widely; batches of
-#: ten and many of them keep the median and tail steady.
-WITNESSES = 150
+#: ten and many of them (90 per instance at the default 30 s) keep each
+#: instance's median and the tail steady.
+WITNESSES = 300
 BATCH = 10
 #: Las Vegas attempts allowed per witness before the draw counts as failed.
 ATTEMPTS = 2048
@@ -88,29 +91,23 @@ def make_instances() -> list[Instance]:
     return instances
 
 
-def prepare(inst: Instance, tracer: Tracer | None = None) -> None:
+def prepare(inst: Instance, tracer=NULL) -> None:
     """spec → witness set, stripped automaton, ambiguity check, reachable kernel."""
     from repro.core.fpras import FprasParameters
     from repro.service.protocol import witness_set_from_spec
 
     params = FprasParameters(sample_size=K)
     inst.reference = None
-    if tracer is None:
-        inst.ws = witness_set_from_spec(inst.spec, delta=DELTA, params=params)
-        inst.ws.stripped
-        ambiguous = not inst.ws.is_unambiguous
-        inst.ws.reachable_kernel
-    else:
-        span = tracer.span
-        with tracer.op():
-            with span("automata.build"):
-                inst.ws = witness_set_from_spec(inst.spec, delta=DELTA, params=params)
-            with span("automata.strip"):
-                inst.ws.stripped
-            with span("automata.unambiguous"):
-                ambiguous = not inst.ws.is_unambiguous
-            with span("core.kernel.reachable_lower"):
-                inst.ws.reachable_kernel
+    span = tracer.span
+    with tracer.op():
+        with span("automata.build"):
+            inst.ws = witness_set_from_spec(inst.spec, delta=DELTA, params=params)
+        with span("automata.strip"):
+            inst.ws.stripped
+        with span("automata.unambiguous"):
+            ambiguous = not inst.ws.is_unambiguous
+        with span("core.kernel.reachable_lower"):
+            inst.ws.reachable_kernel
     if not ambiguous:
         raise RuntimeError(f"{inst.name} must be ambiguous to exercise the FPRAS")
 
@@ -133,34 +130,28 @@ def draw_witnesses(state, seed: int) -> tuple[list | None, list[tuple]]:
     return words, intervals
 
 
-def estimate_and_sample(inst: Instance, seed: int, meter: Speedometer, tracer: Tracer | None = None):
+def estimate_and_sample(inst: Instance, seed: int, meter: Speedometer, tracer=NULL):
+    """One estimate and its witnesses, with the estimate's ``(start, end)``
+    and each witness's ``(start, end, attempts)``."""
     ws = inst.ws
     gc.collect()
     meter.sample()
-    if tracer is None:
-        started = time.perf_counter()
-        estimate = ws.count(backend="fpras", delta=DELTA, rng=seed)
-        ended = time.perf_counter()
-        meter.sample()
-        state = ws.fpras_state(DELTA, rng=seed)
-        walks = sketch_diagnostics(state)
-        if inst.reference is None:
-            inst.reference = state
-        words, witness_at = draw_witnesses(inst.reference, seed)
-        meter.sample()
-        return estimate, words, walks, (started, ended), witness_at
     span = tracer.span
     with tracer.op():
         with span("core.fpras.sketch"):
-            state = ws.fpras_state(DELTA, rng=seed)
+            started = time.perf_counter()
             estimate = ws.count(backend="fpras", delta=DELTA, rng=seed)
+            ended = time.perf_counter()
+            # The sketch the estimate just built, from the witness set's cache.
+            state = ws.fpras_state(DELTA, rng=seed)
+        meter.sample()
         walks = sketch_diagnostics(state)
         if inst.reference is None:
             inst.reference = state
         with span("core.fpras.sample"):
-            words, _ = draw_witnesses(inst.reference, seed)
+            words, witness_at = draw_witnesses(inst.reference, seed)
     meter.sample()
-    return estimate, words, walks, None, None
+    return estimate, words, walks, (started, ended), witness_at
 
 
 def sketch_diagnostics(state) -> tuple[int, int, int]:
@@ -199,7 +190,11 @@ def run(ctx) -> dict:
     if ctx.trace:
         rounds = max(1, rounds // 2)
     rel_err: dict = {inst.name: [] for inst in instances}
-    estimate_at, witness_at, done = [], [], []
+    estimate_at: dict = {inst.name: [] for inst in instances}
+    witness_at: dict = {inst.name: [] for inst in instances}
+    done: list = []
+    #: ``(start, end)`` of each estimate with its witnesses and checks.
+    busy: list = []
     diagnostics = {"walks": [], "accepted": 0, "reach_cache_misses": []}
     problems: list = []
     attempted = failed = 0
@@ -209,6 +204,7 @@ def run(ctx) -> dict:
         # seed; the other rounds' estimates use the run's seeds.
         seed = REFERENCE_SEED + index if index < len(instances) else ctx.seed * 1000 + index
         attempted += 1
+        busy_started = time.perf_counter()
         try:
             estimate, words, walks, at, witnesses_at = estimate_and_sample(inst, seed, meter)
         except Exception as error:  # any program error fails the operation
@@ -216,13 +212,14 @@ def run(ctx) -> dict:
             problems.append(f"{inst.name}: {type(error).__name__}: {error}")
             continue
         found = check(inst, estimate, words)
+        busy.append((busy_started, time.perf_counter()))
         rel_err[inst.name].append(abs(estimate - inst.exact) / inst.exact)
         if found:
             failed += 1
             problems.extend(found)
             continue
-        estimate_at.append(at)
-        witness_at.extend(witnesses_at)
+        estimate_at[inst.name].append(at)
+        witness_at[inst.name].extend(witnesses_at)
         done.append((inst, seed))
         diagnostics["walks"].append(walks[0])
         diagnostics["accepted"] += walks[1]
@@ -232,26 +229,39 @@ def run(ctx) -> dict:
         within = sum(1 for e in errors if e <= DELTA)
         if errors and within < 0.75 * len(errors):
             problems.append(f"{name}: only {within}/{len(errors)} estimates within delta")
-    estimate_ms = [meter.scale(e - b, b, e) * 1e3 for b, e in estimate_at]
-    witness_ms = [meter.scale(e - b, b, e) * 1e3 for b, e, _ in witness_at]
-    batch_ms = [sum(witness_ms[i : i + BATCH]) for i in range(0, len(witness_ms), BATCH)]
+
+    def scaled_ms(begin: float, end: float) -> float:
+        return meter.scale(end - begin, begin, end) * 1e3
+
+    estimate_ms = {name: [scaled_ms(b, e) for b, e in at] for name, at in estimate_at.items()}
+    witness_ms = {name: [scaled_ms(b, e) for b, e, _ in at] for name, at in witness_at.items()}
+    # WITNESSES is a multiple of BATCH, so no batch spans two estimates.
+    batch_ms = {
+        name: [sum(ms[i : i + BATCH]) for i in range(0, len(ms), BATCH)]
+        for name, ms in witness_ms.items()
+    }
+    all_batches = [ms for batches in batch_ms.values() for ms in batches]
     all_err = [e for errors in rel_err.values() for e in errors]
     info = {
         "workload": "fpras",
         "seed": ctx.seed,
         "estimates": {name: len(errors) for name, errors in rel_err.items()},
         "exact": {inst.name: inst.exact for inst in instances},
-        "first_ms": "one FPRAS estimate (delta=0.3, k=32, fresh sketch per seed)",
-        "next_ms": "10 Las Vegas witnesses drawn from the instance's reference sketch",
+        "first_ms": "sum over the instances of each one's median FPRAS estimate (delta=0.3, k=32)",
+        "next_ms": "sum over the instances of each one's median time for 10 Las Vegas witnesses",
         "tail_percentile": TAIL,
-        "tail_samples_beyond": len(batch_ms) * (100 - TAIL) / 100,
+        "tail_samples_beyond": len(all_batches) * (100 - TAIL) / 100,
         "speed_factor": meter.mean_factor(),
-        "raw_first_ms.p50": statistics.median((e - b) * 1e3 for b, e in estimate_at),
+        "raw_first_ms.p50": statistics.median(
+            (e - b) * 1e3 for at in estimate_at.values() for b, e in at
+        ),
         "rel_err_p50": statistics.median(all_err) if all_err else None,
-        "witness_ms.p50": statistics.median(witness_ms),
-        "attempts.mean": statistics.mean(a for _, _, a in witness_at),
+        "attempts.mean": statistics.mean(a for at in witness_at.values() for _, _, a in at),
         "problems": problems,
     }
+    for name in estimate_ms:
+        info[f"estimate_ms.p50.{name}"] = statistics.median(estimate_ms[name])
+        info[f"witnesses_ms.p50.{name}"] = statistics.median(batch_ms[name])
     result = {
         "correct": not problems,
         "attempted": attempted,
@@ -262,10 +272,14 @@ def run(ctx) -> dict:
         result["metrics"] = {
             "setup_s": statistics.median(setups),
             "peak_rss_mb": peak_rss_mb(),
-            "first_ms.p50": statistics.median(estimate_ms),
-            "next_ms.p50": statistics.median(batch_ms),
-            "next_ms.tail": percentile(batch_ms, TAIL),
-            "rate_per_s": len(estimate_ms) / (sum(estimate_ms) / 1e3),
+            # Every instance moves these two: a pooled median would sit on
+            # the middle instance and hide a regression on either other.
+            "first_ms.p50": sum(statistics.median(ms) for ms in estimate_ms.values()),
+            "next_ms.p50": sum(statistics.median(ms) for ms in batch_ms.values()),
+            "next_ms.tail": percentile(all_batches, TAIL),
+            # Completed estimates over the time spent on them, witnesses
+            # and checks included: a mean, so it carries the tails.
+            "rate_per_s": len(done) / (sum(scaled_ms(b, e) for b, e in busy) / 1e3),
         }
         return result
 
@@ -286,7 +300,9 @@ def run(ctx) -> dict:
     walks = sum(diagnostics["walks"])
     result.update(
         tracer=tracer,
-        untraced_ms=prepare_s * 1e3 + sum(estimate_ms) + sum(witness_ms),
+        untraced_ms=prepare_s * 1e3
+        + sum(sum(ms) for ms in estimate_ms.values())
+        + sum(sum(ms) for ms in witness_ms.values()),
         metrics={
             "core.fpras.walks": statistics.mean(diagnostics["walks"]),
             "core.fpras.accept_ratio": diagnostics["accepted"] / max(1, walks),

@@ -34,7 +34,7 @@ import time
 
 import gen
 from run import ROOT, peak_rss_mb, percentile
-from spans import Tracer
+from spans import NULL, Tracer
 from speed import Speedometer
 
 UFA_SPECS = 4
@@ -355,25 +355,14 @@ def check(request: dict, response: dict, specs: list[Spec]) -> str | None:
     return None
 
 
-def execute(request: dict, line: bytes, specs: list[Spec], tracer: Tracer | None = None) -> bytes:
-    """The layer calls of one request, in-process, as the protocol makes them."""
+def execute(request: dict, line: bytes, specs: list[Spec], tracer=NULL) -> bytes:
+    """The layer calls of one request, in-process, as the protocol makes them.
+
+    One ``service.protocol.render`` span per request covers witness
+    rendering and the response's JSON encoding."""
     from repro.service.protocol import render_witness, spec_key
     from repro.utils.rng import make_rng, substreams
 
-    if tracer is None:
-        decoded = json.loads(line)
-        spec_key(decoded["spec"])
-        ws = specs[request["spec_index"]].ws
-        op = decoded["op"]
-        if op == "count":
-            result = ws.count()
-        elif op == "enumerate":
-            witnesses, cursor = ws.enumerate_page(ENUM_LIMIT)
-            result = {"items": [render_witness(w) for w in witnesses], "cursor": cursor}
-        else:
-            witnesses = ws.sample_with_streams(substreams(make_rng(decoded["seed"]), decoded["k"]))
-            result = [render_witness(w) for w in witnesses]
-        return json.dumps({"id": decoded["id"], "ok": True, "result": result}).encode()
     span = tracer.span
     with tracer.op():
         with span("service.protocol.decode"):
@@ -384,20 +373,22 @@ def execute(request: dict, line: bytes, specs: list[Spec], tracer: Tracer | None
         op = decoded["op"]
         if op == "count":
             with span("core.kernel.count"):
-                result = ws.count()
+                count = ws.count()
         elif op == "enumerate":
             with span("core.enumeration.page"):
                 witnesses, cursor = ws.enumerate_page(ENUM_LIMIT)
-            with span("service.protocol.render"):
-                result = {"items": [render_witness(w) for w in witnesses], "cursor": cursor}
         else:
             with span("utils.rng.substreams"):
                 streams = substreams(make_rng(decoded["seed"]), decoded["k"])
             with span("core.kernel.sample"):
                 witnesses = ws.sample_with_streams(streams)
-            with span("service.protocol.render"):
-                result = [render_witness(w) for w in witnesses]
         with span("service.protocol.render"):
+            if op == "count":
+                result = count
+            elif op == "enumerate":
+                result = {"items": [render_witness(w) for w in witnesses], "cursor": cursor}
+            else:
+                result = [render_witness(w) for w in witnesses]
             return json.dumps({"id": decoded["id"], "ok": True, "result": result}).encode()
 
 
