@@ -87,6 +87,12 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import names as metric_names
 from repro.utils.rng import make_rng, substreams
 
+#: Integer-seeded FPRAS sketches one witness set keeps, least recently
+#: used evicted first.  A sketch of a mid-sized NFA holds about 1 MB, and
+#: ``repro serve`` passes request seeds straight through, so keeping every
+#: seed's sketch would grow a resident spec with each fresh seed.
+SEEDED_SKETCHES_KEPT = 4
+
 
 class CacheStats:
     """Per-artifact hit/miss counters for a :class:`WitnessSet`'s cache.
@@ -224,6 +230,8 @@ class WitnessSet:
         self._accel = _accel_mod.resolve(kernel_backend)
         self.stats = CacheStats()
         self._cache: dict = {}
+        #: ``_cache`` keys of the integer-seeded FPRAS sketches, oldest use first.
+        self._seeded_sketches: OrderedDict[tuple, None] = OrderedDict()
         #: Cumulative wall time spent lowering (building) kernels for
         #: this witness set; 0.0 when every kernel came from the store.
         self._lowering_seconds = 0.0
@@ -464,16 +472,17 @@ class WitnessSet:
         """The FPRAS sketch (Algorithm 5's preprocessing), cached per δ.
 
         Integer ``rng`` seeds get their own cache entry (reproducible
-        pipelines); ``None`` / shared ``Random`` streams reuse the first
-        sketch built at that δ.  Every sketch shares the cached
-        :attr:`reachable_kernel`, so rebuilding at a different δ never
-        re-unrolls the automaton.
+        pipelines), of which the :data:`SEEDED_SKETCHES_KEPT` most
+        recently used stay resident; ``None`` / shared ``Random`` streams
+        reuse the first sketch built at that δ.  Every sketch shares the
+        cached :attr:`reachable_kernel`, so rebuilding at a different δ
+        never re-unrolls the automaton.
         """
         resolved = delta if delta is not None else self.delta
         seed = rng if isinstance(rng, int) else None
         key = ("fpras", resolved, seed)
         generator = self.rng if rng is None else make_rng(rng)
-        return self._cached(
+        state = self._cached(
             key,
             lambda: FprasState(
                 self.stripped,
@@ -484,6 +493,14 @@ class WitnessSet:
                 kernel=self.reachable_kernel,
             ),
         )
+        if seed is not None:
+            recent = self._seeded_sketches
+            recent[key] = None
+            recent.move_to_end(key)
+            if len(recent) > SEEDED_SKETCHES_KEPT:
+                evicted, _ = recent.popitem(last=False)
+                del self._cache[evicted]
+        return state
 
     # ------------------------------------------------------------------
     # COUNT

@@ -56,45 +56,15 @@ class AlmostUniformGenerator:
         """One draw; raises on an empty witness set, never fails otherwise."""
         if self.state is None:
             raise EmptyWitnessSetError(f"no witnesses of length {self.n}")
-        if self.state.is_exact():
-            universe = self.state._exhaustive_universe()
-            return universe[self.rng.randrange(len(universe))]
         # One walk, acceptance forced: re-run only on structural walk
         # failures (zero-weight strata), not on the rejection coin.
         for _ in range(64):
-            drawn = self._walk_once()
+            drawn = self.state.propose_witness(self.rng)
             if drawn is not None:
                 return drawn
         raise EmptyWitnessSetError(
             "walks repeatedly hit zero-weight strata; estimates degenerate"
         )
-
-    def _walk_once(self) -> Word | None:
-        state = self.state
-        t = state.n
-        current = frozenset(state.kernel.final_indices(t))
-        suffix = []
-        while t > 0:
-            by_symbol = state._predecessor_sets(t, current)
-            if not by_symbol:
-                return None
-            symbols = sorted(by_symbol, key=repr)
-            weights = [state._w_tilde(t - 1, by_symbol[s]) for s in symbols]
-            total = sum(weights)
-            if total <= 0:
-                return None
-            pick = self.rng.random() * total
-            accumulated = 0.0
-            chosen = len(symbols) - 1
-            for index, weight in enumerate(weights):
-                accumulated += weight
-                if pick < accumulated:
-                    chosen = index
-                    break
-            suffix.append(symbols[chosen])
-            current = by_symbol[symbols[chosen]]
-            t -= 1
-        return tuple(reversed(suffix))
 
     def sample_many(self, count: int) -> list[Word]:
         return [self.generate() for _ in range(count)]

@@ -35,6 +35,20 @@ in ``n``, ``m`` and ``1/δ``.  The algorithm:
 5. The final estimate is ``R(s_final)`` where ``s_final`` aggregates the
    accepting states of the last layer (Remark 1's virtual vertex).
 
+The walk table
+--------------
+Every ``(t, vertex set)`` a walk visits is interned once as an integer
+node of a walk table.  On its first visit the node records its
+predecessor partition as the repr-ordered symbols, the cumulative
+``W̃`` bounds, their total, each choice's probability and the child
+node of each symbol; a later step is one list index, one ``random()``
+and one ``bisect``.  A node at layer ``t`` reads only the sketches of
+layer ``t − 1``, which are final before any walk reaches ``t``, so the
+table never goes stale.  The draw order is the plain walk's: one
+``random()`` per step, picked against the same sequential running
+sums, then the acceptance coin, so fixed seeds give bit-identical
+estimates, sketches and witnesses.
+
 Faithfulness vs. practicality
 -----------------------------
 The paper sets ``k = ⌈(nm/δ)^64⌉`` and retry budget ``⌈(nm/δ)^4⌉`` so the
@@ -51,13 +65,18 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable
 
 from repro.automata.nfa import NFA, Symbol, Word
 from repro.core.exact import count_words_exact
 from repro.core.kernel import CompiledDAG, compile_nfa, kernel_matches_nfa
 from repro.errors import EmptyWitnessSetError, InvalidAutomatonError
+from repro.obs import metrics as _obs_metrics
+from repro.obs import names as metric_names
 from repro.utils.rng import make_rng
 
 #: Acceptance constant of Algorithm 5: samples are accepted with
@@ -148,6 +167,17 @@ class _Entry:
     exact_set: frozenset | None     # U(s) when exactly handled
 
 
+#: One expanded walk-table node: ``(symbols, bounds, total, probabilities,
+#: children)``.  ``symbols`` are the repr-ordered labels of the node's
+#: predecessor partition, ``bounds`` the running sums of their W̃,
+#: ``total`` the builtin ``sum`` of the W̃, ``probabilities`` each W̃
+#: over ``total`` and ``children`` the node id of each symbol's
+#: predecessor group.
+_WalkNode = tuple[
+    tuple[Symbol, ...], tuple[float, ...], float, tuple[float, ...], tuple[int, ...]
+]
+
+
 class FprasFailure(Exception):
     """Internal signal: the algorithm hit a failure event (outputs 0).
 
@@ -192,6 +222,14 @@ class FprasState:
     for ``(nfa, n)`` (e.g. the :class:`repro.api.WitnessSet` facade)
     passes it as ``kernel`` to skip recompilation.
 
+    Every ``Sample`` walk — sketch filling, :meth:`sample_witness` and
+    :meth:`propose_witness` — runs on one walk table (see the module
+    docstring): each visited ``(t, vertex set)`` is expanded once into
+    its symbols, cumulative W̃ bounds and child nodes, so a step costs a
+    list index, a ``random()`` and a ``bisect``.  Walks consume the RNG
+    exactly as the plain walk does, one ``random()`` per step and then
+    the acceptance coin.
+
     The prefix-set steps and predecessor partitions execute on whatever
     execution backend the kernel carries
     (:meth:`~repro.core.kernel.CompiledDAG.set_kernel_backend`): with
@@ -199,6 +237,9 @@ class FprasState:
     consumer here iterates the resulting frozensets through ``sorted``
     / ``min`` order, fixed-seed estimates are bit-identical across
     backends.
+
+    A finished construction adds its walk, rejection, walk-failure and
+    reach-cache-miss counts to the ``repro_fpras_*_total`` counters.
     """
 
     def __init__(
@@ -240,11 +281,14 @@ class FprasState:
         self._reach_cache: dict[Word, frozenset] = {
             (): frozenset() if start is None else frozenset({start})
         }
-        # W̃ and predecessor-set memos.  Entries at a layer are immutable
-        # once written, and the walks revisit the same vertex sets heavily
-        # (k draws per sketched vertex), so both caches are sound and hot.
+        # The W̃ memo and the walk table (see the module docstring).  Both
+        # are sound: a layer's entries are immutable once written, and a
+        # walk node at layer t reads only the W̃ of layer t-1.  The memo
+        # serves the estimates and the many walk nodes sharing a group.
         self._w_cache: dict[tuple[int, frozenset], float] = {}
-        self._pred_cache: dict[tuple[int, frozenset], dict] = {}
+        self._walk_ids: dict[tuple[int, frozenset], int] = {}
+        self._walk_keys: list[tuple[int, frozenset]] = []
+        self._walk_nodes: list[_WalkNode | None] = []
         self.failed = False
         self.estimate: float = 0.0
         self._final_exact_union: frozenset | None = None
@@ -275,7 +319,7 @@ class FprasState:
     # The W̃ estimator (Algorithm 5 step 5a / Algorithm 4 step 3a)
     # ------------------------------------------------------------------
 
-    def _w_tilde(self, layer: int, group: Sequence[int]) -> float:
+    def _w_tilde(self, layer: int, group: Iterable[int]) -> float:
         """Estimate ``|⋃_{s ∈ group} U(s)|`` from the groups' sketches.
 
         ``group`` holds vertex *indices* at ``layer``; it is processed in
@@ -308,96 +352,118 @@ class FprasState:
         self._w_cache[cache_key] = total
         return total
 
-    def _predecessor_sets(self, t: int, vertices: frozenset) -> dict:
-        """``{b: T_b}`` with ``T_b`` the layer-(t-1) predecessor indices."""
-        key = (t, vertices)
-        cached = self._pred_cache.get(key)
-        if cached is None:
-            cached = self.kernel.predecessor_groups(t, vertices)
-            self._pred_cache[key] = cached
-        return cached
+    # ------------------------------------------------------------------
+    # The walk table
+    # ------------------------------------------------------------------
 
+    def _walk_node(self, t: int, vertices: frozenset) -> int:
+        """The walk-table node id of ``(t, vertices)``, interned on first use."""
+        key = (t, vertices)
+        node = self._walk_ids.get(key)
+        if node is None:
+            node = self._walk_ids[key] = len(self._walk_keys)
+            self._walk_keys.append(key)
+            self._walk_nodes.append(None)
+        return node
+
+    def _expand(self, node: int) -> _WalkNode:
+        """Build ``node``'s entry from its ``{b: T_b}`` predecessor partition.
+
+        Runs on the node's first visit, when every layer below it is
+        final, and computes the W̃ of exactly the groups the plain walk
+        would (so the reach-cache diagnostics do not move).
+        """
+        t, vertices = self._walk_keys[node]
+        groups = self.kernel.predecessor_groups(t, vertices)
+        symbols = tuple(sorted(groups, key=repr))
+        weights = [self._w_tilde(t - 1, groups[b]) for b in symbols]
+        # ``total`` scales the pick and the bounds are the running sums it
+        # is compared against.  Keep the builtin sum apart from the bounds:
+        # from Python 3.12 on it is compensated, so the two can differ.
+        total = sum(weights)
+        entry = (
+            symbols,
+            tuple(accumulate(weights)),
+            total,
+            tuple(w / total for w in weights) if total > 0 else (),
+            tuple(self._walk_node(t - 1, groups[b]) for b in symbols),
+        )
+        self._walk_nodes[node] = entry
+        return entry
+
+    @cached_property
+    def _final_node(self) -> int:
+        """The walk node of the last layer's accepting vertices."""
+        return self._walk_node(self.n, frozenset(self.kernel.final_indices(self.n)))
 
     # ------------------------------------------------------------------
     # Sample (Algorithm 4)
     # ------------------------------------------------------------------
 
     def _sample_walk(
-        self,
-        layer: int,
-        targets: frozenset,
-        phi0: float,
-        rng: random.Random | None = None,
+        self, node: int, generator: random.Random, phi0: float | None = None
     ) -> Word | None:
         """One invocation of ``Sample(T, ε, φ₀)``; None on failure.
 
-        Walks backwards from ``targets`` (a set of vertex indices at
-        ``layer``), choosing symbols with probability proportional to the
-        sketched union estimates and accumulating the acceptance
-        probability φ.  ``rng`` overrides the state's own stream (witness
-        draws are caller-seedable; the construction-time sketch draws are
-        not).
+        Walks backwards from walk node ``node`` (a set ``T`` of vertex
+        indices at some layer) to layer 0, choosing symbols with
+        probability proportional to the sketched union estimates and
+        accumulating the acceptance probability φ.  With ``phi0=None``
+        the walk has no φ and no rejection: it returns whatever word it
+        reaches (:meth:`propose_witness`).
         """
-        generator = rng if rng is not None else self.rng
         phi = phi0
-        if not 0 < phi < 1:
+        if phi is not None and not 0 < phi < 1:
             self.diagnostics.sample_walk_failures += 1
             return None
-        t = layer
-        current = targets
+        nodes = self._walk_nodes
+        draw = generator.random
         suffix: list[Symbol] = []
-        while t > 0:
-            by_symbol = self._predecessor_sets(t, current)
-            if not by_symbol:
-                self.diagnostics.sample_walk_failures += 1
-                return None
-            symbols = sorted(by_symbol, key=repr)
-            weights = [self._w_tilde(t - 1, by_symbol[s]) for s in symbols]
-            total = sum(weights)
+        for _ in range(self._walk_keys[node][0]):
+            symbols, bounds, total, probabilities, children = (
+                nodes[node] or self._expand(node)
+            )
             if total <= 0:
                 self.diagnostics.sample_walk_failures += 1
                 return None
-            pick = generator.random() * total
-            accumulated = 0.0
-            chosen = len(symbols) - 1
-            for index, weight in enumerate(weights):
-                accumulated += weight
-                if pick < accumulated:
-                    chosen = index
-                    break
-            probability = weights[chosen] / total
-            if probability <= 0:
-                self.diagnostics.sample_walk_failures += 1
-                return None
-            phi /= probability
-            if phi >= 1:
-                # Step 1 of Algorithm 4 at the next recursion level.
-                self.diagnostics.sample_walk_failures += 1
-                return None
+            # The first running sum above the pick; past the last one
+            # (rounding), the last symbol.
+            chosen = bisect_right(bounds, draw() * total)
+            if chosen == len(bounds):
+                chosen -= 1
+            if phi is not None:
+                probability = probabilities[chosen]
+                if probability <= 0:
+                    self.diagnostics.sample_walk_failures += 1
+                    return None
+                phi /= probability
+                if phi >= 1:
+                    # Step 1 of Algorithm 4 at the next recursion level.
+                    self.diagnostics.sample_walk_failures += 1
+                    return None
             suffix.append(symbols[chosen])
-            current = by_symbol[symbols[chosen]]
-            t -= 1
-        # t == 0: current ⊆ {initial} by construction of the DAG.
-        word_out = tuple(reversed(suffix))
-        if generator.random() < phi:
-            return word_out
+            node = children[chosen]
+        # Layer 0: the node is ⊆ {initial} by construction of the DAG.
+        if phi is None or draw() < phi:
+            return tuple(reversed(suffix))
         self.diagnostics.sample_rejections += 1
         return None
 
-    def _draw_samples(self, layer: int, vertex: int, estimate: float, count: int) -> list:
-        """Fill a sketch with ``count`` uniform samples of ``U(vertex@layer)``.
+    def _draw_samples(self, layer: int, vertex: int, node: int, estimate: float) -> list:
+        """Fill a sketch with ``k`` uniform samples of ``U(vertex@layer)``.
 
-        Each needed sample is attempted up to the retry budget; exhausting
-        it is Algorithm 5's failure event 5(c)(iii).
+        The walks start at the vertex's own node, whose first partition
+        is the vertex's predecessor groups.  Each needed sample is
+        attempted up to the retry budget; exhausting it is Algorithm 5's
+        failure event 5(c)(iii).
         """
-        phi0 = self.params.rejection_constant / estimate if estimate > 0 else 0.0
+        phi0 = self.params.rejection_constant / estimate
         sketch: list = []
-        targets = frozenset({vertex})
-        while len(sketch) < count:
+        while len(sketch) < self.k:
             drawn = None
             for _ in range(self.retries):
                 self.diagnostics.sample_draws += 1
-                drawn = self._sample_walk(layer, targets, phi0)
+                drawn = self._sample_walk(node, self.rng, phi0)
                 if drawn is not None:
                     break
             if drawn is None:
@@ -419,6 +485,19 @@ class FprasState:
             # Algorithm 5's convention: failure events output 0.
             self.failed = True
             self.estimate = 0.0
+        self._note_diagnostics()
+
+    def _note_diagnostics(self) -> None:
+        """Add this construction's walk counts to the obs counters (once
+        per state, so the walk loop itself records nothing)."""
+        registry = _obs_metrics()
+        d = self.diagnostics
+        registry.counter(metric_names.FPRAS_WALKS).inc(d.sample_draws)
+        registry.counter(metric_names.FPRAS_REJECTIONS).inc(d.sample_rejections)
+        registry.counter(metric_names.FPRAS_WALK_FAILURES).inc(d.sample_walk_failures)
+        registry.counter(metric_names.FPRAS_REACH_CACHE_MISSES).inc(
+            d.reach_cache_misses
+        )
 
     def _run_inner(self) -> None:
         sigma_size = max(1, len(self.nfa.alphabet))
@@ -460,7 +539,7 @@ class FprasState:
             raise FprasFailure("final estimate collapsed to zero")
 
     def _process_vertex(self, t: int, vertex: int) -> None:
-        predecessors = self._predecessor_sets(t, frozenset({vertex}))
+        predecessors = self.kernel.predecessor_groups(t, (vertex,))
         # Algorithm 5 step 4: try the exactly-handled route first.
         if all(
             self._entries[t - 1][p].exact
@@ -481,32 +560,19 @@ class FprasState:
                 )
                 self.diagnostics.exactly_handled += 1
                 return
-        # Algorithm 5 step 5: sketched route.
-        estimate = 0.0
-        for symbol in sorted(predecessors, key=repr):
-            estimate += self._w_tilde(t - 1, predecessors[symbol])
+        # Algorithm 5 step 5: sketched route.  R(s) = Σ_b W̃_b is the last
+        # running sum of the vertex's own walk node, where its k samples'
+        # walks (Sample({s}, ε, e⁻⁴/R)) start.
+        node = self._walk_node(t, frozenset({vertex}))
+        bounds = self._expand(node)[1]
+        estimate = bounds[-1] if bounds else 0.0
         if estimate <= 0:
             raise FprasFailure(f"R collapsed to zero at layer {t} vertex {vertex}")
-        sketch = self._draw_samples_for_vertex(t, vertex, estimate, predecessors)
+        sketch = self._draw_samples(t, vertex, node, estimate)
         self._entries[t][vertex] = _Entry(
             estimate=estimate, sketch=sketch, exact=False, exact_set=None
         )
         self.diagnostics.sketched += 1
-
-    def _draw_samples_for_vertex(
-        self,
-        t: int,
-        vertex: int,
-        estimate: float,
-        predecessors: dict,
-    ) -> list:
-        """k uniform samples of U(state@t): one symbol step + recursive walk.
-
-        Equivalent to ``Sample({state}, ε, e⁻⁴/R)`` — the first partition
-        of the walk is exactly ``predecessors``; we reuse the generic walk
-        by starting it at the vertex itself.
-        """
-        return self._draw_samples(t, vertex, estimate, self.k)
 
     # ------------------------------------------------------------------
     # Public results
@@ -567,19 +633,40 @@ class FprasState:
         EmptyWitnessSetError
             When ``L_n(N) = ∅`` (the paper's ⊥ output).
         """
+        return self._witness(rng, rejection=True)
+
+    def propose_witness(self, rng: random.Random | int | None = None) -> Word | None:
+        """One almost-uniform witness: the ``Sample`` walk without φ.
+
+        The walk from the accepting vertices keeps the word it reaches,
+        with no rejection coin, so its law is ``Π p_b`` — uniform only as
+        far as the W̃ estimates are exact (the generator of
+        :class:`repro.core.almost_uniform.AlmostUniformGenerator`).
+        Exact regimes draw uniformly.  None means the walk hit a
+        zero-weight stratum or the construction failed.
+
+        Raises
+        ------
+        EmptyWitnessSetError
+            When ``L_n(N) = ∅``.
+        """
+        return self._witness(rng, rejection=False)
+
+    def _witness(self, rng: random.Random | int | None, rejection: bool) -> Word | None:
         generator = make_rng(rng) if rng is not None else self.rng
-        finals = list(self.kernel.final_indices(self.n))
-        if not finals or (self.estimate <= 0 and not self.failed and self.is_exact()):
+        if not self.kernel.final_indices(self.n) or (
+            self.estimate <= 0 and not self.failed and self.is_exact()
+        ):
             raise EmptyWitnessSetError(f"no witnesses of length {self.n}")
-        if self.diagnostics.used_exhaustive or self._final_exact_union is not None:
+        if self.is_exact():
             universe = self._exhaustive_universe()
             if not universe:
                 raise EmptyWitnessSetError(f"no witnesses of length {self.n}")
             return universe[generator.randrange(len(universe))]
         if self.failed:
             return None
-        phi0 = self.params.rejection_constant / self.estimate
-        return self._sample_walk(self.n, frozenset(finals), phi0, rng=generator)
+        phi0 = self.params.rejection_constant / self.estimate if rejection else None
+        return self._sample_walk(self._final_node, generator, phi0)
 
     def _exhaustive_universe(self) -> list:
         """Materialized witness list for the exact regimes (cached)."""

@@ -57,6 +57,12 @@ LOWERING_SECONDS = "repro_lowering_seconds"
 KERNEL_BACKEND_SELECTED = "repro_kernel_backend_total"
 ACCEL_SPILLS = "repro_accel_spills_total"
 
+# --- FPRAS (added once per finished sketch construction) ---------------
+FPRAS_WALKS = "repro_fpras_walks_total"
+FPRAS_REJECTIONS = "repro_fpras_rejections_total"
+FPRAS_WALK_FAILURES = "repro_fpras_walk_failures_total"
+FPRAS_REACH_CACHE_MISSES = "repro_fpras_reach_cache_misses_total"
+
 # --- span stage vocabulary (label values of STAGE_SECONDS) ------------
 STAGE_PARSE = "parse"
 STAGE_COALESCE_WAIT = "coalesce_wait"
@@ -110,6 +116,10 @@ __all__ = [
     "LOWERING_SECONDS",
     "KERNEL_BACKEND_SELECTED",
     "ACCEL_SPILLS",
+    "FPRAS_WALKS",
+    "FPRAS_REJECTIONS",
+    "FPRAS_WALK_FAILURES",
+    "FPRAS_REACH_CACHE_MISSES",
     "STAGE_PARSE",
     "STAGE_COALESCE_WAIT",
     "STAGE_QUEUE_WAIT",

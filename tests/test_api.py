@@ -9,13 +9,15 @@ name from the solver-backend registry.
 
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 
 import pytest
 
 import repro
 from repro import WitnessSet, backends
-from repro.api import shared, shared_cache_clear
+from repro.api import SEEDED_SKETCHES_KEPT, shared, shared_cache_clear
 from repro.automata import compile_regex, is_unambiguous
 from repro.automata.operations import words_of_length
 from repro.automata.random_gen import ambiguity_blowup
@@ -139,6 +141,27 @@ class TestCaching:
         assert ws.stats.hits[("fpras", 0.3, 7)] == 1
         ws.count(backend="fpras", delta=0.2, rng=7)
         assert ws.stats.misses[("fpras", 0.2, 7)] == 1
+
+    def test_seeded_sketches_are_bounded(self):
+        ws = WitnessSet.from_nfa(ambiguity_blowup(4), 8, params=FAST)
+        unseeded = ws.fpras_state(0.3)
+        sketches = []
+        for seed in range(100):
+            ws.count(backend="fpras", delta=0.3, rng=seed)
+            # The sketch an estimate just built is still found by its seed.
+            sketches.append(weakref.ref(ws.fpras_state(0.3, rng=seed)))
+            assert ws.stats.hits[("fpras", 0.3, seed)] == 1
+        gc.collect()
+        alive = [ref() for ref in sketches if ref() is not None]
+        assert len(alive) <= SEEDED_SKETCHES_KEPT
+        assert ws.fpras_state(0.3) is unseeded
+        # Use, not construction, sets the order: a reused seed survives.
+        ws.fpras_state(0.3, rng=96)
+        ws.fpras_state(0.3, rng=100)
+        assert ws.stats.misses[("fpras", 0.3, 96)] == 1
+        assert sketches[96]() is ws.fpras_state(0.3, rng=96)
+        assert ws.fpras_state(0.3, rng=0) is not None
+        assert ws.stats.misses[("fpras", 0.3, 0)] == 2
 
     def test_shared_cache_returns_same_object(self):
         shared_cache_clear()
