@@ -6,18 +6,14 @@ call, so a count followed by a sample on the same language paid the
 expensive work twice.  Recorded here:
 
 * cold (a fresh facade per query — the old behaviour) vs warm (one
-  facade, cached artifacts) cost of the count+sample+enum triple;
-* the deprecated free functions now hitting the shared process cache,
-  so even legacy call sites amortize.
+  facade, cached artifacts) cost of the count+sample+enum triple.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 
-import repro
-from repro.api import WitnessSet, shared, shared_cache_clear
+from repro.api import WitnessSet
 from workloads import ufa_sweep
 
 N = 64
@@ -73,30 +69,3 @@ def test_facade_cache_speedup(observe):
     assert warm_triple < cold_triple
     # ... and no artifact is ever built twice.
     assert all(count == 1 for count in ws.stats.misses.values())
-
-
-def test_legacy_helpers_hit_shared_cache(observe):
-    m, ufa = ufa_sweep(sizes=(40,))[0]
-    shared_cache_clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        start = time.perf_counter()
-        first = repro.count_words(ufa, N)
-        cold = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for _ in range(QUERY_ROUNDS):
-            assert repro.count_words(ufa, N) == first
-            repro.uniform_sample(ufa, N, rng=1)
-        warm = (time.perf_counter() - start) / QUERY_ROUNDS
-
-    ws = shared(ufa, N)
-    observe(
-        "E-API",
-        f"legacy shims m={m} n={N}: first-call={cold * 1e3:7.2f}ms "
-        f"steady-state={warm * 1e3:7.2f}ms hits={ws.stats.hit_count}",
-    )
-    # Steady-state count+sample through the shims must beat one cold
-    # preprocessing pass — i.e. the shared cache is actually shared.
-    assert warm < cold
-    assert ws.stats.hit_count > 0

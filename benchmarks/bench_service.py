@@ -189,7 +189,7 @@ def test_mmap_store_beats_full_deserialize(observe):
                     seconds[mmap_mode], time.perf_counter() - started
                 )
                 if mmap_mode and restored._borrow_owner is not None:
-                    assert store.stats.extra.get("mmap_hits", 0) == 1, (
+                    assert store.stats.mmap_hits == 1, (
                         "mmap store must hand out a borrowed (zero-copy) kernel"
                     )
         assert counts[False] == counts[True] == kernel.total_runs

@@ -11,8 +11,9 @@ unambiguous (RelationUL, Theorem 5), FPRAS + Las Vegas sampling
 otherwise (RelationNL, Theorem 2/22) — and all shared preprocessing is
 computed once and reused across the calls below.
 
-(The pre-1.1 free functions ``repro.count_words`` / ``uniform_samples``
-still work but are deprecated shims over this facade.)
+(The pre-1.1 free functions ``repro.count_words`` / ``uniform_sample``
+/ ``uniform_samples`` are gone: ``ws.count()`` and ``ws.sample(k)`` on
+a :class:`~repro.WitnessSet` replace them.)
 """
 
 from __future__ import annotations

@@ -38,22 +38,12 @@ on process-wide), a multiprocess :class:`~repro.service.engine.Engine`
 routes requests by fingerprint affinity with deterministic per-request
 RNG substreams, and ``repro serve`` / ``repro query`` expose the whole
 facade as a batching JSON-lines service over stdio or TCP.
-
-.. deprecated:: 1.1
-   The free functions :func:`count_words`, :func:`uniform_sample` and
-   :func:`uniform_samples` predate the facade.  They now delegate to a
-   process-wide shared :class:`WitnessSet` cache (so repeated calls on
-   the same automaton are O(1) after the first), but new code should
-   construct a :class:`WitnessSet` directly.
 """
 
 from __future__ import annotations
 
-import random
-import warnings
-
 from repro import backends
-from repro.api import CacheStats, WitnessSet, shared as shared_witness_set
+from repro.api import CacheStats, WitnessSet
 from repro.automata import (
     EPSILON,
     NFA,
@@ -114,7 +104,7 @@ __version__ = "1.2.0"
 
 
 def __getattr__(name: str):
-    """Lazy ``repro.service``: the serving stack (sockets, selectors,
+    """Lazy ``repro.service``: the serving stack (asyncio, sockets,
     multiprocessing) loads only when first touched, so plain library and
     CLI use never pays for it."""
     if name == "service":
@@ -124,78 +114,12 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.{name}() is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def count_words(nfa: NFA, n: int) -> int:
-    """Exact ``|L_n(nfa)|``, choosing the right exact algorithm.
-
-    .. deprecated:: 1.1  Use ``WitnessSet.from_nfa(nfa, n).count()``.
-
-    Delegates to the shared :class:`WitnessSet` cache: unambiguous
-    automata use the polynomial-time run-count DP of Section 5.3.2,
-    ambiguous ones the subset-construction counter (exponential worst
-    case — use the ``fpras`` backend at scale).  Repeated calls on the
-    same automaton reuse all preprocessing.
-    """
-    _deprecated("count_words", "WitnessSet.from_nfa(nfa, n).count()")
-    return shared_witness_set(nfa, n).count_exact()
-
-
-def uniform_sample(
-    nfa: NFA,
-    n: int,
-    rng: random.Random | int | None = None,
-    delta: float = 0.1,
-    *,
-    seed: int | None = None,
-):
-    """One uniform witness of ``L_n(nfa)`` (None when the set is empty).
-
-    .. deprecated:: 1.1  Use ``WitnessSet.from_nfa(nfa, n).sample(rng=...)``.
-
-    Unambiguous automata get the exact uniform sampler of Section 5.3.3;
-    general NFAs the Las Vegas generator of Corollary 23 — both through
-    the shared :class:`WitnessSet` cache, so the per-automaton
-    preprocessing is paid once across calls.  ``seed=`` is an integer
-    alias for ``rng=``; both spellings draw the identical stream.
-    """
-    _deprecated("uniform_sample", "WitnessSet.from_nfa(nfa, n).sample(rng=...)")
-    return shared_witness_set(nfa, n, delta=delta).sample(rng=rng, seed=seed)
-
-
-def uniform_samples(
-    nfa: NFA,
-    n: int,
-    count: int,
-    rng: random.Random | int | None = None,
-    delta: float = 0.1,
-    *,
-    seed: int | None = None,
-) -> list:
-    """``count`` independent uniform witnesses of ``L_n(nfa)``.
-
-    .. deprecated:: 1.1  Use ``WitnessSet.from_nfa(nfa, n).sample(count)``.
-
-    Raises :class:`EmptyWitnessSetError` if there are no witnesses.
-    ``seed=`` is an integer alias for ``rng=``.
-    """
-    _deprecated("uniform_samples", "WitnessSet.from_nfa(nfa, n).sample(count)")
-    return shared_witness_set(nfa, n, delta=delta).sample(count, rng=rng, seed=seed)
-
-
 __all__ = [
     "__version__",
     # the facade
     "WitnessSet",
     "CacheStats",
     "backends",
-    "shared_witness_set",
     # the serving subsystem (persistent kernels, worker pool, server)
     "service",
     # automata
@@ -208,10 +132,6 @@ __all__ = [
     "determinize",
     "minimize",
     "is_unambiguous",
-    # deprecated top-level dispatchers (thin shims over the facade)
-    "count_words",
-    "uniform_sample",
-    "uniform_samples",
     # rng plumbing (the "seed or generator or nothing" convention)
     "make_rng",
     # core

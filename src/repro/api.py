@@ -45,10 +45,6 @@ Quick tour::
     shared = WitnessSet.from_intersection(     # witnesses two patterns share
         "(ab|ba)*", "(a|b)*aa(a|b)*", 10)      # (lazy product plan)
     shared.count(), shared.describe()["lowering"]
-
-:data:`shared` is the bounded process-wide cache behind the deprecated
-free functions (``repro.count_words`` etc.), so legacy call sites are
-O(1) after the first query on a given automaton.
 """
 
 from __future__ import annotations
@@ -653,10 +649,10 @@ class WitnessSet:
         batched samplers).
 
         ``seed=`` is an integer alias for ``rng=`` (the spelling the
-        service protocol and the deprecated top-level shims use):
-        ``sample(5, seed=7)`` and ``sample(5, rng=7)`` draw the identical
-        stream.  ``rng`` additionally accepts a live ``random.Random`` to
-        share a stream across calls; passing both is an error.
+        service protocol uses): ``sample(5, seed=7)`` and
+        ``sample(5, rng=7)`` draw the identical stream.  ``rng``
+        additionally accepts a live ``random.Random`` to share a stream
+        across calls; passing both is an error.
         """
         rng = _resolve_seed_alias(rng, seed)
         generator = self.rng if rng is None else make_rng(rng)
@@ -1055,36 +1051,4 @@ class WitnessSet:
         )
 
 
-# ----------------------------------------------------------------------
-# The process-wide shared cache behind the deprecated free functions
-# ----------------------------------------------------------------------
-
-_SHARED_MAXSIZE = 64
-_shared_cache: "OrderedDict[tuple, WitnessSet]" = OrderedDict()
-
-
-def shared(nfa: NFA, n: int, delta: float = 0.1) -> WitnessSet:
-    """The memoized ``(nfa, n, δ) → WitnessSet`` map (bounded LRU).
-
-    NFAs compare by value, so two structurally identical automata share
-    one entry.  This is what makes the legacy free functions O(1) after
-    their first call on a given automaton.
-    """
-    key = (nfa, n, delta)
-    ws = _shared_cache.get(key)
-    if ws is not None:
-        _shared_cache.move_to_end(key)
-        return ws
-    ws = WitnessSet(nfa, n, delta=delta)
-    _shared_cache[key] = ws
-    while len(_shared_cache) > _SHARED_MAXSIZE:
-        _shared_cache.popitem(last=False)
-    return ws
-
-
-def shared_cache_clear() -> None:
-    """Drop every shared entry (tests and long-running processes)."""
-    _shared_cache.clear()
-
-
-__all__ = ["WitnessSet", "CacheStats", "shared", "shared_cache_clear"]
+__all__ = ["WitnessSet", "CacheStats"]

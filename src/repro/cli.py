@@ -7,11 +7,11 @@ sample    uniform witnesses (exact / Las Vegas, per the class dispatch)
 enum      enumerate witnesses (constant/polynomial delay)
 inspect   automaton facts: size, ambiguity, per-length spectrum
 dot       Graphviz DOT of the automaton or its unrolled DAG
-serve     the witness service: JSON-lines over stdio or async TCP
+serve     the witness service: one async JSON-lines server on stdio or TCP
           (``--workers`` forks the affinity-routed engine pool,
           ``--store`` persists kernels for warm starts; ``--max-line``,
           ``--request-timeout`` and ``--max-connections`` bound the
-          concurrent front-end)
+          front-end)
 query     send one operation to a running ``repro serve --port`` server;
           ``repro query enum`` / ``--enumerate`` streams witnesses as
           chunked responses (``--chunk-size``, resumable ``--cursor``)
@@ -344,12 +344,13 @@ def _resolve_slow_query_log(path_arg, ms_arg):
 
 
 def _command_serve(args) -> int:
+    import asyncio
+
     from repro.service.engine import Engine
     from repro.service.server import (
         DEFAULT_MAX_CONNECTIONS,
         DEFAULT_MAX_LINE,
-        serve_stdio,
-        serve_tcp,
+        AsyncWitnessServer,
     )
 
     engine = Engine(
@@ -357,32 +358,26 @@ def _command_serve(args) -> int:
         store_root=args.store,
         max_resident=args.max_resident,
     )
-    window = args.batch_window / 1000.0
-    max_line = args.max_line if args.max_line is not None else DEFAULT_MAX_LINE
-    max_connections = (
-        args.max_connections
-        if args.max_connections is not None
-        else DEFAULT_MAX_CONNECTIONS
+    server = AsyncWitnessServer(
+        engine,
+        batch_window=args.batch_window / 1000.0,
+        max_line=args.max_line if args.max_line is not None else DEFAULT_MAX_LINE,
+        request_timeout=args.request_timeout or None,
+        max_connections=(
+            args.max_connections
+            if args.max_connections is not None
+            else DEFAULT_MAX_CONNECTIONS
+        ),
+        slow_query_log=_resolve_slow_query_log(args.slow_query_log, args.slow_query_ms),
     )
-    slow_query_log = _resolve_slow_query_log(args.slow_query_log, args.slow_query_ms)
     try:
         if args.port is None:
-            return serve_stdio(engine, batch_window=window, max_line=max_line)
+            return asyncio.run(server.run_stdio(sys.stdin, sys.stdout))
 
         def announce(address) -> None:
             print(f"listening on {address[0]}:{address[1]}", file=sys.stderr, flush=True)
 
-        return serve_tcp(
-            engine,
-            host=args.host,
-            port=args.port,
-            batch_window=window,
-            ready_callback=announce,
-            max_line=max_line,
-            request_timeout=args.request_timeout or None,
-            max_connections=max_connections,
-            slow_query_log=slow_query_log,
-        )
+        return asyncio.run(server.run(args.host, args.port, announce))
     finally:
         engine.close()
 

@@ -25,9 +25,10 @@ package turns the single-process facade into a service:
   affinity (each worker keeps its hot kernels resident) with
   deterministic per-request RNG substreams, so seeded ``sample`` results
   are byte-identical no matter which worker serves them.
-* :mod:`repro.service.server` — the JSON-lines server (stdin/stdout,
-  and an ``asyncio`` TCP front-end multiplexing concurrent connections)
-  behind ``repro serve`` / ``repro query``, with request batching —
+* :mod:`repro.service.server` — the ``asyncio`` JSON-lines server
+  behind ``repro serve`` / ``repro query``, multiplexing concurrent TCP
+  connections or serving stdin/stdout as one connection, with request
+  batching —
   same-fingerprint sample requests coalesce into one ``sample_batch``
   kernel pass, across connections — plus bounded request lines,
   per-request deadlines, backpressured writes, graceful drain, and
@@ -40,7 +41,7 @@ from typing import Any
 
 #: Public name → home submodule.  Resolved lazily (PEP 562) so that,
 #: e.g., the facade touching only the store never imports the engine's
-#: ``multiprocessing`` or the server's ``socket``/``selectors``.
+#: ``multiprocessing`` or the server's ``asyncio``.
 _EXPORTS = {
     "Engine": "engine",
     "FingerprintError": "fingerprint",
@@ -58,7 +59,6 @@ _EXPORTS = {
     "witness_set_from_spec": "protocol",
     "draw_samples": "protocol",
     "draw_samples_coalesced": "protocol",
-    "WitnessServer": "server",
     "AsyncWitnessServer": "server",
     "serve_stdio": "server",
     "serve_tcp": "server",

@@ -69,6 +69,26 @@ _POLL_SECONDS = 0.25
 _STATS_DEADLINE_SECONDS = 5.0
 
 
+def _control_response(
+    cache: WitnessSetCache, request: dict[str, Any], worker: int
+) -> dict[str, Any]:
+    """Answer a ``ping`` / ``stats`` control op from one cache.
+
+    The stats payload carries this process's registry snapshot alongside
+    the classic cache view, so the engine can merge pool-wide
+    histograms/counters.
+    """
+    response: dict[str, Any] = {"id": request.get("id"), "ok": True, "worker": worker}
+    if "__seq" in request:
+        response["__seq"] = request["__seq"]
+    response["result"] = (
+        dict(cache.stats(), metrics=obs.metrics().snapshot())
+        if request["op"] == "stats"
+        else "pong"
+    )
+    return response
+
+
 def _worker_main(
     worker_id: int,
     tasks: MPQueue[_Task],
@@ -93,27 +113,10 @@ def _worker_main(
             break
         batch_id, group_index, group = item
         if len(group) == 1 and group[0].get("op") in CONTROL_OPS:
-            request = group[0]
-            response: dict[str, Any] = {
-                "id": request.get("id"),
-                "ok": True,
-                "worker": worker_id,
-            }
-            if "__seq" in request:
-                response["__seq"] = request["__seq"]
-            response["result"] = (
-                # The stats payload carries this worker's registry
-                # snapshot alongside the classic cache view, so the
-                # engine can merge pool-wide histograms/counters.
-                dict(cache.stats(), metrics=obs.metrics().snapshot())
-                if request["op"] == "stats"
-                else "pong"
-            )
-            results.put((batch_id, group_index, [response]))
-            continue
-        results.put(
-            (batch_id, group_index, execute_group(cache, group, worker=worker_id))
-        )
+            responses = [_control_response(cache, group[0], worker_id)]
+        else:
+            responses = execute_group(cache, group, worker=worker_id)
+        results.put((batch_id, group_index, responses))
 
 
 class Engine:
@@ -291,7 +294,7 @@ class Engine:
             responses: list[dict[str, Any]] = []
             for group in groups:
                 if len(group) == 1 and group[0].get("op") in CONTROL_OPS:
-                    responses.append(self._control_response(group[0]))
+                    responses.append(_control_response(cache, group[0], 0))
                 else:
                     responses.extend(execute_group(cache, group))
         else:
@@ -353,15 +356,6 @@ class Engine:
                 }
             ordered.append(response)
         return ordered
-
-    def _control_response(self, request: dict[str, Any]) -> dict[str, Any]:
-        cache = self._local_cache
-        assert cache is not None  # only reached when workers == 0
-        response: dict[str, Any] = {"id": request.get("id"), "ok": True, "worker": 0}
-        if "__seq" in request:
-            response["__seq"] = request["__seq"]
-        response["result"] = cache.stats() if request["op"] == "stats" else "pong"
-        return response
 
     def _execute_pooled(self, groups: list[list[dict[str, Any]]]) -> list[dict[str, Any]]:
         results = self._results

@@ -1,4 +1,4 @@
-"""The JSON-lines witness service: stdin/stdout and async TCP front-ends.
+"""The JSON-lines witness service: one async server on TCP or stdin/stdout.
 
 One request per line in, one response per line out (see
 :mod:`repro.service.protocol` for the shapes).  The server's job is
@@ -11,30 +11,34 @@ are written back.  Under concurrent load this turns N same-instance
 requests costing N kernel walks into one walk, without changing any
 response byte (the substream contract).
 
-Front-ends:
+Both front-ends run :class:`AsyncWitnessServer`, so they share one
+request loop, one batching pump and one graceful drain:
 
-* :func:`serve_stdio` — JSON-lines over stdin/stdout, the subprocess /
-  pipeline embedding (``repro serve --stdio``);
-* :func:`serve_tcp` — an ``asyncio`` server (``repro serve --port N``)
-  multiplexing any number of concurrent client connections.  All
-  connections feed one shared batching queue, so same-spec sample
-  bursts coalesce **across connections**, not just within one client's
-  pipelined write.
+* :func:`serve_tcp` — ``repro serve --port N``, multiplexing any number
+  of concurrent client connections.  All connections feed one shared
+  batching queue, so same-spec sample bursts coalesce **across
+  connections**, not just within one client's pipelined write.
+* :func:`serve_stdio` — ``repro serve`` without ``--port``: stdin and
+  stdout are the server's single connection (the subprocess / pipeline
+  embedding).  Pipes and regular files both work, e.g. ``repro serve <
+  requests.jsonl > responses.jsonl``.
 
-Concurrency semantics of the TCP server:
+Concurrency semantics:
 
 * **Per-connection isolation** — every connection has its own reader
   task and its own write path; one client's malformed input, slow
   reading or disconnect never affects another's responses.
 * **Bounded request size** — a request line longer than ``max_line``
-  bytes is answered with a one-line JSON error and the connection is
-  closed (line framing is unrecoverable past that point); the reader
-  never buffers an endless line.
+  bytes is answered with a one-line JSON error; the reader never
+  buffers an endless line.  TCP then closes the connection (line
+  framing is unrecoverable past that point); stdio has exactly one
+  client, so it discards the line through its newline and reads on.
 * **Backpressure** — reads stop while a connection's earlier requests
   are still being enqueued (the shared queue is bounded), and writes
-  await the socket drain, so a client that stops reading pauses its own
-  stream instead of growing server memory.  A connection whose write
-  stalls longer than ``write_timeout`` is dropped.
+  await the drain, so a client that stops reading pauses its own
+  stream instead of growing server memory.  A TCP connection whose
+  write stalls longer than ``write_timeout`` is dropped; the stdio
+  client is never dropped for a slow stdout.
 * **Per-request deadlines** — ``request_timeout`` (overridable per
   request via ``"timeout_ms"``) bounds how long a request may wait for
   engine capacity; an expired request is answered with a
@@ -43,7 +47,8 @@ Concurrency semantics of the TCP server:
   execution).
 * **Graceful drain** — ``shutdown`` stops accepting new connections,
   answers everything already queued, flushes every live connection and
-  only then exits.
+  only then exits.  On stdio, EOF drains the same way, and both EOF and
+  ``shutdown`` first let the client's running streams finish.
 
 Streamed enumeration: a client request ``{"op": "enumerate", "stream":
 true, ...}`` is answered with a *sequence* of chunked response lines
@@ -57,8 +62,9 @@ disconnected client resume exactly where it stopped.
 Control ops: ``ping`` answers ``"pong"``; ``stats`` reports server
 counters, the aggregated engine summary, and the pool-wide merged
 metrics snapshot (request the classic per-worker entry list with
-``"per_worker": true``); ``shutdown`` acknowledges, drains, and stops
-the server.  Malformed lines get an ``ok: false`` response rather than
+``"per_worker": true``); ``cancel`` stops the connection's streams
+named by ``"target"``; ``shutdown`` acknowledges, drains, and stops the
+server.  Malformed lines get an ``ok: false`` response rather than
 killing the connection.
 
 Observability (see :mod:`repro.obs`): every front-door request is
@@ -76,19 +82,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import os
-import selectors
 import sys
+import threading
 import time
-from typing import IO, TYPE_CHECKING, Any, Callable, Coroutine
+from typing import IO, Any, Callable, Coroutine, Protocol
 
 from repro import obs
 from repro.obs import names as metric_names
 from repro.service.engine import Engine
 from repro.service.protocol import _op_label
-
-if TYPE_CHECKING:
-    import threading
 
 #: Default grace period for coalescing stragglers into a batch (seconds).
 DEFAULT_BATCH_WINDOW = 0.005
@@ -111,11 +113,15 @@ _QUEUE_LIMIT = 4096
 #: Cap on concurrent enumeration streams per connection.
 MAX_STREAMS_PER_CONNECTION = 8
 
-_MAX_LINE = DEFAULT_MAX_LINE  # backwards-compatible alias
+#: Lines the stdin reader thread may read ahead of the event loop: with
+#: ``max_line`` it bounds what stdio buffers, as the stream limit does
+#: for a TCP connection.
+_READ_AHEAD = 8
 
 
 def _write_stderr(message: str) -> None:
-    """Executor target for diagnostics emitted from the event loop."""
+    """Write a diagnostic; blocking, so never called on the event loop
+    (the loop hands it to the executor, the stdin thread calls it)."""
     sys.stderr.write(message)
     sys.stderr.flush()
 
@@ -127,10 +133,8 @@ def _swallow_exception(future: asyncio.Future[Any]) -> None:
         future.exception()
 
 
-def _parse_line(line: bytes | str) -> dict[str, Any]:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
-    request = json.loads(line)
+def _parse_line(line: bytes) -> dict[str, Any]:
+    request = json.loads(line.decode("utf-8"))
     if not isinstance(request, dict):
         raise ValueError("request must be a JSON object")
     return request
@@ -177,214 +181,137 @@ def _aggregate_server_stats(
     return result
 
 
-class WitnessServer:
-    """The batching request loop over one :class:`Engine`.
+# ----------------------------------------------------------------------
+# Connections: the line reader and writer a client is served through
+# ----------------------------------------------------------------------
 
-    Responses are delivered through per-request callbacks, so the same
-    core serves the stdio front-end (and the tests drive it directly).
+
+class _LineReader(Protocol):
+    """``asyncio.StreamReader`` or :class:`_StdinReader`: ``readline``
+    returns ``b""`` at EOF and raises ``ValueError`` for a line longer
+    than ``max_line``."""
+
+    async def readline(self) -> bytes: ...
+
+
+class _LineWriter(Protocol):
+    """``asyncio.StreamWriter`` or :class:`_StdoutWriter`."""
+
+    def write(self, data: bytes) -> None: ...
+
+    async def drain(self) -> None: ...
+
+    def close(self) -> None: ...
+
+    async def wait_closed(self) -> None: ...
+
+
+def _read_line(source: IO[Any], max_line: int) -> bytes | None:
+    """One line of at most ``max_line`` bytes (``b""`` at EOF), or
+    ``None`` for a longer line, which is discarded through its newline
+    in bounded reads."""
+    line = source.readline(max_line + 1)
+    newline = "\n" if isinstance(line, str) else b"\n"
+    if len(line) > max_line and not line.endswith(newline):
+        while line and not line.endswith(newline):
+            line = source.readline(max_line + 1)
+        return None
+    if isinstance(line, str):
+        # Lone surrogates pass through, and the strict UTF-8 decode of
+        # the request then rejects the line as malformed.
+        return line.encode("utf-8", "surrogatepass")
+    return bytes(line)
+
+
+class _StdinReader:
+    """Request lines from a blocking stream, read by a daemon thread.
+
+    The thread makes bounded ``readline(max_line + 1)`` calls and hands
+    each line to the event loop; a semaphore bounds how far it reads
+    ahead.  It is a daemon, so a client holding stdin open cannot keep
+    the process alive after ``shutdown`` (an executor thread would be
+    joined at exit).  A stream with a file descriptor is read through a
+    private binary reader on that descriptor: a thread blocked inside
+    the process's own ``sys.stdin`` buffer would abort interpreter
+    shutdown on its lock.
     """
 
-    def __init__(self, engine: Engine, batch_window: float = DEFAULT_BATCH_WINDOW) -> None:
-        self.engine = engine
-        self.batch_window = batch_window
-        self.served = 0
-        self.batches = 0
-        self.shutting_down = False
+    def __init__(self, stream: IO[Any], max_line: int) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._lines: asyncio.Queue[bytes | None] = asyncio.Queue()
+        self._slots = threading.Semaphore(_READ_AHEAD)
+        self._closed = False
+        threading.Thread(
+            target=self._run, args=(stream, max_line), name="repro-stdin", daemon=True
+        ).start()
 
-    def process(
-        self, parsed: list[tuple[dict[str, Any], object]]
-    ) -> list[tuple[dict[str, Any], object]]:
-        """Answer a drained batch of ``(request, reply_to)`` pairs.
+    async def readline(self) -> bytes:
+        line = await self._lines.get()
+        self._slots.release()
+        if line is None:
+            raise ValueError("request line too long")
+        return line
 
-        A ``shutdown`` op is acknowledged immediately and flips
-        :attr:`shutting_down`; the remaining requests of the batch are
-        still answered.  ``stats`` is answered here so it aggregates
-        *every* worker's counters (routed through the engine it would
-        reach only one).
-        """
-        executable: list[dict[str, Any]] = []
-        sinks: list[object] = []
-        out: list[tuple[dict[str, Any], object]] = []
-        for request, reply_to in parsed:
-            op = request.get("op")
-            if op == "shutdown":
-                self.shutting_down = True
-                out.append(({"id": request.get("id"), "ok": True, "result": "bye"}, reply_to))
-                continue
-            if op == "stats":
-                result = dict(
-                    _aggregate_server_stats(
-                        self.engine,
-                        per_worker=bool(request.get("per_worker")),
-                    ),
-                    served=self.served,
-                    batches=self.batches,
-                )
-                out.append(({"id": request.get("id"), "ok": True, "result": result}, reply_to))
-                continue
-            executable.append(request)
-            sinks.append(reply_to)
-        if executable:
-            self.batches += 1
-            responses = self.engine.execute(executable)
-            self.served += len(responses)
-            out.extend(zip(responses, sinks))
-        return out
+    def close(self) -> None:
+        """Stop the thread once its read in flight returns."""
+        self._closed = True
+        self._slots.release()
 
-
-def _answer_lines(
-    server: WitnessServer, lines: list[Any], stdout: IO[Any], max_line: int
-) -> None:
-    """Parse a batch of request lines, execute, write response lines."""
-    parsed: list[tuple[dict[str, Any], object]] = []
-    for text in lines:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8", errors="replace")
-        if not text.strip():
-            continue
-        if len(text) > max_line:
-            stdout.write(
-                encode_response(
-                    _error_response(
-                        None, ValueError(f"request line too long (max {max_line} bytes)")
-                    )
-                ).decode("utf-8")
-            )
-            continue
+    def _run(self, stream: IO[Any], max_line: int) -> None:
+        source: IO[Any]
         try:
-            parsed.append((_parse_line(text), None))
-        except ValueError as error:
-            stdout.write(encode_response(_error_response(None, error)).decode("utf-8"))
-    for response, _ in server.process(parsed):
-        stdout.write(encode_response(response).decode("utf-8"))
-    stdout.flush()
-
-
-def serve_stdio(
-    engine: Engine,
-    stdin: IO[Any] | None = None,
-    stdout: IO[Any] | None = None,
-    batch_window: float = DEFAULT_BATCH_WINDOW,
-    max_line: int = DEFAULT_MAX_LINE,
-) -> int:
-    """Serve JSON-lines over stdin/stdout until EOF or ``shutdown``.
-
-    Batching: on a real pipe the loop reads raw bytes from the file
-    descriptor (its own line framing, no stdio buffering in the way), so
-    everything the client has already written — plus a ``batch_window``
-    grace for stragglers — lands in one engine batch and same-spec
-    sample requests coalesce.  Non-selectable inputs (tests passing
-    ``StringIO``) fall back to line-at-a-time processing.
-
-    A line longer than ``max_line`` is answered with a one-line JSON
-    error and *discarded up to its newline* — the reader never grows an
-    unbounded buffer, and the stream stays usable afterwards (unlike
-    TCP, stdio has exactly one client, so closing is not an option).
-    """
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
-    server = WitnessServer(engine, batch_window)
-
-    fileno: int | None
-    try:
-        fileno = stdin.fileno()
-    except (OSError, ValueError, AttributeError):
-        fileno = None
-
-    if fileno is None:
-        # Fallback framing for non-selectable streams: no fd to select
-        # on, so no cross-line batching — process each line as it comes.
-        # readline is capped so an endless line is bounded here too: the
-        # oversized head gets the error, the tail is discarded in
-        # max_line-sized reads.
-        while not server.shutting_down:
-            line = stdin.readline(max_line + 1)
-            if not line:
-                break
-            newline = "\n" if isinstance(line, str) else b"\n"
-            if len(line) > max_line and not line.endswith(newline):
-                stdout.write(
-                    encode_response(
-                        _error_response(
-                            None,
-                            ValueError(
-                                f"request line too long (max {max_line} bytes)"
-                            ),
-                        )
-                    ).decode("utf-8")
-                )
-                stdout.flush()
-                while True:  # discard the rest of the oversized line
-                    tail = stdin.readline(max_line)
-                    if not tail or tail.endswith(newline):
-                        break
-                continue
-            _answer_lines(server, [line], stdout, max_line)
-        return 0
-
-    selector = selectors.DefaultSelector()
-    selector.register(fileno, selectors.EVENT_READ)
-    buffer = b""
-    eof = False
-    discarding = False
-
-    def frame(chunk: bytes) -> list[bytes]:
-        """Append a chunk, splitting complete lines off the buffer and
-        enforcing ``max_line`` (oversized partial lines flip the reader
-        into discard-until-newline mode)."""
-        nonlocal buffer, discarding
-        buffer += chunk
-        if discarding and b"\n" not in buffer:
-            buffer = b""  # still inside the oversized line: drop it all
-            return []
-        *lines, buffer = buffer.split(b"\n")
-        if discarding and lines:
-            # The tail of the oversized line ends at the first newline.
-            lines = lines[1:]
-            discarding = False
-        if not discarding and len(buffer) > max_line:
-            stdout.write(
-                encode_response(
-                    _error_response(
-                        None, ValueError(f"request line too long (max {max_line} bytes)")
-                    )
-                ).decode("utf-8")
-            )
-            stdout.flush()
-            buffer = b""
-            discarding = True
-        return lines
-
-    try:
-        while not server.shutting_down and not eof:
-            selector.select()  # block until the first bytes arrive
-            chunk = os.read(fileno, 1 << 20)
-            if not chunk:
-                break
-            lines = frame(chunk)
-            # Straggler grace: drain whatever else arrives in the window.
-            deadline = time.monotonic() + server.batch_window
+            source = open(stream.fileno(), "rb", closefd=False)
+        except (OSError, ValueError, AttributeError):
+            source = stream  # no descriptor: StringIO and the like
+        try:
             while True:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0 or not selector.select(timeout):
-                    break
-                chunk = os.read(fileno, 1 << 20)
-                if not chunk:
-                    eof = True
-                    break
-                lines.extend(frame(chunk))
-            if lines:
-                _answer_lines(server, lines, stdout, max_line)
-        if buffer.strip() and not discarding and not server.shutting_down:
-            _answer_lines(server, [buffer], stdout, max_line)  # unterminated last line
-    finally:
-        selector.close()
-    return 0
+                self._slots.acquire()
+                if self._closed:
+                    return
+                try:
+                    line = _read_line(source, max_line)
+                except Exception as error:
+                    # The loop waits on this thread: an unreadable stdin
+                    # (closed, undecodable, ...) must end the session
+                    # like EOF.
+                    _write_stderr(f"witness-server: stdin unreadable: {error!r}\n")
+                    line = b""
+                try:
+                    self._loop.call_soon_threadsafe(self._lines.put_nowait, line)
+                except RuntimeError:  # the loop has closed: nobody reads on
+                    return
+                if line == b"":
+                    return
+        finally:
+            if source is not stream:
+                source.close()  # the private reader; the descriptor stays open
 
 
-# ----------------------------------------------------------------------
-# The async TCP front-end
-# ----------------------------------------------------------------------
+class _StdoutWriter:
+    """Response lines to a blocking text stream, written on the default
+    executor so a slow stdout never stalls the event loop."""
+
+    def __init__(self, stream: IO[Any]) -> None:
+        self._stream = stream
+        self._pending: list[bytes] = []
+
+    def write(self, data: bytes) -> None:
+        self._pending.append(data)
+
+    async def drain(self) -> None:
+        text = b"".join(self._pending).decode("utf-8")
+        self._pending.clear()
+        await asyncio.get_running_loop().run_in_executor(None, self._flush, text)
+
+    def _flush(self, text: str) -> None:
+        self._stream.write(text)
+        self._stream.flush()
+
+    def close(self) -> None:
+        """The stream belongs to the caller and stays open."""
+
+    async def wait_closed(self) -> None:
+        """Nothing to wait for: every drain has flushed its write."""
 
 
 class _Pending:
@@ -426,17 +353,29 @@ class _Pending:
 
 
 class _Connection:
-    """One TCP client: its writer plus liveness/ordering state."""
+    """One client: its line reader and writer plus liveness/ordering state.
 
-    __slots__ = ("writer", "closed", "write_lock", "streams")
+    ``stdio`` marks the stdin/stdout client, the server's only one: it
+    is never dropped for a slow write, an oversized line costs it only
+    that line, and its EOF or ``shutdown`` lets its streams finish
+    before the drain.
+    """
 
-    writer: asyncio.StreamWriter
+    __slots__ = ("reader", "writer", "stdio", "closed", "write_lock", "streams")
+
+    reader: _LineReader
+    writer: _LineWriter
+    stdio: bool
     closed: bool
     write_lock: asyncio.Lock
     streams: dict[int, tuple[Any, asyncio.Task[None]]]
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
+    def __init__(
+        self, reader: _LineReader, writer: _LineWriter, stdio: bool = False
+    ) -> None:
+        self.reader = reader
         self.writer = writer
+        self.stdio = stdio
         self.closed = False
         self.write_lock = asyncio.Lock()
         #: Live enumeration streams: unique key → (request id, task).
@@ -449,14 +388,16 @@ class _Connection:
 
 
 class AsyncWitnessServer:
-    """The concurrent TCP server: many connections, one batching pump.
+    """The witness server: any number of connections, one batching pump.
 
-    Every connection's requests land in one bounded queue; a single pump
-    task drains it (first arrival plus a ``batch_window`` straggler
-    grace), executes the whole batch in one engine call on a worker
-    thread, and fans the responses back out.  The engine is only ever
-    driven by the pump, so multiprocess result-queue consumption stays
-    single-consumer while any number of clients talk concurrently.
+    :meth:`run` serves TCP connections; :meth:`run_stdio` serves stdin
+    and stdout as the single connection.  Every connection's requests
+    land in one bounded queue; a single pump task drains it (first
+    arrival plus a ``batch_window`` straggler grace), executes the whole
+    batch in one engine call on a worker thread, and fans the responses
+    back out.  The engine is only ever driven by the pump, so
+    multiprocess result-queue consumption stays single-consumer while
+    any number of clients talk concurrently.
     """
 
     def __init__(
@@ -527,53 +468,82 @@ class AsyncWitnessServer:
         port: int,
         ready_callback: Callable[[Any], None] | None = None,
     ) -> int:
-        loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=_QUEUE_LIMIT)
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(
+        """Serve TCP connections on ``host:port`` until ``shutdown``."""
+        self._start()
+        listener = await asyncio.start_server(
             self._handle_connection, host, port, limit=self.max_line
         )
-        address = server.sockets[0].getsockname()
         if ready_callback is not None:
-            ready_callback(address)
-        pump = loop.create_task(self._pump())
+            ready_callback(listener.sockets[0].getsockname())
+        await self._serve(listener)
+        return 0
+
+    async def run_stdio(self, stdin: IO[Any], stdout: IO[Any]) -> int:
+        """Serve ``stdin``/``stdout`` as the single connection until EOF
+        or ``shutdown``."""
+        self._start()
+        reader = _StdinReader(stdin, self.max_line)
+        conn = _Connection(reader, _StdoutWriter(stdout), stdio=True)
+        self._admit(conn)
+        session = asyncio.get_running_loop().create_task(self._serve_stdin(conn))
         try:
-            await self._stop.wait()
+            await self._serve(None)
+        finally:
+            reader.close()
+        await session  # finished before the drain began; re-raises a crash
+        return 0
+
+    def _start(self) -> None:
+        self._queue = asyncio.Queue(maxsize=_QUEUE_LIMIT)
+        self._stop = asyncio.Event()
+
+    async def _serve(self, listener: asyncio.AbstractServer | None) -> None:
+        """Pump batches until shutdown, then drain and close."""
+        queue, stop = self._queue, self._stop
+        assert queue is not None and stop is not None  # built by _start()
+        pump = asyncio.get_running_loop().create_task(self._pump())
+        try:
+            await stop.wait()
             # Graceful drain: no new connections, answer what's queued,
             # flush what's written, then leave.  (The listener closes
             # immediately; Server.wait_closed is *not* awaited before the
             # drain because since 3.12 it waits for every connection
             # handler — and idle clients may hold connections open.)
-            server.close()
-            await self._queue.join()
+            if listener is not None:
+                listener.close()
+            await queue.join()
             if self._send_tasks:
-                # Responses are written by detached tasks: flush them
-                # (bounded — a stalled write gives up at write_timeout).
-                await asyncio.wait(
-                    list(self._send_tasks), timeout=self.write_timeout + 1.0
-                )
+                # Responses are written by detached tasks: flush them.  A
+                # stalled TCP write gives up at write_timeout by itself;
+                # the stdio client's writes are awaited in full.
+                await asyncio.wait(list(self._send_tasks))
         finally:
             pump.cancel()
             # Unblock any stream task still waiting on an unprocessed
             # page round, then drop the connections (which ends their
             # handler tasks and lets the listener fully close).
-            while self._queue is not None and not self._queue.empty():
-                pending = self._queue.get_nowait()
+            while not queue.empty():
+                pending = queue.get_nowait()
                 if pending.future is not None and not pending.future.done():
                     pending.future.set_result(None)
-                self._queue.task_done()
+                queue.task_done()
             for conn in list(self.connections):
                 await self._close_connection(conn)
-            try:
-                await asyncio.wait_for(server.wait_closed(), timeout=1.0)
-            except asyncio.TimeoutError:  # pragma: no cover - stuck handler
-                pass
-        return 0
+            if listener is not None:
+                try:
+                    await asyncio.wait_for(listener.wait_closed(), timeout=1.0)
+                except asyncio.TimeoutError:  # pragma: no cover - stuck handler
+                    pass
 
     def _begin_shutdown(self) -> None:
         self.shutting_down = True
         if self._stop is not None:
             self._stop.set()
+
+    def _admit(self, conn: _Connection) -> None:
+        self.connections.add(conn)
+        self._m_connections.inc()
+        self._m_active_connections.set(len(self.connections))
 
     async def _close_connection(self, conn: _Connection) -> None:
         if conn.closed:
@@ -591,13 +561,13 @@ class AsyncWitnessServer:
             pass
 
     # ------------------------------------------------------------------
-    # Per-connection reader
+    # The request loop, shared by TCP connections and stdio
     # ------------------------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        conn = _Connection(writer)
+        conn = _Connection(reader, writer)
         if self.shutting_down or len(self.connections) >= self.max_connections:
             reason = (
                 "server is shutting down"
@@ -608,73 +578,88 @@ class AsyncWitnessServer:
             self._m_dropped.inc()
             await self._close_connection(conn)
             return
-        self.connections.add(conn)
-        self._m_connections.inc()
-        self._m_active_connections.set(len(self.connections))
-        saw_request = False
+        self._admit(conn)
         try:
-            while not conn.closed and not self.shutting_down:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # Oversized line: one JSON error, then close — the
-                    # frame boundary is lost, resyncing is impossible.
-                    self._m_malformed.inc()
-                    await self._send(
-                        conn,
-                        _error_response(
-                            None,
-                            ValueError(
-                                f"request line too long (max {self.max_line} bytes)"
-                            ),
-                        ),
-                    )
-                    break
-                except (OSError, ConnectionError):
-                    break
-                if not line:
-                    break  # EOF
-                if not line.strip():
-                    continue
-                if not saw_request and line.startswith(b"GET "):
-                    # A Prometheus scrape (plain HTTP GET) on the same
-                    # port: answer the text exposition and close — no
-                    # JSON framing was established yet, so nothing on
-                    # this connection is lost.
-                    await self._serve_metrics_http(reader, conn)
-                    break
-                saw_request = True
-                parse_started = time.perf_counter()
-                try:
-                    request = _parse_line(line)
-                except ValueError as error:
-                    self._m_malformed.inc()
-                    await self._send(conn, _error_response(None, error))
-                    continue
-                parse_seconds = time.perf_counter() - parse_started
-                op = request.get("op")
-                self._count_request(op)
-                if op == "shutdown":
-                    await self._send(
-                        conn, {"id": request.get("id"), "ok": True, "result": "bye"}
-                    )
-                    self._begin_shutdown()
-                    break
-                if op == "cancel":
-                    await self._cancel_stream(request, conn)
-                    continue
-                if op == "enumerate" and request.get("stream"):
-                    await self._start_stream(request, conn)
-                    continue
-                await self._enqueue(request, conn, parse_seconds=parse_seconds)
+            if await self._read_requests(conn):
+                self._begin_shutdown()
         finally:
             # Marks the connection closed, which cancels its queued
             # requests, and stops its stream tasks.
             await self._close_connection(conn)
 
-    async def _serve_metrics_http(
-        self, reader: asyncio.StreamReader, conn: _Connection
-    ) -> None:
+    async def _serve_stdin(self, conn: _Connection) -> None:
+        """The stdio session: read until EOF or ``shutdown``, let the
+        client's running streams finish, then start the drain (which
+        answers everything it queued)."""
+        try:
+            await self._read_requests(conn)
+            streams = [task for _, task in conn.streams.values()]
+            if streams:
+                await asyncio.wait(streams)
+        finally:
+            self._begin_shutdown()
+
+    async def _read_requests(self, conn: _Connection) -> bool:
+        """Read and dispatch request lines until EOF, a read error or
+        ``shutdown``; True when the client asked for ``shutdown``."""
+        saw_request = False
+        while not conn.closed and not self.shutting_down:
+            try:
+                line = await conn.reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                self._m_malformed.inc()
+                await self._send(
+                    conn,
+                    _error_response(
+                        None,
+                        ValueError(
+                            f"request line too long (max {self.max_line} bytes)"
+                        ),
+                    ),
+                )
+                if conn.stdio:
+                    continue  # the reader discarded it through its newline
+                # TCP: the frame boundary is lost, resyncing is impossible.
+                break
+            except (OSError, ConnectionError):
+                break
+            if not line:
+                break  # EOF
+            if not line.strip():
+                continue
+            if not saw_request and not conn.stdio and line.startswith(b"GET "):
+                # A Prometheus scrape (plain HTTP GET) on the same
+                # port: answer the text exposition and close — no
+                # JSON framing was established yet, so nothing on
+                # this connection is lost.
+                await self._serve_metrics_http(conn)
+                break
+            saw_request = True
+            parse_started = time.perf_counter()
+            try:
+                request = _parse_line(line)
+            except ValueError as error:
+                self._m_malformed.inc()
+                await self._send(conn, _error_response(None, error))
+                continue
+            parse_seconds = time.perf_counter() - parse_started
+            op = request.get("op")
+            self._count_request(op)
+            if op == "shutdown":
+                await self._send(
+                    conn, {"id": request.get("id"), "ok": True, "result": "bye"}
+                )
+                return True
+            if op == "cancel":
+                await self._cancel_stream(request, conn)
+                continue
+            if op == "enumerate" and request.get("stream"):
+                await self._start_stream(request, conn)
+                continue
+            await self._enqueue(request, conn, parse_seconds=parse_seconds)
+        return False
+
+    async def _serve_metrics_http(self, conn: _Connection) -> None:
         """Answer a plain HTTP ``GET`` on the JSON-lines port with the
         Prometheus text exposition (pool-wide merged registry).
 
@@ -688,7 +673,7 @@ class AsyncWitnessServer:
         """
         try:
             while True:
-                header = await asyncio.wait_for(reader.readline(), timeout=1.0)
+                header = await asyncio.wait_for(conn.reader.readline(), timeout=1.0)
                 if not header or header in (b"\r\n", b"\n"):
                     break
         except (asyncio.TimeoutError, OSError, ConnectionError):
@@ -757,14 +742,17 @@ class AsyncWitnessServer:
         self._m_queue_depth.set(queue.qsize())
 
     async def _send(self, conn: _Connection, response: dict[str, Any]) -> None:
-        """Write one response line with backpressure; a write stalled
-        past ``write_timeout`` (client stopped reading) drops the
-        connection instead of stalling the server."""
+        """Write one response line with backpressure; a TCP write
+        stalled past ``write_timeout`` (client stopped reading) drops
+        the connection instead of stalling the server."""
         if conn.closed:
             return
         try:
             await asyncio.wait_for(
-                conn.write(encode_response(response)), timeout=self.write_timeout
+                conn.write(encode_response(response)),
+                # The stdio client is the only one: a slow stdout only
+                # slows it down.
+                timeout=None if conn.stdio else self.write_timeout,
             )
         except asyncio.TimeoutError:
             # The client stopped reading: a backpressure stall that
@@ -1129,6 +1117,33 @@ class AsyncWitnessServer:
             writer.add_done_callback(_swallow_exception)
 
 
+def serve_stdio(
+    engine: Engine,
+    stdin: IO[Any] | None = None,
+    stdout: IO[Any] | None = None,
+    batch_window: float = DEFAULT_BATCH_WINDOW,
+    max_line: int = DEFAULT_MAX_LINE,
+) -> int:
+    """Serve JSON-lines over stdin/stdout until EOF or ``shutdown``.
+
+    Runs :class:`AsyncWitnessServer` with the two streams as its single
+    connection, so requests batch, coalesce and stream exactly as over
+    TCP.  A line longer than ``max_line`` is answered with a one-line
+    JSON error and *discarded up to its newline*, and the stream stays
+    usable afterwards (unlike TCP, stdio has exactly one client, so
+    closing is not an option).  EOF and ``shutdown`` both answer
+    everything already read, running streams included, before
+    returning 0.
+    """
+    server = AsyncWitnessServer(engine, batch_window=batch_window, max_line=max_line)
+    return asyncio.run(
+        server.run_stdio(
+            stdin if stdin is not None else sys.stdin,
+            stdout if stdout is not None else sys.stdout,
+        )
+    )
+
+
 def serve_tcp(
     engine: Engine,
     host: str = "127.0.0.1",
@@ -1176,8 +1191,6 @@ def start_tcp_server_thread(
     Keyword arguments are forwarded to :func:`serve_tcp`; stop it with a
     ``shutdown`` request and ``thread.join()``.
     """
-    import threading
-
     ready = threading.Event()
     address: dict[str, Any] = {}
 
@@ -1197,7 +1210,6 @@ def start_tcp_server_thread(
 
 
 __all__ = [
-    "WitnessServer",
     "AsyncWitnessServer",
     "serve_stdio",
     "serve_tcp",

@@ -58,28 +58,23 @@ _SUFFIX = ".kern"
 class StoreStats:
     """Counters for one :class:`KernelStore` instance.
 
-    Re-based onto :mod:`repro.obs`: the per-instance fields stay exact
-    plain integers (they are functional state — tests and callers read
-    them regardless of the ``REPRO_OBS`` switch), and every increment is
-    mirrored into the process metrics registry
-    (``repro_store_*_total``), where the exposition layer aggregates
-    them across stores and worker processes.  :meth:`as_dict` is the
-    same view it always was.
-
-    A store is shared across threads (the facade's process default is
-    hit from the engine's executor thread and the caller's), so the
-    counters are guarded by ``_lock``: hot paths bump them through the
-    atomic :meth:`inc`, and the property accessors take the lock.  A
-    bare ``stats.hits += 1`` from outside remains two separate locked
-    operations — use :meth:`inc` anywhere the count must be exact.
-    ``_lock`` is never held across a call that takes another StoreStats
-    lock, and the registry mirror inside it only ever acquires the
-    registry creation lock — one global order, no cycles.
+    One dict of counts under ``_lock``, and :meth:`inc` is its only
+    writer: a store is shared across threads (the facade's process
+    default is hit from the engine's executor thread and the caller's),
+    so every bump is one atomic read-modify-write.  The counts are
+    functional state — tests and callers read them regardless of the
+    ``REPRO_OBS`` switch — and every increment is mirrored into the
+    process metrics registry (``repro_store_*_total``), where the
+    exposition layer aggregates them across stores and worker
+    processes.  ``_lock`` is never held across a call that takes another
+    StoreStats lock, and the registry mirror inside it only ever
+    acquires the registry creation lock — one global order, no cycles.
     """
 
-    __slots__ = ("_hits", "_misses", "_stores", "_evictions", "_corrupt",
-                 "_skipped", "_lock", "extra")
+    __slots__ = ("_counts", "_lock")
 
+    #: Counter → mirrored registry series.  ``mmap_hits`` counts the
+    #: subset of ``hits`` served zero-copy; :meth:`as_dict` leaves it out.
     _SERIES = {
         "hits": metric_names.STORE_HITS,
         "misses": metric_names.STORE_MISSES,
@@ -87,129 +82,42 @@ class StoreStats:
         "evictions": metric_names.STORE_EVICTIONS,
         "corrupt": metric_names.STORE_CORRUPT,
         "skipped": metric_names.STORE_SKIPPED,
+        "mmap_hits": metric_names.STORE_MMAP_HITS,
     }
 
-    def __init__(
-        self,
-        hits: int = 0,
-        misses: int = 0,
-        stores: int = 0,
-        evictions: int = 0,
-        corrupt: int = 0,
-        skipped: int = 0,
-        extra: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._hits = hits  # guarded-by: _lock
-        self._misses = misses  # guarded-by: _lock
-        self._stores = stores  # guarded-by: _lock
-        self._evictions = evictions  # guarded-by: _lock
-        self._corrupt = corrupt  # guarded-by: _lock
-        self._skipped = skipped  # guarded-by: _lock
-        self.extra: dict[str, Any] = dict(extra) if extra else {}
-
-    @staticmethod
-    def _mirror(series: str, delta: int) -> None:
-        # always=True: the mirrored registry series must stay exact
-        # alongside the functional view, whatever REPRO_OBS says.
-        if delta > 0:
-            metrics().counter(series, always=True).inc(delta)
+        self._counts = dict.fromkeys(self._SERIES, 0)  # guarded-by: _lock
 
     def inc(self, series: str, delta: int = 1) -> None:
-        """Atomically bump one counter and its mirrored registry series.
-
-        The ``stats.hits += 1`` spelling expands to a property read and
-        a property write — two lock acquisitions with a window between
-        them where a concurrent increment is lost.  ``inc`` does the
-        read-modify-write under one hold, so it is the only spelling
-        the store's hot paths use.
-        """
+        """Atomically bump one counter and its mirrored registry series."""
         if series not in self._SERIES:
             raise ValueError(f"unknown store counter {series!r}")
-        name = "_" + series
         with self._lock:
-            self._mirror(self._SERIES[series], delta)
-            setattr(self, name, getattr(self, name) + delta)
+            # always=True: the mirrored registry series must stay exact
+            # alongside the functional view, whatever REPRO_OBS says.
+            metrics().counter(self._SERIES[series], always=True).inc(delta)
+            self._counts[series] += delta
 
-    @property
-    def hits(self) -> int:
+    def _read(self, series: str) -> int:
         with self._lock:
-            return self._hits
+            return self._counts[series]
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["hits"], value - self._hits)
-            self._hits = value
-
-    @property
-    def misses(self) -> int:
-        with self._lock:
-            return self._misses
-
-    @misses.setter
-    def misses(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["misses"], value - self._misses)
-            self._misses = value
-
-    @property
-    def stores(self) -> int:
-        with self._lock:
-            return self._stores
-
-    @stores.setter
-    def stores(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["stores"], value - self._stores)
-            self._stores = value
-
-    @property
-    def evictions(self) -> int:
-        with self._lock:
-            return self._evictions
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["evictions"], value - self._evictions)
-            self._evictions = value
-
-    @property
-    def corrupt(self) -> int:
-        with self._lock:
-            return self._corrupt
-
-    @corrupt.setter
-    def corrupt(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["corrupt"], value - self._corrupt)
-            self._corrupt = value
-
-    @property
-    def skipped(self) -> int:
-        with self._lock:
-            return self._skipped
-
-    @skipped.setter
-    def skipped(self, value: int) -> None:
-        with self._lock:
-            self._mirror(self._SERIES["skipped"], value - self._skipped)
-            self._skipped = value
+    hits = property(lambda self: self._read("hits"))
+    misses = property(lambda self: self._read("misses"))
+    stores = property(lambda self: self._read("stores"))
+    evictions = property(lambda self: self._read("evictions"))
+    corrupt = property(lambda self: self._read("corrupt"))
+    mmap_hits = property(lambda self: self._read("mmap_hits"))
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "stores": self._stores,
-                "evictions": self._evictions,
-                "corrupt": self._corrupt,
-                "skipped": self._skipped,
-            }
+            view = dict(self._counts)
+        del view["mmap_hits"]
+        return view
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"StoreStats({self.as_dict()!r}, extra={self.extra!r})"
+        return f"StoreStats({self.as_dict()!r}, mmap_hits={self.mmap_hits})"
 
 
 class KernelStore:
@@ -299,11 +207,7 @@ class KernelStore:
                 kernel = kernel_from_mmap(path, source_resolver=source_resolver)
                 kernel.fingerprint = fingerprint
                 if kernel._borrow_owner is not None:
-                    count = self.stats.extra.get("mmap_hits", 0)
-                    self.stats.extra["mmap_hits"] = count + 1
-                    metrics().counter(
-                        metric_names.STORE_MMAP_HITS, always=True
-                    ).inc()
+                    self.stats.inc("mmap_hits")
                 self.stats.inc("hits")
                 try:
                     os.utime(path)

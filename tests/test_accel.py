@@ -362,7 +362,7 @@ def test_store_mmap_mode_hits_and_quarantines(tmp_path):
     assert restored.total_runs == kernel.total_runs
     if LP64:
         assert restored._borrow_owner is not None
-        assert store.stats.extra.get("mmap_hits", 0) == 1
+        assert store.stats.mmap_hits == 1
     # Corrupt entries are quarantined exactly like the copying path.
     path = store.path_for(fp, kernel.n, False)
     path.write_bytes(b"RPROKRN1garbage")

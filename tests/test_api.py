@@ -10,14 +10,12 @@ name from the solver-backend registry.
 from __future__ import annotations
 
 import gc
-import warnings
 import weakref
 
 import pytest
 
-import repro
 from repro import WitnessSet, backends
-from repro.api import SEEDED_SKETCHES_KEPT, shared, shared_cache_clear
+from repro.api import SEEDED_SKETCHES_KEPT
 from repro.automata import compile_regex, is_unambiguous
 from repro.automata.operations import words_of_length
 from repro.automata.random_gen import ambiguity_blowup
@@ -162,30 +160,6 @@ class TestCaching:
         assert sketches[96]() is ws.fpras_state(0.3, rng=96)
         assert ws.fpras_state(0.3, rng=0) is not None
         assert ws.stats.misses[("fpras", 0.3, 0)] == 2
-
-    def test_shared_cache_returns_same_object(self):
-        shared_cache_clear()
-        nfa = compile_regex("(ab)*", alphabet="ab")
-        structurally_equal = compile_regex("(ab)*", alphabet="ab")
-        assert shared(nfa, 6) is shared(structurally_equal, 6)
-        assert shared(nfa, 6) is not shared(nfa, 8)
-
-    def test_legacy_helpers_route_through_shared_cache(self):
-        shared_cache_clear()
-        nfa = compile_regex("(ab|ba)*", alphabet="ab")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert repro.count_words(nfa, 6) == 8
-            before = shared(nfa, 6).stats.hit_count
-            assert repro.count_words(nfa, 6) == 8
-            w = repro.uniform_sample(nfa, 6, rng=1)
-        assert shared(nfa, 6).stats.hit_count > before
-        assert nfa.accepts(w)
-
-    def test_legacy_helpers_warn(self):
-        nfa = compile_regex("(ab)*", alphabet="ab")
-        with pytest.warns(DeprecationWarning):
-            repro.count_words(nfa, 4)
 
 
 # ----------------------------------------------------------------------

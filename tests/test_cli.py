@@ -288,21 +288,29 @@ class TestVersionAndUsage:
         assert "command is required" in err
 
 
+def _subprocess_env():
+    """The repository root and an environment whose ``python -m repro``
+    runs this checkout's sources."""
+    import os
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return root, env
+
+
 class TestServeAndQuery:
     """End-to-end: a real ``repro serve --port`` subprocess answered by
     ``repro query`` subprocesses (the CI smoke scenario)."""
 
     @pytest.fixture
     def server(self):
-        import os
         import subprocess
         import sys as _sys
 
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(root, "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        root, env = _subprocess_env()
         proc = subprocess.Popen(
             [_sys.executable, "-m", "repro", "serve", "--port", "0"],
             env=env,
@@ -386,3 +394,103 @@ class TestServeAndQuery:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+
+class TestServeStdio:
+    """``repro serve`` without ``--port``: stdin and stdout are the
+    server's single connection, so files and pipes get the TCP
+    front-end's contracts."""
+
+    SPEC = {"kind": "regex", "pattern": "(ab|ba)*", "alphabet": "ab", "n": 8}
+
+    def _serve_files(self, tmp_path, requests, *flags):
+        """Run ``repro serve [flags] < requests.jsonl > responses.jsonl``;
+        returns the exit code and the responses by id."""
+        import json
+        import subprocess
+        import sys as _sys
+
+        root, env = _subprocess_env()
+        (tmp_path / "requests.jsonl").write_text(
+            "".join(json.dumps(request) + "\n" for request in requests)
+        )
+        with open(tmp_path / "requests.jsonl") as stdin, open(
+            tmp_path / "responses.jsonl", "w"
+        ) as stdout:
+            code = subprocess.run(
+                [_sys.executable, "-m", "repro", "serve", *flags],
+                stdin=stdin,
+                stdout=stdout,
+                env=env,
+                cwd=root,
+                timeout=60,
+            ).returncode
+        lines = (tmp_path / "responses.jsonl").read_text().splitlines()
+        return code, {response["id"]: response for response in map(json.loads, lines)}
+
+    def test_regular_files_answer_and_exit_zero(self, tmp_path):
+        code, responses = self._serve_files(
+            tmp_path,
+            [
+                {"id": 1, "op": "count", "spec": self.SPEC},
+                {"id": 2, "op": "sample", "spec": self.SPEC, "k": 3, "seed": 5},
+                {"id": 3, "op": "shutdown"},
+            ],
+        )
+        assert code == 0
+        assert responses[1]["result"] == 16
+        from repro.api import WitnessSet
+
+        ws = WitnessSet.from_regex("(ab|ba)*", 8, alphabet="ab", store=False)
+        expected = [
+            "".join(map(str, w))
+            for w in ws.sample_batch(3, rng=5, use_substreams=True)
+        ]
+        assert responses[2]["result"] == expected
+        assert responses[3]["result"] == "bye"
+
+    def test_request_timeout_flag(self, tmp_path):
+        code, responses = self._serve_files(
+            tmp_path,
+            [{"id": 1, "op": "count", "spec": self.SPEC}],
+            "--request-timeout", "0.000001",
+        )
+        assert code == 0
+        assert responses[1]["error_type"] == "TimeoutError"
+
+    def test_slow_query_log_flag(self, tmp_path):
+        import json
+
+        log = tmp_path / "slow.jsonl"
+        code, responses = self._serve_files(
+            tmp_path,
+            [{"id": 7, "op": "count", "spec": self.SPEC}],
+            "--slow-query-log", str(log), "--slow-query-ms", "0",
+        )
+        assert code == 0 and responses[7]["result"] == 16
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(r["id"], r["op"]) for r in records] == [(7, "count")]
+
+    def test_shutdown_exits_while_stdin_stays_open(self):
+        import subprocess
+        import sys as _sys
+
+        root, env = _subprocess_env()
+        proc = subprocess.Popen(
+            [_sys.executable, "-m", "repro", "serve"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=env,
+            cwd=root,
+        )
+        try:
+            proc.stdin.write(b'{"id": 1, "op": "shutdown"}\n')
+            proc.stdin.flush()
+            assert proc.wait(timeout=10) == 0
+            assert b'"result":"bye"' in proc.stdout.read()
+        finally:
+            proc.stdin.close()
+            proc.stdout.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()

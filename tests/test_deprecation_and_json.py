@@ -1,10 +1,5 @@
-"""Coverage for the v1.1 deprecation shims and the JSON round-trips.
-
-The free functions ``count_words`` / ``uniform_sample`` /
-``uniform_samples`` must keep working (they delegate to the shared
-WitnessSet cache) while warning; the graph serializer must survive
-round-trips on randomized graphs, including tuple-labelled vertices.
-"""
+"""Coverage for the JSON round-trips: the graph serializer must survive
+round-trips on randomized graphs, including tuple-labelled vertices."""
 
 from __future__ import annotations
 
@@ -12,47 +7,8 @@ import random
 
 import pytest
 
-import repro
-from repro.automata.operations import words_of_length
-from repro.errors import EmptyWitnessSetError, InvalidAutomatonError
+from repro.errors import InvalidAutomatonError
 from repro.graphdb.graph import GraphDatabase, graph_from_json, graph_to_json
-
-
-class TestDeprecationShims:
-    def test_count_words_warns_and_counts(self, even_zeros_dfa):
-        with pytest.warns(DeprecationWarning, match="count_words.*deprecated"):
-            assert repro.count_words(even_zeros_dfa, 6) == 2**5
-
-    def test_uniform_sample_warns_and_samples(self, even_zeros_dfa):
-        support = set(words_of_length(even_zeros_dfa, 5))
-        with pytest.warns(DeprecationWarning, match="uniform_sample.*deprecated"):
-            assert repro.uniform_sample(even_zeros_dfa, 5, rng=3) in support
-
-    def test_uniform_samples_warns_and_samples(self, even_zeros_dfa):
-        support = set(words_of_length(even_zeros_dfa, 5))
-        with pytest.warns(DeprecationWarning, match="uniform_samples.*deprecated"):
-            drawn = repro.uniform_samples(even_zeros_dfa, 5, 7, rng=3)
-        assert len(drawn) == 7
-        assert set(drawn) <= support
-
-    def test_uniform_samples_empty_raises_through_shim(self):
-        from repro.automata.nfa import NFA
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(EmptyWitnessSetError):
-                repro.uniform_samples(NFA.empty_language("01"), 3, 2)
-
-    def test_shims_share_one_cached_witness_set(self, even_zeros_dfa):
-        from repro.api import shared, shared_cache_clear
-
-        shared_cache_clear()
-        with pytest.warns(DeprecationWarning):
-            repro.count_words(even_zeros_dfa, 6)
-            repro.uniform_sample(even_zeros_dfa, 6, rng=0)
-        ws = shared(even_zeros_dfa, 6)
-        # Both shim calls hit the same facade: the second query reused the
-        # preprocessing the first one built.
-        assert ws.stats.hit_count > 0
 
 
 def _random_graph(rng: random.Random) -> GraphDatabase:

@@ -286,10 +286,7 @@ def test_dnf_paths_agree(index):
 
 
 def test_seed_alias_matches_rng():
-    """sample(seed=7) and sample(rng=7) draw identical streams, on both
-    the facade and the deprecated top-level shims."""
-    import repro
-
+    """sample(seed=7) and sample(rng=7) draw identical streams."""
     ws = WitnessSet.from_regex("(ab|ba)*(a|b)?", 9, alphabet="ab", store=False)
     assert ws.sample(5, rng=7) == ws.sample(5, seed=7)
     assert ws.sample_batch(5, rng=7) == ws.sample_batch(5, seed=7)
@@ -300,12 +297,3 @@ def test_seed_alias_matches_rng():
         ws.sample(2, rng=7, seed=7)
     with pytest.raises(TypeError):
         ws.sample(2, seed="seven")
-    nfa = ws.stripped
-    with pytest.warns(DeprecationWarning):
-        assert repro.uniform_sample(nfa, 9, rng=3) == repro.uniform_sample(
-            nfa, 9, seed=3
-        )
-    with pytest.warns(DeprecationWarning):
-        assert repro.uniform_samples(nfa, 9, 4, rng=3) == repro.uniform_samples(
-            nfa, 9, 4, seed=3
-        )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro import WitnessSet
 from repro.automata import ambiguity_blowup, compile_regex, is_unambiguous
 from repro.automata.operations import words_of_length
 from repro.core import FprasParameters
@@ -21,32 +22,32 @@ FAST = FprasParameters(sample_size=48)
 class TestTopLevelApi:
     def test_count_words_dispatch_ufa(self):
         nfa = compile_regex("(ab)*", alphabet="ab")
-        assert repro.count_words(nfa, 6) == 1
+        assert WitnessSet.from_nfa(nfa, 6).count() == 1
 
     def test_count_words_dispatch_ambiguous(self):
         nfa = compile_regex("(a|b)*a(a|b)*", alphabet="ab")
         # Words containing at least one 'a': 2^5 - 1.
-        assert repro.count_words(nfa, 5) == 31
+        assert WitnessSet.from_nfa(nfa, 5).count() == 31
 
     def test_uniform_sample_ufa(self):
         nfa = compile_regex("(ab|ba)*", alphabet="ab")
-        w = repro.uniform_sample(nfa, 6, rng=1)
+        w = WitnessSet.from_nfa(nfa, 6).sample(rng=1)
         assert w is not None
         assert nfa.accepts(w)
 
     def test_uniform_sample_empty(self):
         nfa = compile_regex("aa", alphabet="ab")
-        assert repro.uniform_sample(nfa, 3, rng=1) is None
+        assert WitnessSet.from_nfa(nfa, 3).sample(rng=1) is None
 
     def test_uniform_samples_batch(self):
         nfa = compile_regex("(a|b){4}", alphabet="ab")
-        samples = repro.uniform_samples(nfa, 4, 20, rng=2)
+        samples = WitnessSet.from_nfa(nfa, 4).sample(20, rng=2)
         assert len(samples) == 20
         assert all(nfa.accepts(w) for w in samples)
 
     def test_uniform_samples_ambiguous_route(self):
         nfa = ambiguity_blowup(7)
-        samples = repro.uniform_samples(nfa, 14, 5, rng=3, delta=0.3)
+        samples = WitnessSet.from_nfa(nfa, 14, delta=0.3).sample(5, rng=3)
         assert len(samples) == 5
         stripped = nfa.without_epsilon()
         assert all(stripped.accepts(w) for w in samples)
@@ -64,7 +65,7 @@ class TestCountingRoutesAgree:
         nfa = compile_regex(pattern, alphabet="ab")
         for n in (0, 1, 4, 6):
             brute = len(words_of_length(nfa, n))
-            assert repro.count_words(nfa, n) == brute
+            assert WitnessSet.from_nfa(nfa, n).count() == brute
             assert repro.count_words_exact(nfa, n) == brute
 
     def test_fpras_tracks_exact_across_lengths(self):
@@ -85,7 +86,8 @@ class TestRegexSamplingStory:
         nfa = compile_regex("(ab|ba)+", alphabet="ab")
         assert is_unambiguous(nfa)
         support = set(words_of_length(nfa, 6))
-        seen = {repro.uniform_sample(nfa, 6, rng=seed) for seed in range(60)}
+        ws = WitnessSet.from_nfa(nfa, 6)
+        seen = {ws.sample(rng=seed) for seed in range(60)}
         assert seen <= support
         assert len(seen) == len(support)  # all 8 words show up in 60 draws
 

@@ -416,19 +416,50 @@ class TestBackCompatViews:
         from repro.service.store import StoreStats
 
         stats = StoreStats()
-        stats.hits += 2
-        stats.misses += 1
-        stats.extra["mmap_hits"] = 1
+        stats.inc("hits", 2)
+        stats.inc("misses")
+        stats.inc("mmap_hits")
         view = stats.as_dict()
         assert view["hits"] == 2 and view["misses"] == 1
         assert set(view) == {
             "hits", "misses", "stores", "evictions", "corrupt", "skipped"
         }
-        assert stats.extra["mmap_hits"] == 1
+        assert stats.mmap_hits == 1
         # The registry mirrored the functional counters.
         counters = obs.metrics().snapshot()["counters"]
         assert counters[metric_names.STORE_HITS] == 2
         assert counters[metric_names.STORE_MISSES] == 1
+
+    def test_store_stats_keeps_every_concurrent_bump(self):
+        """A store is shared by the engine's executor and the caller:
+        concurrent bumps of ``hits`` and ``mmap_hits`` are never lost."""
+        import sys
+        import threading
+
+        from repro.service.store import StoreStats
+
+        stats = StoreStats()
+        threads, rounds = 8, 2000
+
+        def bump() -> None:
+            for _ in range(rounds):
+                stats.inc("mmap_hits")
+                stats.inc("hits")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=bump) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert stats.hits == stats.mmap_hits == threads * rounds
+        counters = obs.metrics().snapshot()["counters"]
+        assert counters[metric_names.STORE_MMAP_HITS] == threads * rounds
 
     def test_witness_set_cache_stats(self):
         from repro.service.protocol import WitnessSetCache, spec_key
@@ -448,7 +479,7 @@ class TestBackCompatViews:
 
         obs.set_enabled(False)
         stats = StoreStats()
-        stats.hits += 3
+        stats.inc("hits", 3)
         assert stats.as_dict()["hits"] == 3  # the functional view is exact
         # ... and the mirrored registry series tracks it even with
         # REPRO_OBS off: the snapshot never diverges from the exact view.

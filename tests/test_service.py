@@ -4,6 +4,7 @@ store, deterministic substreams, the engine and the JSON-lines server."""
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import random
@@ -35,6 +36,7 @@ from repro.service import (
     spec_key,
     witness_set_from_spec,
 )
+from repro.service.protocol import render_witness
 from repro.utils.rng import make_rng, spawn_seq, substreams
 
 SEED = 20190621
@@ -831,6 +833,126 @@ class TestServeStdio:
         samples = [r for r in responses if isinstance(r.get("id"), int) and r["id"] < 4]
         assert len(samples) == 4 and all(r["ok"] for r in samples)
         assert all(r.get("coalesced") == 4 for r in samples)
+
+    def test_stream_answers_chunk_lines(self):
+        stdin = io.StringIO(
+            _request_lines(
+                [
+                    {
+                        "id": "s",
+                        "op": "enumerate",
+                        "spec": SPEC,
+                        "stream": True,
+                        "chunk_size": 3,
+                        "limit": 7,
+                    }
+                ]
+            )
+        )
+        stdout = io.StringIO()
+        with Engine(workers=0) as engine:
+            assert serve_stdio(engine, stdin=stdin, stdout=stdout) == 0
+        chunks = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [len(chunk["chunk"]) for chunk in chunks] == [3, 3, 1]
+        assert [chunk["done"] for chunk in chunks] == [False, False, True]
+        local = WitnessSet.from_regex("(ab|ba)*", 10, alphabet="ab", store=False)
+        expected = [render_witness(w) for w in itertools.islice(local.enumerate(), 7)]
+        assert [w for chunk in chunks for w in chunk["chunk"]] == expected
+
+    def test_cancel_stops_a_stream(self):
+        huge = {"kind": "regex", "pattern": "(a|b)*", "alphabet": "ab", "n": 40}
+        stdin = io.StringIO(
+            _request_lines(
+                [
+                    {
+                        "id": "s",
+                        "op": "enumerate",
+                        "spec": huge,
+                        "stream": True,
+                        "chunk_size": 1,
+                        "limit": 50,
+                    },
+                    {"id": "c", "op": "cancel", "target": "s"},
+                ]
+            )
+        )
+        stdout = io.StringIO()
+        with Engine(workers=0) as engine:
+            assert serve_stdio(engine, stdin=stdin, stdout=stdout) == 0
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert {"id": "c", "ok": True, "result": "cancelled"} in responses
+        assert not any(r.get("done") and r.get("ok") for r in responses)
+
+    def test_timeout_ms_answers_timeout(self):
+        stdin = io.StringIO(
+            _request_lines(
+                [
+                    {"id": 1, "op": "count", "spec": SPEC, "timeout_ms": 0.001},
+                    {"id": 2, "op": "count", "spec": SPEC},
+                ]
+            )
+        )
+        stdout = io.StringIO()
+        with Engine(workers=0) as engine:
+            serve_stdio(engine, stdin=stdin, stdout=stdout)
+        responses = {
+            r["id"]: r for r in map(json.loads, stdout.getvalue().splitlines())
+        }
+        assert responses[1]["error_type"] == "TimeoutError"
+        assert responses[2]["result"] == 32
+
+    def test_requests_are_counted_and_timed(self):
+        from repro import obs
+        from repro.obs import names as metric_names
+        from repro.obs.registry import series_key
+
+        before = obs.metrics().snapshot()["counters"]
+        stdin = io.StringIO(_request_lines([{"id": 1, "op": "count", "spec": SPEC}]))
+        with Engine(workers=0) as engine:
+            serve_stdio(engine, stdin=stdin, stdout=io.StringIO())
+        after = obs.metrics().snapshot()
+        key = series_key(metric_names.SERVER_REQUESTS, {"op": "count"})
+        assert after["counters"].get(key, 0) == before.get(key, 0) + 1
+        assert metric_names.REQUEST_SECONDS in after["histograms"]
+
+    def test_slow_stdout_keeps_its_only_client(self):
+        """A stdout slower than write_timeout slows the client down but
+        never drops it: every response arrives."""
+        import asyncio
+        import time
+
+        from repro.service.server import AsyncWitnessServer
+
+        class SlowStdout(io.StringIO):
+            def write(self, text):
+                time.sleep(0.2)
+                return super().write(text)
+
+        stdin = io.StringIO(
+            _request_lines(
+                [{"id": i, "op": "count", "spec": SPEC} for i in range(3)]
+            )
+        )
+        stdout = SlowStdout()
+        with Engine(workers=0) as engine:
+            server = AsyncWitnessServer(engine, write_timeout=0.05)
+            assert asyncio.run(server.run_stdio(stdin, stdout)) == 0
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert sorted(r["id"] for r in responses) == [0, 1, 2]
+        assert all(r["result"] == 32 for r in responses)
+
+    def test_undecodable_text_line_answers_error(self):
+        """A text-stream line that is not valid UTF-8 (a lone surrogate)
+        is answered as malformed, and the session reads on."""
+        stdin = io.StringIO(
+            '"\ud800"\n' + _request_lines([{"id": 1, "op": "count", "spec": SPEC}])
+        )
+        stdout = io.StringIO()
+        with Engine(workers=0) as engine:
+            assert serve_stdio(engine, stdin=stdin, stdout=stdout) == 0
+        responses = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert not responses[0]["ok"]
+        assert responses[1]["result"] == 32
 
 
 def _start_tcp_server(engine, **kwargs):
