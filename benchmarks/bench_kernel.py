@@ -33,7 +33,6 @@ from repro.automata.random_gen import random_ufa
 from repro.core import accel
 from repro.core.exact_sampler import ExactUniformSampler
 from repro.core.kernel import compile_nfa
-from repro.core.unroll import UnrolledDAG, unroll_trimmed
 from repro.utils.rng import make_rng
 
 M = 200          # automaton states (the ISSUE-2 acceptance instance)
@@ -50,6 +49,51 @@ def _instance():
 # ----------------------------------------------------------------------
 # The seed dict path, inlined verbatim from the pre-kernel tree
 # ----------------------------------------------------------------------
+
+
+class UnrolledDAG:
+    """The seed unrolling: live-state frozensets per layer, adjacency
+    answered from the NFA's per-symbol transition maps."""
+
+    def __init__(self, nfa: NFA, n: int):
+        self.nfa = nfa
+        self.n = n
+        forward: list[frozenset] = [frozenset({nfa.initial})]
+        for _ in range(n):
+            nxt: set = set()
+            for state in forward[-1]:
+                for symbol in nfa.alphabet:
+                    nxt |= nfa.successors(state, symbol)
+            forward.append(frozenset(nxt))
+        alive: list[frozenset] = [frozenset(nfa.finals & forward[n])]
+        for t in range(n - 1, -1, -1):
+            later = alive[0]
+            current: set = set()
+            for state in forward[t]:
+                for symbol in nfa.alphabet:
+                    if nfa.successors(state, symbol) & later:
+                        current.add(state)
+                        break
+            alive.insert(0, frozenset(current))
+        self.layers = alive
+
+    def layer(self, t: int) -> frozenset:
+        return self.layers[t]
+
+    def successors(self, t: int, state):
+        if t >= self.n:
+            return
+        later = self.layers[t + 1]
+        for symbol, target in self.nfa.out_edges(state):
+            if target in later:
+                yield symbol, target
+
+    def ordered_successors(self, t: int, state) -> list:
+        return sorted(self.successors(t, state), key=lambda edge: (repr(edge[0]), repr(edge[1])))
+
+
+def unroll_trimmed(nfa: NFA, n: int) -> UnrolledDAG:
+    return UnrolledDAG(nfa.without_epsilon(), n)
 
 
 def seed_backward_table(dag: UnrolledDAG) -> list[dict]:

@@ -17,7 +17,7 @@ pipeline as a single query object:
   fragment is ever allocated — ``ws.describe()["lowering"]`` shows the
   cross-product blow-up avoided;
 * all shared preprocessing (ε-strip + trim, the ambiguity check, the
-  pruned unrolling, the compiled array kernel, the FPRAS sketch) is
+  pruned unrolling compiled into the array kernel, the FPRAS sketch) is
   computed lazily **exactly once** and reused by every subsequent
   ``count`` / ``sample`` / ``enumerate`` / ``spectrum`` call — a count
   followed by a sample on the same language no longer pays twice;
@@ -72,7 +72,7 @@ from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.plan import Plan, Product, as_plan, lower_plan
 from repro.core.plvug import DEFAULT_ATTEMPTS_PER_CALL
 from repro.core.relations import AutomatonBackedRelation, CompiledInstance
-from repro.core.unroll import UnrolledDAG, accepted_word_exists, unroll_trimmed
+from repro.core.unroll import accepted_word_exists
 from repro.errors import (
     EmptyWitnessSetError,
     GenerationFailedError,
@@ -342,14 +342,10 @@ class WitnessSet:
         return self._cached("nonempty", build)
 
     @property
-    def dag(self) -> UnrolledDAG:
-        """The Lemma 15 pruned unrolling, shared by enumerator and sampler.
-
-        Plan-backed sets answer this with the lazily lowered kernel
-        itself (it implements the full set-based adapter API)."""
-        if self.plan is not None:
-            return self.kernel
-        return self._cached("dag", lambda: unroll_trimmed(self.stripped, self.n))
+    def dag(self) -> CompiledDAG:
+        """The Lemma 15 pruned unrolling under its paper-facing name: the
+        trimmed :attr:`kernel` itself, for every source."""
+        return self.kernel
 
     @property
     def kernel(self) -> CompiledDAG:
@@ -404,9 +400,7 @@ class WitnessSet:
             return lower_plan(
                 self.plan, self.n, trimmed=trimmed, adjacency=self._plan_adjacency
             )
-        if trimmed:
-            return CompiledDAG.from_unrolled(self.dag)
-        return compile_nfa(self.stripped, self.n, trimmed=False)
+        return compile_nfa(self.stripped, self.n, trimmed)
 
     def _load_or_build_kernel(self, trimmed: bool) -> CompiledDAG:
         """Restore the kernel from the store, or build it and persist it.
@@ -444,7 +438,7 @@ class WitnessSet:
 
     @property
     def backward_table(self) -> list:
-        """Per-layer accepting-completion counts over :attr:`dag` (dict view)."""
+        """Per-layer accepting-completion counts over :attr:`kernel` (dict view)."""
         return self._cached("backward_table", lambda: self.kernel.backward_dicts())
 
     @property

@@ -19,11 +19,13 @@ JSON value, so it is encoded as the tagged object ``{"ε": true}``).
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.automata.nfa import EPSILON, NFA
-from repro.core.unroll import UnrolledDAG
 from repro.errors import InvalidAutomatonError
+
+if TYPE_CHECKING:
+    from repro.core.kernel import CompiledDAG
 
 FORMAT_VERSION = 1
 
@@ -130,11 +132,13 @@ def nfa_to_dot(nfa: NFA, name: str = "nfa", rankdir: str = "LR") -> str:
     return "\n".join(lines)
 
 
-def unrolled_dag_to_dot(dag: UnrolledDAG, name: str = "unroll") -> str:
+def unrolled_dag_to_dot(dag: CompiledDAG, name: str = "unroll") -> str:
     """DOT rendering of the layered DAG — Figure 2, from code.
 
-    Vertices are grouped into same-rank layers; only live vertices and
-    edges appear, so a trimmed DAG renders exactly the paper's picture.
+    ``dag`` is an unrolled kernel (:func:`repro.core.unroll.unroll` or
+    :func:`~repro.core.unroll.unroll_trimmed`).  Vertices are grouped
+    into same-rank layers; only live vertices and edges appear, so a
+    trimmed DAG renders exactly the paper's picture.
     """
     lines = [f"digraph {json.dumps(name)} {{", "  rankdir=LR;"]
     for t in range(dag.n + 1):

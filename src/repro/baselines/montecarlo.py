@@ -51,7 +51,6 @@ class uniform_run_sampler:
                 f"length {n} of the same automaton"
             )
         self.kernel = kernel
-        self.dag = self.kernel
         self.total_runs = self.kernel.total_runs
 
     @property

@@ -72,11 +72,11 @@ from typing import Hashable
 
 from repro import backends
 from repro.api import WitnessSet
-from repro.automata.nfa import word_str
 from repro.automata.serialization import nfa_to_dot, unrolled_dag_to_dot
 from repro.core.fpras import FprasParameters
 from repro.core.unroll import unroll_trimmed
 from repro.errors import ReproError
+from repro.service.protocol import render_witness
 
 
 def _parse_vertex(graph, text: str):
@@ -163,18 +163,6 @@ def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
                              "fall back to pure when NumPy is unavailable)")
 
 
-def _format_witness(witness) -> str:
-    from repro.graphdb.rpq import Path
-
-    if isinstance(witness, Path):
-        labels = "".join(map(str, witness.label_word))
-        hops = " → ".join(map(str, witness.vertices()))
-        return f"{labels}  ({hops})"
-    if isinstance(witness, tuple):
-        return word_str(tuple(str(symbol) for symbol in witness))
-    return str(witness)
-
-
 def _command_count(args) -> int:
     ws = _load_witness_set(args)
     name = args.backend or ("fpras" if args.approx else "exact")
@@ -192,14 +180,14 @@ def _command_sample(args) -> int:
     else:
         witnesses = ws.sample(args.count, rng=args.seed)
     for witness in witnesses:
-        print(_format_witness(witness))
+        print(render_witness(witness))
     return 0
 
 
 def _command_enum(args) -> int:
     ws = _load_witness_set(args)
     for witness in ws.enumerate(limit=args.limit):
-        print(_format_witness(witness))
+        print(render_witness(witness))
     return 0
 
 

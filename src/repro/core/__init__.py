@@ -7,8 +7,10 @@ Layout (paper section → module):
 * §3 class facades               → :mod:`repro.core.classes`
 * §5 reductions (Prop. 11)       → :mod:`repro.core.reductions`
 * §5.2 self-reducibility (ψ)     → :mod:`repro.core.selfreduce`
-* §5.3.1 Algorithm 1 + Lemma 15  → :mod:`repro.core.enumeration`, :mod:`repro.core.unroll`
-* array execution kernel         → :mod:`repro.core.kernel`
+* §5.3.1 Algorithm 1             → :mod:`repro.core.enumeration`
+* §6.2 unrolling, Lemma 15       → :mod:`repro.core.unroll` (paper-facing names),
+                                   :mod:`repro.core.kernel` (``unroll_layers`` and
+                                   the array kernel every algorithm runs on)
 * symbolic plan IR, lazy lowering→ :mod:`repro.core.plan`
 * §5.3.2 exact counting          → :mod:`repro.core.exact`
 * §5.3.3 exact uniform sampling  → :mod:`repro.core.exact_sampler`
@@ -17,13 +19,12 @@ Layout (paper section → module):
 """
 
 from repro.core.unroll import (
-    UnrolledDAG,
     accepted_word_exists,
     lemma15_graph,
     unroll,
     unroll_trimmed,
 )
-from repro.core.kernel import CompiledDAG, as_kernel, compile_nfa
+from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.plan import (
     Atom,
     Concat,
@@ -99,9 +100,7 @@ from repro.core.spectrum import SpectrumSolver, pad_automaton, strip_padding
 from repro.core.almost_uniform import AlmostUniformGenerator, total_variation_from_uniform
 
 __all__ = [
-    "UnrolledDAG",
     "CompiledDAG",
-    "as_kernel",
     "compile_nfa",
     "Plan",
     "Atom",

@@ -27,12 +27,12 @@ delay guarantees are measured (not just asserted) in benchmarks E1/E2.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator
 
 from repro.automata.nfa import NFA, State, Symbol, Word
 from repro.automata.unambiguous import require_unambiguous
-from repro.core.kernel import CompiledDAG, as_kernel, compile_nfa
-from repro.core.unroll import UnrolledDAG, unroll_trimmed
+from repro.core.kernel import CompiledDAG, compile_nfa, unroll_layers
 
 
 def enumerate_words_ufa(nfa: NFA, n: int, check: bool = True) -> Iterator[Word]:
@@ -57,50 +57,48 @@ def enumerate_words_ufa(nfa: NFA, n: int, check: bool = True) -> Iterator[Word]:
         prepared = require_unambiguous(nfa, context="constant-delay enumeration")
     else:
         prepared = nfa.without_epsilon()
-    return _algorithm1(compile_nfa(prepared, n, trimmed=True))
+    return _algorithm1(compile_nfa(prepared, n, trimmed=True), [])
 
 
-def enumerate_words_dag(dag: UnrolledDAG | CompiledDAG) -> Iterator[Word]:
-    """Algorithm 1 over an already-built Lemma-15 pruned DAG or kernel.
+def enumerate_words_dag(dag: CompiledDAG) -> Iterator[Word]:
+    """Algorithm 1 over an already-built Lemma-15 pruned kernel.
 
     Lets callers that cache the unrolling (the :class:`repro.api.
-    WitnessSet` facade, the samplers) enumerate without re-unrolling; a
-    :class:`CompiledDAG` kernel is consumed as-is, an
-    :class:`UnrolledDAG` is lowered first.  The DAG must come from the
-    trimmed unrolling of an unambiguous ε-free automaton, or the
-    enumeration may repeat words.
+    WitnessSet` facade, the samplers) enumerate without re-unrolling.
+    The kernel must come from the trimmed unrolling of an unambiguous
+    ε-free automaton, or the enumeration may repeat words.
     """
-    return _algorithm1(as_kernel(dag))
+    return _algorithm1(dag, [])
 
 
-def _algorithm1(kernel: CompiledDAG) -> Iterator[Word]:
+def _algorithm1(kernel: CompiledDAG, decisions: list[list[int]]) -> Iterator[Word]:
     """The paper's Algorithm 1 on a Lemma-15-pruned compiled kernel.
 
-    State kept between outputs:
-
-    * ``decisions`` — the list of ``(layer, state_idx, edge_index)``
-      decision points of the current path, exactly the paper's ``list``
-      structure (append / pop / last); only vertices with ≥ 2 live
-      successors are recorded.
+    ``decisions`` is the paper's ``list`` structure (append / pop /
+    last): the ``[layer, state_idx, edge_index]`` decision points of the
+    current path, only vertices with ≥ 2 live successors recorded.  An
+    empty list starts from the first word; a cursor checked by
+    :func:`_validated_cursor` resumes mid-way.  The list is advanced in
+    place.
 
     Each output is produced by replaying the stored decisions from the
-    start vertex (Step 3), then backtracking to the deepest decision that
-    still has an unexplored edge (Step 7) and advancing it (Step 8).
+    start vertex (Step 3).  Before the word is yielded (Step 4), the
+    list already moves on to the next word's path: exhausted decision
+    points are dropped (Steps 5–7) and the deepest remaining one is
+    advanced (Step 8).  So right after a yield, ``decisions`` describes
+    the next word, and an empty list means the enumeration is complete
+    (Step 6: STOP).
+
     The kernel's CSR blocks already hold each vertex's successors in the
     fixed total order Algorithm 1 requires, so the walk is pure integer
     indexing; every visited edge lies on an accepting path (Lemma 15
     pruning), so the work per output is O(n) — the paper's constant
-    delay.  Output order is identical to the seed set-based traversal.
+    delay.  For n = 0 (the k = 0 corner case of Section 5.2) the only
+    word is the empty one, which pruning has already decided.
     """
     if kernel.is_empty:
         return
     n = kernel.n
-    if n == 0:
-        # k = 0 corner case (Section 5.2): the empty word is accepted iff
-        # the initial state is final — which pruning has already decided.
-        yield ()
-        return
-
     symbols = kernel.symbols
     edge_start = kernel._edge_start
     edge_symbol = kernel._edge_symbol
@@ -108,8 +106,6 @@ def _algorithm1(kernel: CompiledDAG) -> Iterator[Word]:
     start_index = kernel.index_of(0, kernel.nfa.initial)
     if start_index is None:  # pragma: no cover - is_empty ruled this out
         return
-
-    decisions: list[list[int]] = []  # [layer, state index, edge index]
 
     while True:
         # Step 3: walk from the start, replaying stored decisions and taking
@@ -131,19 +127,19 @@ def _algorithm1(kernel: CompiledDAG) -> Iterator[Word]:
                     replay = len(decisions)
             word_out.append(symbols[edge_symbol[t][base + index]])
             state = edge_dst[t][base + index]
-        yield tuple(word_out)  # Step 4
 
-        # Steps 5–7: drop exhausted decision points.
+        # Steps 5–7: drop exhausted decision points; Step 8: advance the
+        # deepest remaining one.
         while decisions:
             t, vertex, index = decisions[-1]
             starts = edge_start[t]
             if index + 1 < starts[vertex + 1] - starts[vertex]:
+                decisions[-1][2] += 1
                 break
             decisions.pop()
+        yield tuple(word_out)  # Step 4
         if not decisions:
             return  # Step 6: STOP
-        # Step 8: advance the deepest non-exhausted decision.
-        decisions[-1][2] += 1
 
 
 def algorithm1_page(
@@ -168,55 +164,11 @@ def algorithm1_page(
     """
     if count < 0:
         raise ValueError("page size must be ≥ 0")
-    words: list[Word] = []
     if kernel.is_empty:
-        return words, None
-    n = kernel.n
-    if n == 0:
-        # Only the empty word exists; an empty cursor (or none) is the
-        # start, anything else is stale.
-        if cursor not in (None, []):
-            raise ValueError("invalid enumeration cursor")
-        if count:
-            return [()], None
-        return words, []
+        return [], None
     decisions = _validated_cursor(kernel, cursor)
-    symbols = kernel.symbols
-    edge_start = kernel._edge_start
-    edge_symbol = kernel._edge_symbol
-    edge_dst = kernel._edge_dst
-    start_index = kernel.index_of(0, kernel.nfa.initial)
-    if start_index is None:  # pragma: no cover - is_empty ruled this out
-        return words, None
-    while len(words) < count:
-        word_out: list[Symbol] = []
-        state = start_index
-        replay = 0
-        for t in range(n):
-            starts = edge_start[t]
-            base = starts[state]
-            degree = starts[state + 1] - base
-            if replay < len(decisions) and decisions[replay][0] == t:
-                index = decisions[replay][2]
-                replay += 1
-            else:
-                index = 0
-                if degree > 1:
-                    decisions.append([t, state, 0])
-                    replay = len(decisions)
-            word_out.append(symbols[edge_symbol[t][base + index]])
-            state = edge_dst[t][base + index]
-        words.append(tuple(word_out))
-        while decisions:
-            t, vertex, index = decisions[-1]
-            starts = edge_start[t]
-            if index + 1 < starts[vertex + 1] - starts[vertex]:
-                break
-            decisions.pop()
-        if not decisions:
-            return words, None
-        decisions[-1][2] += 1
-    return words, decisions
+    words = list(islice(_algorithm1(kernel, decisions), count))
+    return words, None if words and not decisions else decisions
 
 
 def _validated_cursor(
@@ -294,23 +246,20 @@ def enumerate_words_nfa(nfa: NFA, n: int) -> Iterator[Word]:
     duplicates since distinct leaves of the prefix tree are distinct words.
     """
     prepared = nfa.without_epsilon()
-    dag = unroll_trimmed(prepared, n)
-    if dag.is_empty:
+    _, live = unroll_layers(prepared, n, trimmed=True)
+    if not live[n]:
         return
     symbols = sorted(prepared.alphabet, key=repr)
 
     # stack holds (prefix, live state set at len(prefix)); DFS in reverse
     # symbol order so words come out in lexicographic symbol-repr order.
-    stack: list[tuple[Word, frozenset[State]]] = [
-        ((), frozenset({prepared.initial}) & dag.layer(0))
-    ]
+    stack: list[tuple[Word, frozenset[State]]] = [((), live[0])]
     while stack:
         prefix, states = stack.pop()
         if len(prefix) == n:
             yield prefix
             continue
-        t = len(prefix)
-        layer_next = dag.layer(t + 1)
+        layer_next = live[len(prefix) + 1]
         for symbol in reversed(symbols):
             nxt: set[State] = set()
             for state in states:

@@ -30,23 +30,21 @@ from typing import Sequence
 
 from repro.automata.nfa import NFA, State
 from repro.automata.unambiguous import require_unambiguous
-from repro.core.kernel import CompiledDAG, as_kernel, compile_nfa
-from repro.core.unroll import UnrolledDAG
+from repro.core.kernel import CompiledDAG, compile_nfa
 
 
-def forward_run_table(dag: UnrolledDAG | CompiledDAG) -> list[dict[State, int]]:
+def forward_run_table(dag: CompiledDAG) -> list[dict[State, int]]:
     """``table[t][q]`` = number of length-``t`` paths start → ``(t, q)``.
 
     Counts *runs* (paths), not words; the two coincide exactly on
     unambiguous automata, which is the content of Section 5.3.2.  The DP
-    runs over the integer-indexed :class:`CompiledDAG` kernel (an
-    :class:`UnrolledDAG` argument is lowered first); this adapter renders
-    the array rows back into the per-state dict shape.
+    runs over the integer-indexed :class:`CompiledDAG` kernel; this
+    adapter renders the array rows back into the per-state dict shape.
     """
-    return as_kernel(dag).forward_dicts()
+    return dag.forward_dicts()
 
 
-def backward_run_table(dag: UnrolledDAG | CompiledDAG) -> list[dict[State, int]]:
+def backward_run_table(dag: CompiledDAG) -> list[dict[State, int]]:
     """``table[t][q]`` = number of length-``(n - t)`` paths ``(t, q)`` → finals.
 
     The sampler's lookahead table: at layer ``t`` it tells each live state
@@ -54,7 +52,7 @@ def backward_run_table(dag: UnrolledDAG | CompiledDAG) -> list[dict[State, int]]
     edge arrays; states with zero completions are omitted from the dicts,
     matching the seed implementation.
     """
-    return as_kernel(dag).backward_dicts()
+    return dag.backward_dicts()
 
 
 def count_accepting_runs_of_length(nfa: NFA, n: int) -> int:

@@ -33,9 +33,8 @@ import random
 from repro.automata.nfa import NFA, Word
 from repro.automata.unambiguous import require_unambiguous
 from repro.core.exact import count_accepting_runs_of_length
-from repro.core.kernel import CompiledDAG, as_kernel, compile_nfa
+from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.selfreduce import SelfReduction
-from repro.core.unroll import UnrolledDAG
 from repro.errors import EmptyWitnessSetError
 from repro.utils.rng import make_rng
 
@@ -51,10 +50,8 @@ class ExactUniformSampler:
     preprocessing across many draws, which is how the uniform-generation
     experiments (E7) use it.  A caller that already holds the compiled
     kernel (e.g. the :class:`repro.api.WitnessSet` facade) passes it as
-    ``kernel``; ``dag`` accepts a Lemma 15 trimmed :class:`UnrolledDAG`
-    of an ε-free unambiguous automaton and lowers it (``back`` is
-    accepted for backward compatibility but no longer consulted — the
-    kernel owns its count tables).
+    ``kernel``: the Lemma 15 trimmed kernel of an ε-free unambiguous
+    automaton.
     """
 
     def __init__(
@@ -62,24 +59,17 @@ class ExactUniformSampler:
         nfa: NFA,
         n: int,
         check: bool = True,
-        dag: UnrolledDAG | None = None,
-        back: list | None = None,
         kernel: CompiledDAG | None = None,
     ):
         if kernel is None:
-            if dag is not None:
-                kernel = as_kernel(dag)
-            else:
-                prepared = (
-                    require_unambiguous(nfa, context="exact uniform sampling")
-                    if check
-                    else nfa.without_epsilon()
-                )
-                kernel = compile_nfa(prepared, n, trimmed=True)
+            prepared = (
+                require_unambiguous(nfa, context="exact uniform sampling")
+                if check
+                else nfa.without_epsilon()
+            )
+            kernel = compile_nfa(prepared, n, trimmed=True)
         self.n = n
         self.kernel: CompiledDAG = kernel
-        #: Adapter view kept for callers that walked ``sampler.dag``.
-        self.dag = kernel
         self.total = kernel.total_runs
 
     @property

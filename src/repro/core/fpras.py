@@ -269,9 +269,6 @@ class FprasState:
                 f"automaton at length ≥ {n}"
             )
         self.kernel: CompiledDAG = kernel
-        #: Set-based adapter view of the unrolling (the kernel implements
-        #: the full UnrolledDAG API), kept for diagnostics and callers.
-        self.dag = kernel
         self.k = self.params.resolve_k(n, self.nfa.num_states, delta)
         self.retries = self.params.resolve_retries()
         self.diagnostics.k = self.k

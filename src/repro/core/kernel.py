@@ -1,34 +1,33 @@
-"""The array-backed execution kernel: :class:`CompiledDAG`.
+"""The unrolled layered DAG and its array-backed execution kernel.
 
 Every algorithm in the library — exact counting (Section 6.2's DP),
 Lemma-15 enumeration, exact uniform generation, the length-spectrum
 sweeps and the FPRAS's prefix-set bookkeeping — consumes the same object:
-the automaton unrolled ``n`` times into a layered DAG.  The
-:class:`~repro.core.unroll.UnrolledDAG` view answers adjacency queries
-against frozensets of state objects, which keeps the correspondence with
-the paper's ``s_t^j`` vertices direct but pays Python hashing and
-allocation on every hot-path step.
+the automaton unrolled ``n`` times into a layered DAG whose vertices are
+``(layer, state)`` pairs.  Its live layers come from one function,
+:func:`unroll_layers`: forward reach from the start (the reachable view
+of Algorithm 5, step 3) and, when trimmed, the Lemma 15 pruning to
+vertices that also reach a final vertex (the enumeration and sampling
+view).
 
-:class:`CompiledDAG` is the one-shot lowering of that view into dense,
-integer-indexed arrays:
+:class:`CompiledDAG` stores those layers in dense, integer-indexed
+arrays:
 
 * per layer ``t``, the live states in a fixed total order (sorted by
-  ``repr``, matching the edge order Algorithm 1 requires), with an index
-  map state → local integer;
+  ``repr``, the edge order Algorithm 1 requires), with an index map
+  state → local integer;
 * per layer, a CSR-style flat edge list ``(src_idx, symbol_idx,
-  dst_idx)`` built once from the NFA's transition maps, sorted per source
-  so traversal order is identical to ``UnrolledDAG.ordered_successors``;
+  dst_idx)`` sorted per source by ``(repr(symbol), repr(target))``;
 * forward/backward run-count tables stored as ``array('q')`` when every
   entry fits a machine word, spilling to plain Python lists when the
   bignum counts overflow 64 bits — exactness is never sacrificed;
 * a lazily built reverse CSR for backward walks (the FPRAS's
   ``T_b(s_i^α)`` queries).
 
-All computation then streams over integer arrays; the set-based
-:class:`UnrolledDAG` API is preserved as thin adapter methods, so the
-paper-facing ``s_t^j`` correspondence documented in
-:mod:`repro.core.unroll` survives the lowering (``s_t^j`` live ⟺
-``j in kernel.layer(t)``, same as before).
+All computation streams over integer arrays.  Set-based views
+(``layer`` / ``successors`` / ``predecessors`` / ...) keep the
+correspondence with the paper's ``s_t^j`` vertices direct: ``s_t^j`` is
+live ⟺ ``j in kernel.layer(t)``.
 
 Reachable-mode kernels additionally support *incremental length
 extension* (:meth:`CompiledDAG.extend_to`): appending layers to an
@@ -39,8 +38,8 @@ The kernel is *source-generic*: construction only reads the NFA
 interface (``initial`` / ``finals`` membership / ``out_edges`` /
 ``alphabet`` / ``has_epsilon``), so the lazy plan lowering of
 :mod:`repro.core.plan` hands it a memoized symbolic source instead of a
-materialized automaton and the same CSR-construction code path serves
-both.  Plan-lowered kernels carry their :class:`~repro.core.plan.
+materialized automaton and the same layer and CSR code serves both.
+Plan-lowered kernels carry their :class:`~repro.core.plan.
 LoweringStats` in :attr:`CompiledDAG.lowering` (``None`` for kernels
 compiled from concrete NFAs).
 """
@@ -73,7 +72,6 @@ if TYPE_CHECKING:
 
     from repro.core.accel import NumpyAccel
     from repro.core.plan import LoweringStats
-    from repro.core.unroll import UnrolledDAG
 
 #: Largest count representable in the packed ``array('q')`` spine.
 _INT64_MAX = 2**63 - 1
@@ -124,6 +122,55 @@ def _pack_counts(counts: list[int]) -> CountRow:
     return array("q", counts)
 
 
+def unroll_layers(
+    source: AutomatonSource,
+    n: int,
+    trimmed: bool,
+    first: frozenset[State] | None = None,
+) -> tuple[list[frozenset[State]], list[frozenset[State]]]:
+    """The live layers of ``source`` unrolled ``n`` times (Section 6.2).
+
+    Returns ``(forward, live)``.  ``forward[t]`` holds the states reached
+    from layer 0 in exactly ``t`` steps; layer 0 is ``first``, by default
+    ``{source.initial}``.  ``live`` is ``forward`` itself (the reachable
+    view of Algorithm 5, step 3) or, when ``trimmed``, its Lemma 15
+    pruning: a state stays live at layer ``t`` iff it also reaches a
+    final state in the remaining ``n - t`` steps.
+
+    A state's successors do not depend on its layer, so each state's
+    successor set is computed once per call and shared by every layer
+    and by both passes.
+    """
+    if n < 0:
+        raise ValueError("word length must be ≥ 0")
+    out_edges = source.out_edges
+    after: dict[State, frozenset[State]] = {}
+    forward = [frozenset({source.initial}) if first is None else first]
+    for _ in range(n):
+        reached: set[State] = set()
+        for state in forward[-1]:
+            targets = after.get(state)
+            if targets is None:
+                targets = frozenset(target for _, target in out_edges(state))
+                after[state] = targets
+            reached |= targets
+        forward.append(frozenset(reached))
+    if not trimmed:
+        return forward, forward
+    finals = source.finals
+    # Built back to front, then reversed into layer order.
+    live = [frozenset(state for state in forward[n] if state in finals)]
+    for t in range(n - 1, -1, -1):
+        later = live[-1]
+        live.append(
+            frozenset(
+                state for state in forward[t] if not later.isdisjoint(after[state])
+            )
+        )
+    live.reverse()
+    return forward, live
+
+
 class CompiledDAG:
     """Integer-indexed compilation of an unrolled layered DAG.
 
@@ -142,9 +189,10 @@ class CompiledDAG:
         reachable-only vertices (the FPRAS / spectrum view, which also
         supports :meth:`extend_to`).
     layers:
-        Optional precomputed live-state sets (one frozenset per layer,
-        as built by :class:`~repro.core.unroll.UnrolledDAG`); when
-        omitted they are recomputed from the automaton.
+        Optional precomputed live-state sets, one frozenset per layer
+        (the ``live`` half of :func:`unroll_layers`, which
+        :func:`~repro.core.plan.lower_plan` computes for its stats);
+        when omitted they are computed from the source.
     """
 
     __slots__ = (
@@ -166,7 +214,8 @@ class CompiledDAG:
         "_finals_idx",
         "lowering",
         "fingerprint",
-        "accel",
+        "_backend",
+        "_backend_settled",
         "_accel_state",
         "_borrow_owner",
     )
@@ -189,7 +238,8 @@ class CompiledDAG:
     _finals_idx: dict[int, tuple[int, ...]]
     lowering: LoweringStats | None
     fingerprint: str | None
-    accel: NumpyAccel | None
+    _backend: NumpyAccel | None
+    _backend_settled: bool
     _accel_state: dict[tuple[str, int], object]
     _borrow_owner: object | None
 
@@ -208,9 +258,7 @@ class CompiledDAG:
         self.n = n
         self.trimmed = trimmed
         if layers is None:
-            from repro.core.unroll import UnrolledDAG
-
-            layers = UnrolledDAG(nfa, n, trimmed).layers
+            _, layers = unroll_layers(nfa, n, trimmed)
         self.symbols = tuple(sorted(nfa.alphabet, key=repr))
         self._symbol_index = {s: i for i, s in enumerate(self.symbols)}
         self._states = [tuple(sorted(layer, key=repr)) for layer in layers]
@@ -234,13 +282,9 @@ class CompiledDAG:
         #: a KernelStore (lets the backend guard verify snapshot-restored
         #: kernels, whose source object is a snapshot stand-in).
         self.fingerprint = None
-        #: Accelerated execution backend (None = the canonical pure
-        #: path); defaults from $REPRO_KERNEL_BACKEND.
-        self.accel = _accel.resolve(None)
-        _obs_metrics().counter(
-            metric_names.KERNEL_BACKEND_SELECTED,
-            labels={"backend": self.kernel_backend},
-        ).inc()
+        # The execution backend is settled later (see `accel`).
+        self._backend = None
+        self._backend_settled = False
         #: Per-kernel caches owned by the accel backend (NumPy views of
         #: the CSR arrays and derived per-layer arrays).
         self._accel_state = {}
@@ -252,13 +296,6 @@ class CompiledDAG:
     # Construction helpers
     # ------------------------------------------------------------------
 
-    @classmethod
-    def from_unrolled(cls, dag: UnrolledDAG | CompiledDAG) -> "CompiledDAG":
-        """Lower an already-built :class:`UnrolledDAG` (live sets reused)."""
-        if isinstance(dag, CompiledDAG):
-            return dag
-        return cls(dag.nfa, dag.n, dag.trimmed, layers=dag.layers)
-
     def set_kernel_backend(self, name: str | None) -> "CompiledDAG":
         """Select the execution backend (``"pure"``, ``"numpy"``, ``"auto"``).
 
@@ -268,12 +305,33 @@ class CompiledDAG:
         choice is purely about speed.  Returns ``self`` for chaining.
         """
         self.accel = _accel.resolve(name)
+        return self
+
+    @property
+    def accel(self) -> NumpyAccel | None:
+        """The execution backend (``None`` = the canonical pure path).
+
+        Construction and snapshot restore leave it unsettled.  It is
+        settled by an assignment (:meth:`set_kernel_backend`, the
+        facade) or else by the first read, which takes
+        ``$REPRO_KERNEL_BACKEND``'s default.  Each settling counts the
+        kernel in ``repro_kernel_backend_total`` under the backend it
+        then runs on, so a kernel whose owner picks its backend is never
+        counted under the default as well.
+        """
+        if not self._backend_settled:
+            self.accel = _accel.resolve(None)
+        return self._backend
+
+    @accel.setter
+    def accel(self, backend: NumpyAccel | None) -> None:
+        self._backend = backend
+        self._backend_settled = True
         self._accel_state = {}
         _obs_metrics().counter(
             metric_names.KERNEL_BACKEND_SELECTED,
-            labels={"backend": self.kernel_backend},
+            labels={"backend": backend.name if backend is not None else "pure"},
         ).inc()
-        return self
 
     @property
     def kernel_backend(self) -> str:
@@ -302,8 +360,8 @@ class CompiledDAG:
                 if j is not None:
                     edges.append((symbol_index[symbol], j))
             # Symbol indices and dst indices are both assigned in repr
-            # order, so this integer sort reproduces the (repr(symbol),
-            # repr(state)) order of UnrolledDAG.ordered_successors.
+            # order, so this integer sort is the (repr(symbol),
+            # repr(state)) order Algorithm 1 walks.
             edges.sort()
             for symbol_i, j in edges:
                 edge_symbol.append(symbol_i)
@@ -336,13 +394,11 @@ class CompiledDAG:
             # resize away from) memory the store still owns, so the
             # kernel first copies itself onto owned arrays.
             self._materialize_owned()
-        out_edges = self.nfa.out_edges
-        for t in range(self.n, new_n):
-            nxt: set[State] = set()
-            for state in self._states[t]:
-                for _, target in out_edges(state):
-                    nxt.add(target)
-            states_next = tuple(sorted(nxt, key=repr))
+        grown, _ = unroll_layers(
+            self.nfa, new_n - self.n, False, first=self.layer(self.n)
+        )
+        for t, layer in enumerate(grown[1:], start=self.n):
+            states_next = tuple(sorted(layer, key=repr))
             self._states.append(states_next)
             self._index.append({state: i for i, state in enumerate(states_next)})
             self._append_edge_layer(t)
@@ -789,12 +845,12 @@ class CompiledDAG:
         return kernel_from_mmap(path, source_resolver=source_resolver)
 
     # ------------------------------------------------------------------
-    # UnrolledDAG-compatible adapter views (the paper-facing s_t^j API)
+    # Set-based views (the paper-facing s_t^j API)
     # ------------------------------------------------------------------
 
     @property
     def layers(self) -> list[frozenset[State]]:
-        """All live-state sets, in the :class:`UnrolledDAG` shape."""
+        """All live-state sets, one frozenset per layer."""
         return [self.layer(t) for t in range(self.n + 1)]
 
     def layer(self, t: int) -> frozenset[State]:
@@ -914,18 +970,11 @@ def kernel_matches_nfa(kernel: CompiledDAG, nfa: NFA) -> bool:
     return source.initial == nfa.initial and source.alphabet == nfa.alphabet
 
 
-def as_kernel(dag: UnrolledDAG | CompiledDAG) -> CompiledDAG:
-    """Coerce an :class:`UnrolledDAG` (or kernel) into a :class:`CompiledDAG`."""
-    if isinstance(dag, CompiledDAG):
-        return dag
-    return CompiledDAG.from_unrolled(dag)
-
-
 __all__ = [
     "AutomatonSource",
     "CompiledDAG",
     "CountRow",
-    "as_kernel",
     "compile_nfa",
     "kernel_matches_nfa",
+    "unroll_layers",
 ]

@@ -17,13 +17,13 @@ interface — ``initial`` / ``out_edges(state)`` / ``successors(state,
 symbol)`` / ``finals`` — instead of a materialized transition set.
 Composite states exist only while the lowering's frontier touches them.
 
-:func:`lower_plan` is the fused lowering pass: it explores only the
-forward-reachable product states layer by layer (and, in trimmed mode,
-prunes to the backward-useful ones, exactly the Lemma 15 semantics of
-:mod:`repro.core.unroll`), memoizes each state's successor block exactly
-once, and writes the result *directly* into the integer-indexed CSR
-arrays of :class:`~repro.core.kernel.CompiledDAG` — no intermediate NFA
-object for composite inputs.  The lowering records a
+:func:`lower_plan` is the lowering pass: it memoizes each plan state's
+successor block exactly once, unrolls the memo with the same layer
+function every kernel uses (:func:`repro.core.kernel.unroll_layers`:
+forward reach, plus the Lemma 15 pruning in trimmed mode), and writes
+the result *directly* into the integer-indexed CSR arrays of
+:class:`~repro.core.kernel.CompiledDAG` — no intermediate NFA object
+for composite inputs.  The lowering records a
 :class:`LoweringStats` so callers (``WitnessSet.describe()``, the
 ``bench_lazy_product`` gate) can verify that no more states were ever
 materialized than the exploration reached, and how that compares to the
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, TypeAlias, cast
 
 from repro.automata.nfa import NFA, State, Symbol
-from repro.core.kernel import CompiledDAG
+from repro.core.kernel import CompiledDAG, unroll_layers
 from repro.errors import InvalidAutomatonError
 
 if TYPE_CHECKING:
@@ -775,13 +775,13 @@ def lower_plan(
 ) -> CompiledDAG:
     """Lower ``plan``'s length-``n`` unrolling straight into a kernel.
 
-    One fused pass: explore the forward-reachable plan states layer by
-    layer (each state's successor block computed exactly once and
-    memoized), prune to the backward-useful vertices when ``trimmed``
-    (the Lemma 15 semantics of :func:`repro.core.unroll.unroll_trimmed`),
-    then hand the memoized adjacency and the live-layer sets to
-    :class:`~repro.core.kernel.CompiledDAG`, which writes the CSR edge
-    arrays from the memo — never from a materialized NFA.
+    The layers come from :func:`~repro.core.kernel.unroll_layers`, the
+    one layer function every kernel uses, run over a memoized view of
+    the plan: forward reach from the initial state (each state's
+    successor block computed exactly once) and, when ``trimmed``, the
+    Lemma 15 pruning.  :class:`~repro.core.kernel.CompiledDAG` then
+    writes the CSR edge arrays from the memo — never from a
+    materialized NFA.  The forward layers also feed the stats.
 
     The returned kernel is bit-identical (states, edge order, symbols) to
     compiling the eager product NFA of the same composition, so exact
@@ -795,46 +795,14 @@ def lower_plan(
     per witness set); the stats still report only the states this
     lowering's own forward pass reached.
     """
-    if n < 0:
-        raise ValueError("word length must be ≥ 0")
     plan = as_plan(plan)
     if adjacency is None:
         adjacency = {}
     source = _MemoSource(plan, adjacency)
-
-    layers: list[frozenset[State]] = [frozenset({plan.initial})]
-    for _ in range(n):
-        nxt: set[State] = set()
-        for state in layers[-1]:
-            for _, target in source.out_edges(state):
-                nxt.add(target)
-        layers.append(frozenset(nxt))
-
+    forward, live = unroll_layers(source, n, trimmed)
     reached: set[State] = set()
-    for layer in layers:
-        reached |= layer
-
-    if trimmed:
-        finals = plan.finals
-        # The backward-useful layers, built back to front (appending the
-        # earlier layer each step, then reversing) so no placeholder slots
-        # ever hold a non-frozenset.
-        alive: list[frozenset[State]] = [
-            frozenset(state for state in layers[n] if state in finals)
-        ]
-        for t in range(n - 1, -1, -1):
-            later = alive[-1]
-            alive.append(
-                frozenset(
-                    state
-                    for state in layers[t]
-                    if any(target in later for _, target in adjacency[state])
-                )
-            )
-        alive.reverse()
-        layers = alive
-
-    kernel = CompiledDAG(source, n, trimmed, layers=layers)
+    reached.update(*forward)
+    kernel = CompiledDAG(source, n, trimmed, layers=live)
     # Count against `reached` (not the raw memo) so a shared adjacency
     # dict from an earlier lowering never inflates this lowering's stats.
     explored = [state for state in reached if state in adjacency]

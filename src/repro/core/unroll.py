@@ -11,189 +11,55 @@ unrolled ``n`` times into a directed acyclic graph whose vertices are
   the start — the FPRAS's per-vertex sets ``U(s)`` are prefix sets and
   must not be restricted by what happens later in the word.
 
-:class:`UnrolledDAG` exposes both views.  Rather than materializing
-``n·m`` explicit vertices with copied edges, it stores one set of *live
-states per layer* and answers adjacency queries against the underlying
-NFA's transition maps — same asymptotics, much less allocation, and the
-correspondence with the paper's ``s_t^j`` vertices stays direct
-(``s_t^j`` live ⟺ ``j in dag.layer(t)``).
-
-The execution hot paths run on :class:`repro.core.kernel.CompiledDAG`,
-the one-shot integer-indexed lowering of this object; the kernel
-implements this same set-based API as adapter views, so the ``s_t^j``
-correspondence above holds verbatim on either representation.
+These are the paper-facing names for both views.  Each returns the
+:class:`~repro.core.kernel.CompiledDAG` kernel, whose live layers come
+from :func:`repro.core.kernel.unroll_layers`; the correspondence with
+the paper's ``s_t^j`` vertices stays direct (``s_t^j`` live ⟺
+``j in dag.layer(t)``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.automata.nfa import NFA, State, Symbol
-from repro.errors import InvalidAutomatonError
+from repro.automata.nfa import NFA
+from repro.core.kernel import CompiledDAG, compile_nfa, unroll_layers
 
 
-class UnrolledDAG:
-    """The layered unrolling ``N_unroll`` of an ε-free NFA.
-
-    Attributes
-    ----------
-    nfa:
-        The underlying ε-free automaton.
-    n:
-        The word length (number of symbol layers).
-    layers:
-        ``layers[t]`` is the frozenset of states live at layer ``t``
-        (``t = 0..n``); ``layers[0] == {initial}``.  In *reachable* mode a
-        state is live iff reachable from the start in exactly ``t`` steps;
-        in *trimmed* mode it must additionally reach a final state in the
-        remaining ``n - t`` steps (Lemma 15 pruning).
-    """
-
-    def __init__(self, nfa: NFA, n: int, trimmed: bool):
-        if nfa.has_epsilon:
-            raise InvalidAutomatonError("unrolling requires an ε-free NFA")
-        if n < 0:
-            raise ValueError("word length must be ≥ 0")
-        self.nfa = nfa
-        self.n = n
-        self.trimmed = trimmed
-
-        forward: list[frozenset] = [frozenset({nfa.initial})]
-        for _ in range(n):
-            current = forward[-1]
-            nxt: set = set()
-            for state in current:
-                for symbol in nfa.alphabet:
-                    nxt |= nfa.successors(state, symbol)
-            forward.append(frozenset(nxt))
-
-        if trimmed:
-            alive: list[frozenset] = [frozenset(nfa.finals & forward[n])]
-            for t in range(n - 1, -1, -1):
-                later = alive[0]
-                current: set = set()
-                for state in forward[t]:
-                    for symbol in nfa.alphabet:
-                        if nfa.successors(state, symbol) & later:
-                            current.add(state)
-                            break
-                alive.insert(0, frozenset(current))
-            self.layers = alive
-        else:
-            self.layers = forward
-
-    # ------------------------------------------------------------------
-
-    def layer(self, t: int) -> frozenset:
-        """Live states at layer ``t`` (0 ≤ t ≤ n)."""
-        return self.layers[t]
-
-    @property
-    def final_states(self) -> frozenset:
-        """Live accepting states at the last layer."""
-        return self.layers[self.n] & self.nfa.finals
-
-    @property
-    def is_empty(self) -> bool:
-        """True iff the automaton accepts no word of length ``n``."""
-        return not self.final_states
-
-    def successors(self, t: int, state: State) -> Iterator[tuple[Symbol, State]]:
-        """Edges from vertex ``(t, state)`` into layer ``t + 1`` (live only)."""
-        if t >= self.n:
-            return
-        later = self.layers[t + 1]
-        for symbol, target in self.nfa.out_edges(state):
-            if target in later:
-                yield symbol, target
-
-    def ordered_successors(self, t: int, state: State) -> list[tuple[Symbol, State]]:
-        """Successor edges in a fixed total order (symbol repr, state repr).
-
-        Algorithm 1 requires a fixed order on each vertex's outgoing edges
-        (its ``min``/``succ``/``max`` bookkeeping); we order by repr to
-        stay independent of hash randomization.
-        """
-        return sorted(self.successors(t, state), key=lambda edge: (repr(edge[0]), repr(edge[1])))
-
-    def predecessors(self, t: int, state: State, symbol: Symbol) -> frozenset:
-        """Live states ``p`` at layer ``t - 1`` with ``p --symbol--> state``.
-
-        This is the paper's ``T_b(s_i^α)`` (Algorithm 5, step 4a).
-        """
-        if t <= 0:
-            return frozenset()
-        return self.nfa.predecessors(state, symbol) & self.layers[t - 1]
-
-    def predecessor_sets(self, t: int, states: frozenset) -> dict[Symbol, frozenset]:
-        """For each symbol b, the set ``T_b`` of layer-(t-1) predecessors of ``states``.
-
-        The generalization of Algorithm 4 step 3 from {0,1} to Σ: only
-        symbols with nonempty predecessor sets are returned.
-        """
-        result: dict[Symbol, set] = {}
-        earlier = self.layers[t - 1] if t >= 1 else frozenset()
-        for state in states:
-            for symbol, sources in _in_edges_by_symbol(self.nfa, state):
-                live = sources & earlier
-                if live:
-                    result.setdefault(symbol, set()).update(live)
-        return {symbol: frozenset(sources) for symbol, sources in result.items()}
-
-    def vertex_count(self) -> int:
-        """Total number of live vertices across all layers."""
-        return sum(len(layer) for layer in self.layers)
-
-    def edge_count(self) -> int:
-        """Total number of live edges."""
-        return sum(
-            1
-            for t in range(self.n)
-            for state in self.layers[t]
-            for _ in self.successors(t, state)
-        )
-
-
-def _in_edges_by_symbol(nfa: NFA, state: State) -> Iterator[tuple[Symbol, frozenset]]:
-    for symbol in nfa.alphabet:
-        sources = nfa.predecessors(state, symbol)
-        if sources:
-            yield symbol, sources
-
-
-def unroll(nfa: NFA, n: int) -> UnrolledDAG:
+def unroll(nfa: NFA, n: int) -> CompiledDAG:
     """Unroll ``nfa`` for length ``n``, removing only unreachable vertices.
 
     This is the FPRAS view (Algorithm 5, step 3).
     """
-    return UnrolledDAG(nfa.without_epsilon(), n, trimmed=False)
+    return compile_nfa(nfa, n, trimmed=False)
 
 
-def unroll_trimmed(nfa: NFA, n: int) -> UnrolledDAG:
+def unroll_trimmed(nfa: NFA, n: int) -> CompiledDAG:
     """Unroll and prune to vertices on start→final paths (Lemma 15).
 
     This is the enumeration view: every edge of the result is part of an
     accepting path, so depth-first traversal never backtracks out of a
     dead branch.
     """
-    return UnrolledDAG(nfa.without_epsilon(), n, trimmed=True)
+    return compile_nfa(nfa, n, trimmed=True)
 
 
 def accepted_word_exists(nfa: NFA, n: int) -> bool:
     """Does ``nfa`` accept any word of length ``n``?  (O(n·|δ|).)
 
     The existence test that [Sch09]'s polynomial-delay enumeration needs,
-    and the guard the samplers use before doing any work.
+    and the guard the samplers use before doing any work.  Forward reach
+    only: no kernel arrays are built.
     """
-    return not unroll(nfa, n).is_empty
+    stripped = nfa.without_epsilon()
+    forward, _ = unroll_layers(stripped, n, trimmed=False)
+    return not forward[n].isdisjoint(stripped.finals)
 
 
-def lemma15_graph(nfa: NFA, n: int) -> tuple[UnrolledDAG, tuple, frozenset]:
+def lemma15_graph(nfa: NFA, n: int) -> tuple[CompiledDAG, tuple, frozenset]:
     """The Lemma 15 package: (pruned DAG, start vertex, final vertices).
 
     Returned in the vertex naming of the paper (``(state, layer)`` pairs)
     for the figure-reproduction tests; algorithmic callers use the
-    :class:`UnrolledDAG` API directly.
+    kernel directly.
     """
     dag = unroll_trimmed(nfa, n)
     start = (dag.nfa.initial, 0)

@@ -77,7 +77,9 @@ def figure2_dag_description() -> dict:
     """The pruned-unrolling structure Figure 2 depicts (k = 3).
 
     Returns the expected live vertices per layer for comparison with
-    :func:`repro.core.unroll.unroll_trimmed` on :func:`figure1_nfa`.
+    the layers of :func:`repro.core.unroll.unroll_trimmed` on
+    :func:`figure1_nfa` (``kernel.layer(t)``, the Lemma 15 pruning of
+    :func:`repro.core.kernel.unroll_layers`).
     """
     return {
         0: {"q0"},

@@ -60,6 +60,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro import obs
+from repro.automata.nfa import word_str
 from repro.errors import ReproError
 from repro.obs import names as metric_names
 from repro.utils.rng import make_rng, substreams
@@ -210,10 +211,20 @@ def witness_set_from_spec(
 
 
 def render_witness(witness: object) -> str:
-    """One witness as a display string (the CLI's rendering)."""
-    from repro.cli import _format_witness
+    """One witness as a display string, shared by the wire and the CLI.
 
-    return _format_witness(witness)
+    RPQ paths print their label word and hops, words their symbols,
+    and any other decoded witness its ``str``.
+    """
+    from repro.graphdb.rpq import Path
+
+    if isinstance(witness, Path):
+        labels = "".join(map(str, witness.label_word))
+        hops = " → ".join(map(str, witness.vertices()))
+        return f"{labels}  ({hops})"
+    if isinstance(witness, tuple):
+        return word_str(tuple(str(symbol) for symbol in witness))
+    return str(witness)
 
 
 def _render_describe(facts: dict[str, Any]) -> dict[str, Any]:

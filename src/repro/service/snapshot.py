@@ -279,7 +279,6 @@ def kernel_from_bytes(
     an LP64 platform; otherwise this silently falls back to the
     copying restore (``_borrow_owner`` stays None).
     """
-    from repro.core import accel as accel_mod
     from repro.core.kernel import CompiledDAG
     from repro.core.plan import LoweringStats
 
@@ -395,7 +394,8 @@ def kernel_from_bytes(
     lowering = header.get("lowering")
     kernel.lowering = LoweringStats(**lowering) if lowering else None
     kernel.fingerprint = None  # the store stamps its key after restore
-    kernel.accel = accel_mod.resolve(None)
+    kernel._backend = None  # settled by the owner or on first use
+    kernel._backend_settled = False
     kernel._accel_state = {}
     kernel._borrow_owner = data if borrowed_any else None
     return kernel

@@ -30,6 +30,7 @@ from repro.core.fpras import FprasParameters, FprasState
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.spectrum import SpectrumSolver
 from repro.errors import UnknownBackendError
+from repro.obs.names import KERNEL_BACKEND_SELECTED
 from repro.service.snapshot import (
     MAGIC,
     SNAPSHOT_VERSION,
@@ -246,6 +247,50 @@ def test_witness_set_backend_selection_and_describe():
     assert ws_pure.sample(rng=4) == ws_fast.sample(rng=4)
     with pytest.raises(UnknownBackendError):
         repro.WitnessSet(nfa, 10, kernel_backend="tpu")
+
+
+@pytest.mark.skipif(accel.resolve("numpy") is None, reason="NumPy backend unavailable")
+def test_backend_counter_counts_each_kernel_once(monkeypatch, tmp_path):
+    """``repro_kernel_backend_total`` counts each kernel once, under the
+    backend it runs on: a facade-built kernel, a store-restored kernel
+    and the spectrum solver's kernel all settle on NumPy here, while the
+    environment default is pure."""
+    import repro
+    from repro import obs
+    from repro.service import KernelStore
+
+    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
+    was_enabled = obs.enabled()
+    obs.set_enabled(True)
+    nfa = ufa(15, n=10, seed=2)
+
+    def selections() -> dict[str, float]:
+        counters = obs.metrics().snapshot()["counters"]
+        return {
+            backend: counters.get(
+                obs.series_key(KERNEL_BACKEND_SELECTED, {"backend": backend}), 0
+            )
+            for backend in ("pure", "numpy")
+        }
+
+    try:
+        obs.reset_metrics()
+        repro.WitnessSet(nfa, 10, kernel_backend="numpy", store=False).count()
+        assert selections() == {"pure": 0, "numpy": 1}
+
+        repro.WitnessSet(nfa, 10, store=KernelStore(tmp_path)).count()
+        warm_store = KernelStore(tmp_path)
+        obs.reset_metrics()
+        repro.WitnessSet(nfa, 10, kernel_backend="numpy", store=warm_store).count()
+        assert warm_store.stats.hits == 1
+        assert selections() == {"pure": 0, "numpy": 1}
+
+        obs.reset_metrics()
+        SpectrumSolver(nfa, 12, kernel_backend="numpy")
+        assert selections() == {"pure": 0, "numpy": 1}
+    finally:
+        obs.set_enabled(was_enabled)
+        obs.reset_metrics()
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ class TestCaching:
         # Every artifact was computed exactly once ...
         assert all(count == 1 for count in first_misses.values())
         assert ws.stats.misses["stripped"] == 1
-        assert ws.stats.misses["dag"] == 1
+        assert ws.stats.misses["kernel"] == 1
         # ... and a second round of queries only ever hits.
         ws.count()
         ws.sample(5, rng=1)

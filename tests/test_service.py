@@ -702,6 +702,24 @@ class TestSpecs:
             nfa, 5, store=False
         ).count()
 
+    def test_render_witness_does_not_import_the_cli(self):
+        """The wire renders witnesses itself: serving never loads the
+        CLI (argparse and every command) just to format a word."""
+        script = (
+            "import sys; sys.path.insert(0, 'src')\n"
+            "from repro.service.protocol import render_witness\n"
+            "assert render_witness(('a', 'b')) == 'ab'\n"
+            "print('repro.cli' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 # ----------------------------------------------------------------------
 # The server

@@ -12,7 +12,6 @@ from repro.core.unroll import (
     unroll,
     unroll_trimmed,
 )
-from repro.errors import InvalidAutomatonError
 from repro.papers.figures import figure1_nfa, figure2_dag_description
 
 
@@ -30,13 +29,6 @@ class TestUnroll:
         nfa = NFA(["a", "b"], ["0"], [("a", EPSILON, "b"), ("b", "0", "b")], "a", ["b"])
         dag = unroll(nfa, 2)  # unroll() ε-eliminates before layering
         assert not dag.is_empty
-
-    def test_dag_constructor_rejects_epsilon(self):
-        from repro.core.unroll import UnrolledDAG
-
-        nfa = NFA(["a", "b"], ["0"], [("a", EPSILON, "b")], "a", ["b"])
-        with pytest.raises(InvalidAutomatonError):
-            UnrolledDAG(nfa, 2, trimmed=False)
 
     def test_rejects_negative_length(self, even_zeros_dfa):
         with pytest.raises(ValueError):
