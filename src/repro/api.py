@@ -79,7 +79,6 @@ from repro.errors import (
     InvalidRelationInputError,
 )
 from repro.obs import add_stage
-from repro.obs import metrics as obs_metrics
 from repro.obs import names as metric_names
 from repro.utils.rng import make_rng, substreams
 
@@ -426,7 +425,6 @@ class WitnessSet:
         elapsed = time.perf_counter() - started
         self._lowering_seconds += elapsed
         add_stage(metric_names.STAGE_LOWERING, elapsed)
-        obs_metrics().histogram(metric_names.LOWERING_SECONDS).record(elapsed)
         kernel.accel = self._accel
         if store is not None:
             if trimmed:
@@ -769,7 +767,7 @@ class WitnessSet:
         ``kernel_backend`` names the accelerated backend in use (or
         ``"pure"``), and ``lowering_seconds`` is the cumulative wall
         time this set spent building kernels — the in-process view of
-        the ``repro_lowering_seconds`` metric; ``0.0`` means every
+        ``repro_stage_seconds{stage="lowering"}``; ``0.0`` means every
         kernel so far came off the store.
         """
         info = {

@@ -55,13 +55,10 @@ class SolverBackend:
     :meth:`count`.
 
     Backends execute on the witness set's compiled kernel
-    (:class:`~repro.core.kernel.CompiledDAG`): the facade caches a
-    trimmed kernel (``witness_set.kernel``) and a reachable-mode one
-    (``witness_set.reachable_kernel``), and automaton-walking strategies
-    should consume those instead of re-unrolling.  A caller holding its
-    own compilation can override per call via the ``kernel=`` option
-    (accepted by the built-in ``exact``, ``fpras`` and ``montecarlo``
-    backends).
+    (:class:`~repro.core.kernel.CompiledDAG`): the facade compiles the
+    instance once and caches a trimmed kernel (``witness_set.kernel``)
+    and a reachable-mode one (``witness_set.reachable_kernel``), and
+    automaton-walking strategies consume those instead of re-unrolling.
 
     Orthogonally to the *counting strategy* chosen here, every kernel
     carries its own *execution backend* (pure Python or the NumPy
@@ -93,71 +90,6 @@ class SolverBackend:
     def __repr__(self) -> str:  # pragma: no cover - trivial
         kind = "exact" if self.exact else "approximate"
         return f"<SolverBackend {self.name!r} ({kind})>"
-
-
-def _check_kernel(witness_set, kernel, trimmed: bool) -> None:
-    """Reject a ``kernel=`` override that does not match the witness set.
-
-    Kernels carry their own length and automaton (and reachable-mode
-    kernels can be extended in place), so counting at ``kernel.n``
-    instead of ``witness_set.n`` would be silently wrong.  Plan-lowered
-    kernels carry a symbolic source instead of an NFA; those are checked
-    by plan *identity* against the witness set's plan (comparing
-    languages would force the materialization the plan route exists to
-    avoid), so a kernel lowered from one plan cannot be replayed against
-    a witness set built over another.
-    """
-    if kernel.n != witness_set.n:
-        raise BackendError(
-            f"kernel mismatch: compiled for n={kernel.n} but the witness set "
-            f"has n={witness_set.n}"
-        )
-    _check_kernel_source(witness_set, kernel)
-    if kernel.trimmed != trimmed:
-        mode = "trimmed" if trimmed else "reachable-mode"
-        raise BackendError(f"this backend needs a {mode} kernel")
-
-
-def _check_kernel_source(witness_set, kernel) -> None:
-    """Reject a kernel built from a different automaton or plan.
-
-    The facade's own cached kernels pass by identity.  NFA-compiled
-    kernels compare automata by value, plan-lowered ones by plan
-    identity.  Snapshot-restored kernels (whose source is a store
-    stand-in) are verified by content fingerprint — the address they
-    were stored under must equal the witness set's own fingerprint.
-    """
-    cache = getattr(witness_set, "_cache", {})
-    if kernel is cache.get("kernel") or kernel is cache.get("reachable_kernel"):
-        return
-    from repro.automata.nfa import NFA
-
-    source = kernel.nfa
-    if isinstance(source, NFA):
-        if source != witness_set.stripped:
-            raise BackendError("kernel mismatch: compiled from a different automaton")
-        return
-    plan = getattr(source, "plan", None)
-    if plan is not None:
-        if plan is not witness_set.plan:
-            raise BackendError("kernel mismatch: lowered from a different plan")
-        return
-    fingerprint = getattr(kernel, "fingerprint", None)
-    if fingerprint is not None:
-        from repro.service.fingerprint import FingerprintError
-
-        try:
-            if fingerprint == witness_set.fingerprint():
-                return
-        except FingerprintError:
-            pass
-        raise BackendError(
-            "kernel mismatch: snapshot restored from a different source"
-        )
-    raise BackendError(
-        "kernel source cannot be verified against this witness set "
-        "(snapshot restored without its store fingerprint)"
-    )
 
 
 _REGISTRY: dict[str, SolverBackend] = {}
@@ -212,12 +144,7 @@ class ExactBackend(SolverBackend):
     name = "exact"
     exact = True
 
-    def count(self, witness_set, kernel=None, **options):
-        if kernel is not None and witness_set.is_unambiguous:
-            # Runs = words on an unambiguous trimmed kernel; the caller's
-            # compilation replaces the facade's cached one.
-            _check_kernel(witness_set, kernel, trimmed=True)
-            return kernel.total_runs
+    def count(self, witness_set, **options):
         return witness_set.count_exact()
 
 
@@ -244,23 +171,8 @@ class FprasBackend(SolverBackend):
         witness_set,
         delta: float | None = None,
         rng: random.Random | int | None = None,
-        kernel=None,
         **options,
     ):
-        if kernel is not None:
-            from repro.core.fpras import FprasState
-
-            # FprasState validates length (≥ n) and reachable mode
-            # itself; the backend adds the same-source guard.
-            _check_kernel_source(witness_set, kernel)
-            return FprasState(
-                witness_set.stripped,
-                witness_set.n,
-                delta=delta if delta is not None else witness_set.delta,
-                rng=make_rng(rng) if rng is not None else witness_set.rng,
-                params=witness_set.params,
-                kernel=kernel,
-            ).count_estimate
         return witness_set.fpras_state(delta=delta, rng=rng).count_estimate
 
 
@@ -274,19 +186,16 @@ class MonteCarloBackend(SolverBackend):
         witness_set,
         samples: int = 2000,
         rng: random.Random | int | None = None,
-        kernel=None,
         **options,
     ):
         from repro.baselines.montecarlo import naive_montecarlo_count
 
-        if kernel is not None:
-            _check_kernel(witness_set, kernel, trimmed=True)
         estimate = naive_montecarlo_count(
             witness_set.stripped,
             witness_set.n,
             samples=samples,
             rng=make_rng(rng),
-            kernel=kernel if kernel is not None else witness_set.kernel,
+            kernel=witness_set.kernel,
         )
         return estimate.estimate
 

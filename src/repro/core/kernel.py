@@ -213,7 +213,6 @@ class CompiledDAG:
         "_layer_sets",
         "_finals_idx",
         "lowering",
-        "fingerprint",
         "_backend",
         "_backend_settled",
         "_accel_state",
@@ -237,7 +236,6 @@ class CompiledDAG:
     _layer_sets: dict[int, frozenset[State]]
     _finals_idx: dict[int, tuple[int, ...]]
     lowering: LoweringStats | None
-    fingerprint: str | None
     _backend: NumpyAccel | None
     _backend_settled: bool
     _accel_state: dict[tuple[str, int], object]
@@ -278,10 +276,6 @@ class CompiledDAG:
         self._finals_idx = {}
         #: LoweringStats when this kernel came from a plan lowering.
         self.lowering = None
-        #: Content fingerprint of the source when the kernel came out of
-        #: a KernelStore (lets the backend guard verify snapshot-restored
-        #: kernels, whose source object is a snapshot stand-in).
-        self.fingerprint = None
         # The execution backend is settled later (see `accel`).
         self._backend = None
         self._backend_settled = False
@@ -959,10 +953,9 @@ def kernel_matches_nfa(kernel: CompiledDAG, nfa: NFA) -> bool:
     :meth:`~repro.core.plan.Plan.to_nfa` rendering preserves both).
     That catches accidental cross-alphabet mixups but NOT two unrelated
     plans sharing both labels; callers handing a plan-lowered kernel to
-    these expert constructors are responsible for the pairing.  The
-    strict guard lives one level up: :mod:`repro.backends` checks plan
-    *identity* against the witness set (``_check_kernel_source``), which
-    is the supported ``kernel=`` override surface.
+    the expert constructors that call this (``FprasState(kernel=)``,
+    ``uniform_run_sampler(kernel=)``) are responsible for the pairing.
+    The facade always pairs a witness set with its own cached kernels.
     """
     source = kernel.nfa
     if isinstance(source, NFA):

@@ -39,6 +39,8 @@ PROTOCOL_REQUESTS = "repro_requests_total"
 PROTOCOL_ERRORS = "repro_request_errors_total"
 SAMPLE_REQUESTS = "repro_sample_requests_total"
 COALESCED_REQUESTS = "repro_coalesced_requests_total"
+# Witness-cache and store series are written only by
+# Engine.aggregate_stats, from the counts on WitnessSetCache / StoreStats.
 CACHE_HITS = "repro_witness_cache_hits_total"
 CACHE_MISSES = "repro_witness_cache_misses_total"
 
@@ -50,10 +52,8 @@ STORE_EVICTIONS = "repro_store_evictions_total"
 STORE_CORRUPT = "repro_store_corrupt_total"
 STORE_SKIPPED = "repro_store_skipped_total"
 STORE_MMAP_HITS = "repro_store_mmap_hits_total"
-STORE_GET_SECONDS = "repro_store_get_seconds"
 
 # --- kernel / accel profiling -----------------------------------------
-LOWERING_SECONDS = "repro_lowering_seconds"
 KERNEL_BACKEND_SELECTED = "repro_kernel_backend_total"
 ACCEL_SPILLS = "repro_accel_spills_total"
 
@@ -112,8 +112,6 @@ __all__ = [
     "STORE_CORRUPT",
     "STORE_SKIPPED",
     "STORE_MMAP_HITS",
-    "STORE_GET_SECONDS",
-    "LOWERING_SECONDS",
     "KERNEL_BACKEND_SELECTED",
     "ACCEL_SPILLS",
     "FPRAS_WALKS",

@@ -15,9 +15,10 @@ Design constraints, in order:
 * **Kill switch.**  ``REPRO_OBS=off`` in the environment (or
   :func:`set_enabled` at runtime) turns every record method into an
   early return so the overhead bench can measure a true baseline.
-  Metrics constructed with ``always=True`` ignore the switch — the
-  functional ``StoreStats`` / ``WitnessSetCache`` counters stay exact
-  views regardless of the observability setting.
+  Counts that are functional state are not registry metrics at all:
+  witness-cache and kernel-store events live on ``WitnessSetCache`` /
+  ``StoreStats``, stay exact under the switch, and reach snapshots
+  through ``Engine.aggregate_stats``.
 
 Histograms are log-bucketed at 4 buckets per doubling (relative bucket
 width ``2**0.25 - 1`` ≈ 19%), which bounds percentile error well below
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from typing import Any, Callable, Iterable, Mapping, TypeVar, Union
+from typing import Any, Iterable, Mapping, TypeVar, Union
 
 OBS_ENV = "REPRO_OBS"
 
@@ -63,23 +64,17 @@ def set_enabled(value: bool) -> None:
 
 
 class Counter:
-    """Monotonically increasing count.
+    """Monotonically increasing count."""
 
-    ``always=True`` opts out of the ``REPRO_OBS`` kill switch; use it for
-    counters that double as functional state (cache hit bookkeeping that
-    tests and eviction policies read), never for pure telemetry.
-    """
-
-    __slots__ = ("value", "_always")
+    __slots__ = ("value",)
 
     kind = "counter"
 
-    def __init__(self, always: bool = False) -> None:
+    def __init__(self) -> None:
         self.value: float = 0
-        self._always = always
 
     def inc(self, amount: float = 1) -> None:
-        if _enabled or self._always:
+        if _enabled:
             self.value += amount
 
     def as_value(self) -> float:
@@ -248,12 +243,7 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
 
-    def _get_or_create(
-        self,
-        key: str,
-        kind: type[_M],
-        factory: Callable[[], _M] | None = None,
-    ) -> _M:
+    def _get_or_create(self, key: str, kind: type[_M]) -> _M:
         # Double-checked creation: the warm path is one lock-free dict
         # probe.  Entries are only ever *added* (never removed or
         # replaced), and a CPython dict read is atomic, so the unlocked
@@ -264,7 +254,7 @@ class MetricsRegistry:
             with self._lock:
                 metric = self._metrics.get(key)
                 if metric is None:
-                    metric = factory() if factory is not None else kind()
+                    metric = kind()
                     self._metrics[key] = metric
         if not isinstance(metric, kind):
             raise ValueError(
@@ -273,22 +263,8 @@ class MetricsRegistry:
             )
         return metric
 
-    def counter(
-        self,
-        name: str,
-        labels: Mapping[str, str] | None = None,
-        *,
-        always: bool = False,
-    ) -> Counter:
-        """The named counter; ``always=True`` opts it out of ``REPRO_OBS``.
-
-        The flag only matters at first registration (later lookups get
-        the existing metric unchanged), so every record site of an
-        always-on series should pass it.
-        """
-
-        factory = (lambda: Counter(always=True)) if always else None
-        return self._get_or_create(series_key(name, labels), Counter, factory)
+    def counter(self, name: str, labels: Mapping[str, str] | None = None) -> Counter:
+        return self._get_or_create(series_key(name, labels), Counter)
 
     def gauge(self, name: str, labels: Mapping[str, str] | None = None) -> Gauge:
         return self._get_or_create(series_key(name, labels), Gauge)

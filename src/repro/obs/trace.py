@@ -160,9 +160,9 @@ def stage(name: str) -> _StageTimer:
 def add_stage(stage: str, seconds: float) -> None:
     """Record ``seconds`` against the current request span, if any.
 
-    Outside a request (direct facade use) the per-stage histogram still
-    gets the observation, so ``repro_lowering_seconds``-style series are
-    populated by batch jobs too.
+    Inside a span or outside one (direct facade use, batch jobs), every
+    observation lands in ``repro_stage_seconds{stage=...}`` exactly once,
+    so a store fetch or a lowering needs no series of its own.
     """
 
     if not enabled():

@@ -301,39 +301,6 @@ class Engine:
             responses = self._execute_pooled(groups)
         return self._order_responses(requests, responses)
 
-    def execute_stream(
-        self, request: dict[str, Any], chunk_size: int | None = None
-    ) -> Iterator[dict[str, Any]]:
-        """Stream one ``enumerate`` request as a generator of chunk
-        responses.
-
-        Each yielded response answers one page: the worker that owns the
-        spec's fingerprint walks ``chunk_size`` more witnesses off its
-        hot kernel and hands back the items plus the resume cursor; the
-        next iteration sends that cursor straight back to the same
-        worker (affinity routing), so the stream costs one O(n) cursor
-        replay per chunk and never materializes the witness set — in any
-        process.  The generator ends after the page whose result says
-        ``done`` (or after an error response, which is yielded too so
-        the consumer can forward it).
-
-        Between pages the engine is free: the server interleaves other
-        clients' batches with a long-running stream.
-        """
-        if request.get("op") != "enumerate":
-            raise ValueError("execute_stream only serves enumerate requests")
-        from repro.service.protocol import paging_rounds
-
-        rounds = paging_rounds(request, chunk_size)
-        page_request = next(rounds)
-        while True:
-            response = self.execute([page_request])[0]
-            yield response
-            try:
-                page_request = rounds.send(response)
-            except StopIteration:
-                return
-
     @staticmethod
     def _order_responses(
         requests: list[dict[str, Any]], responses: list[dict[str, Any]]
@@ -463,7 +430,14 @@ class Engine:
 
     @staticmethod
     def aggregate_stats(entries: list[dict[str, Any]]) -> dict[str, Any]:
-        """Merge per-worker stats entries into one pool-wide summary."""
+        """Merge per-worker stats entries into one pool-wide summary.
+
+        The one writer of the witness-cache and kernel-store series:
+        the cache and store counts live only on each worker's
+        :class:`WitnessSetCache` / ``StoreStats``, and their sums here
+        become ``repro_witness_cache_*_total`` / ``repro_store_*_total``
+        counters in the merged ``metrics`` snapshot.
+        """
         aggregated: dict[str, Any] = {
             "workers": len(entries),
             "alive": sum(1 for entry in entries if entry.get("alive")),
@@ -482,11 +456,22 @@ class Engine:
             snapshot = entry.get("metrics")
             if snapshot:
                 snapshots.append(snapshot)
+        counters = {
+            metric_names.CACHE_HITS: aggregated["hits"],
+            metric_names.CACHE_MISSES: aggregated["misses"],
+        }
         if store_totals:
+            from repro.service.store import STORE_SERIES
+
             aggregated["store"] = store_totals
-        # Worker-process metrics only: with workers=0 the engine shares
-        # the embedding process's registry, which the caller (the server
-        # layer) merges in itself — merging it here would double-count.
+            counters.update(
+                (STORE_SERIES[key], value) for key, value in store_totals.items()
+            )
+        snapshots.append({"counters": counters})
+        # Worker-process metrics plus the series above: with workers=0 the
+        # engine shares the embedding process's registry, which the caller
+        # (the server layer) merges in itself — merging it here would
+        # double-count.
         aggregated["metrics"] = obs.merge_snapshots(snapshots)
         return aggregated
 

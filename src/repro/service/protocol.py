@@ -313,20 +313,17 @@ def _enumerate_page(ws: WitnessSet, request: dict[str, Any]) -> dict[str, Any]:
 
 
 def paging_rounds(
-    request: dict[str, Any], chunk_size: int | None = None
+    request: dict[str, Any],
 ) -> Generator[dict[str, Any], dict[str, Any], None]:
-    """Sans-IO driver for streamed enumeration: the one page-request
-    construction both streaming front-ends share.
+    """Sans-IO driver for a streamed ``enumerate`` request.
 
     A generator speaking the send protocol: it *yields* the next page
-    request to execute; the consumer executes it (however it likes —
-    inline, through a worker pool, through an async queue) and
-    ``send()``-s the response back; the generator then yields the
-    following page request, or returns when the stream is finished
-    (limit exhausted, cursor gone, ``done`` page, or an error
-    response).  Keeping the cursor/limit bookkeeping here means
-    :meth:`Engine.execute_stream` and the async server's chunked
-    responses cannot drift apart.
+    request to execute; the async server enqueues it like any other
+    request and ``send()``-s the response back; the generator then
+    yields the following page request, or returns when the stream is
+    finished (limit exhausted, cursor gone, ``done`` page, or an error
+    response).  Each page keeps the request's own ``chunk_size``; the
+    generator owns only the cursor and limit bookkeeping.
     """
     remaining = request.get("limit")
     cursor = request.get("cursor")
@@ -336,8 +333,6 @@ def paging_rounds(
             for key, value in request.items()
             if key not in ("cursor", "limit", "stream")
         }
-        if chunk_size is not None:
-            page_request["chunk_size"] = chunk_size
         if cursor is not None:
             page_request["cursor"] = cursor
         if remaining is not None:
@@ -366,6 +361,12 @@ class WitnessSetCache:
     This is a worker's hot-kernel memory: the reason the engine routes
     by affinity is so repeated queries on one spec land where this cache
     already holds the compiled artifacts.
+
+    ``hits`` / ``misses`` are exact per-instance counts, whatever
+    ``REPRO_OBS`` says, and the only record of these events: the
+    engine's stats summary sums them across workers and writes them as
+    ``repro_witness_cache_{hits,misses}_total``.  They are also the
+    engine's affinity hit rate.
     """
 
     max_resident: int
@@ -377,12 +378,6 @@ class WitnessSetCache:
     def __init__(self, max_resident: int = 64, store: KernelStore | None = None) -> None:
         self.max_resident = max_resident
         self.store = store
-        # Exact per-instance counts (functional state: tests and the
-        # ``stats`` view read them regardless of REPRO_OBS); every
-        # increment is mirrored into the process metrics registry so the
-        # exposition layer can aggregate hit rates across workers —
-        # this is also the engine's affinity hit rate, since affinity
-        # routing exists exactly to land repeats on a resident entry.
         self.hits = 0
         self.misses = 0
         self._cache = OrderedDict()
@@ -391,11 +386,9 @@ class WitnessSetCache:
         ws = self._cache.get(key)
         if ws is not None:
             self.hits += 1
-            obs.metrics().counter(metric_names.CACHE_HITS, always=True).inc()
             self._cache.move_to_end(key)
             return ws
         self.misses += 1
-        obs.metrics().counter(metric_names.CACHE_MISSES, always=True).inc()
         ws = witness_set_from_spec(
             spec, store=self.store if self.store is not None else False
         )

@@ -162,8 +162,11 @@ def _aggregate_server_stats(
 
     The metrics snapshot merges this process's registry (server counters,
     request/stage histograms, and — with ``workers=0`` — the embedded
-    cache/store counters) with every worker's snapshot, so one scrape
-    sees the whole pool.  ``per_worker`` additionally returns the classic
+    executor's series) with the engine summary's, which holds every
+    worker's snapshot plus the cache and store series
+    :meth:`Engine.aggregate_stats` writes.  The process registry never
+    holds those series, so nothing is counted twice and one scrape sees
+    the whole pool.  ``per_worker`` additionally returns the classic
     per-worker entry list under ``"workers"``.
     """
     entries = engine.stats(per_worker=True)

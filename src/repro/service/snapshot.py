@@ -393,7 +393,6 @@ def kernel_from_bytes(
     kernel._finals_idx = finals_idx
     lowering = header.get("lowering")
     kernel.lowering = LoweringStats(**lowering) if lowering else None
-    kernel.fingerprint = None  # the store stamps its key after restore
     kernel._backend = None  # settled by the owner or on first use
     kernel._backend_settled = False
     kernel._accel_state = {}

@@ -20,8 +20,8 @@ finished artifact:
 * **corruption recovery**: an unreadable entry (truncated write, bad
   magic, garbage) is quarantined — deleted and counted — and the caller
   simply rebuilds, as for a miss;
-* **stats**: hits / misses / stores / evictions / corrupt counts on
-  :attr:`KernelStore.stats`.
+* **stats**: hits / misses / stores / evictions / corrupt / skipped /
+  mmap-hit counts on :attr:`KernelStore.stats`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.obs import add_stage, metrics
+from repro.obs import add_stage
 from repro.obs import names as metric_names
 from repro.service.snapshot import (
     SnapshotError,
@@ -55,6 +55,20 @@ STORE_ENV = "REPRO_KERNEL_STORE"
 _SUFFIX = ".kern"
 
 
+#: Store counter → the ``repro_store_*_total`` series
+#: :meth:`~repro.service.engine.Engine.aggregate_stats` writes it as.
+#: ``mmap_hits`` counts the subset of ``hits`` served zero-copy.
+STORE_SERIES = {
+    "hits": metric_names.STORE_HITS,
+    "misses": metric_names.STORE_MISSES,
+    "stores": metric_names.STORE_STORES,
+    "evictions": metric_names.STORE_EVICTIONS,
+    "corrupt": metric_names.STORE_CORRUPT,
+    "skipped": metric_names.STORE_SKIPPED,
+    "mmap_hits": metric_names.STORE_MMAP_HITS,
+}
+
+
 class StoreStats:
     """Counters for one :class:`KernelStore` instance.
 
@@ -62,41 +76,20 @@ class StoreStats:
     writer: a store is shared across threads (the facade's process
     default is hit from the engine's executor thread and the caller's),
     so every bump is one atomic read-modify-write.  The counts are
-    functional state — tests and callers read them regardless of the
-    ``REPRO_OBS`` switch — and every increment is mirrored into the
-    process metrics registry (``repro_store_*_total``), where the
-    exposition layer aggregates them across stores and worker
-    processes.  ``_lock`` is never held across a call that takes another
-    StoreStats lock, and the registry mirror inside it only ever
-    acquires the registry creation lock — one global order, no cycles.
+    functional state, exact whatever ``REPRO_OBS`` says, and this is
+    their only record: the engine's stats summary sums them across
+    workers and writes them as the :data:`STORE_SERIES`.
     """
 
     __slots__ = ("_counts", "_lock")
 
-    #: Counter → mirrored registry series.  ``mmap_hits`` counts the
-    #: subset of ``hits`` served zero-copy; :meth:`as_dict` leaves it out.
-    _SERIES = {
-        "hits": metric_names.STORE_HITS,
-        "misses": metric_names.STORE_MISSES,
-        "stores": metric_names.STORE_STORES,
-        "evictions": metric_names.STORE_EVICTIONS,
-        "corrupt": metric_names.STORE_CORRUPT,
-        "skipped": metric_names.STORE_SKIPPED,
-        "mmap_hits": metric_names.STORE_MMAP_HITS,
-    }
-
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counts = dict.fromkeys(self._SERIES, 0)  # guarded-by: _lock
+        self._counts = dict.fromkeys(STORE_SERIES, 0)  # guarded-by: _lock
 
     def inc(self, series: str, delta: int = 1) -> None:
-        """Atomically bump one counter and its mirrored registry series."""
-        if series not in self._SERIES:
-            raise ValueError(f"unknown store counter {series!r}")
+        """Atomically bump one counter."""
         with self._lock:
-            # always=True: the mirrored registry series must stay exact
-            # alongside the functional view, whatever REPRO_OBS says.
-            metrics().counter(self._SERIES[series], always=True).inc(delta)
             self._counts[series] += delta
 
     def _read(self, series: str) -> int:
@@ -112,12 +105,10 @@ class StoreStats:
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:
-            view = dict(self._counts)
-        del view["mmap_hits"]
-        return view
+            return dict(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"StoreStats({self.as_dict()!r}, mmap_hits={self.mmap_hits})"
+        return f"StoreStats({self.as_dict()!r})"
 
 
 class KernelStore:
@@ -190,9 +181,7 @@ class KernelStore:
         try:
             return self._get(fingerprint, n, trimmed, source_resolver)
         finally:
-            elapsed = time.perf_counter() - started
-            add_stage(metric_names.STAGE_STORE_FETCH, elapsed)
-            metrics().histogram(metric_names.STORE_GET_SECONDS).record(elapsed)
+            add_stage(metric_names.STAGE_STORE_FETCH, time.perf_counter() - started)
 
     def _get(
         self,
@@ -205,16 +194,10 @@ class KernelStore:
         try:
             if self.mmap:
                 kernel = kernel_from_mmap(path, source_resolver=source_resolver)
-                kernel.fingerprint = fingerprint
-                if kernel._borrow_owner is not None:
-                    self.stats.inc("mmap_hits")
-                self.stats.inc("hits")
-                try:
-                    os.utime(path)
-                except OSError:  # pragma: no cover - entry may have been evicted
-                    pass
-                return kernel
-            data = path.read_bytes()
+            else:
+                kernel = kernel_from_bytes(
+                    path.read_bytes(), source_resolver=source_resolver
+                )
         except OSError:
             self.stats.inc("misses")
             return None
@@ -226,17 +209,8 @@ class KernelStore:
             except OSError:  # pragma: no cover - racing unlink is fine
                 pass
             return None
-        try:
-            kernel = kernel_from_bytes(data, source_resolver=source_resolver)
-            kernel.fingerprint = fingerprint  # the content-address it was stored under
-        except SnapshotError:
-            self.stats.inc("corrupt")
-            self.stats.inc("misses")
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink is fine
-                pass
-            return None
+        if kernel._borrow_owner is not None:
+            self.stats.inc("mmap_hits")
         self.stats.inc("hits")
         try:
             os.utime(path)
@@ -449,4 +423,11 @@ def default_store() -> KernelStore | None:
     return _default
 
 
-__all__ = ["KernelStore", "StoreStats", "default_store", "DEFAULT_MAX_BYTES", "STORE_ENV"]
+__all__ = [
+    "KernelStore",
+    "StoreStats",
+    "STORE_SERIES",
+    "default_store",
+    "DEFAULT_MAX_BYTES",
+    "STORE_ENV",
+]

@@ -403,7 +403,6 @@ def test_store_mmap_mode_hits_and_quarantines(tmp_path):
     store.put(fp, kernel.n, False, kernel)
     restored = store.get(fp, kernel.n, False)
     assert restored is not None
-    assert restored.fingerprint == fp
     assert restored.total_runs == kernel.total_runs
     if LP64:
         assert restored._borrow_owner is not None

@@ -337,28 +337,6 @@ class TestBackendAgreementMatrix:
                     exact,
                 )
 
-    def test_exact_backend_accepts_caller_kernel(self, even_zeros_dfa):
-        ws = WitnessSet.from_nfa(even_zeros_dfa, 8)
-        kernel = compile_nfa(even_zeros_dfa, 8, trimmed=True)
-        assert ws.count(backend="exact", kernel=kernel) == 2**7
-        assert ws.count(backend="montecarlo", samples=400, rng=2, kernel=kernel) == (
-            pytest.approx(2**7, rel=0.4)
-        )
-
-    def test_backends_reject_mismatched_kernel(self, even_zeros_dfa):
-        from repro.errors import BackendError
-
-        ws = WitnessSet.from_nfa(even_zeros_dfa, 8)
-        # A reachable kernel extended past n must not be counted at its
-        # own length (the spectrum() interplay).
-        extended = compile_nfa(even_zeros_dfa, 8, trimmed=False).extend_to(12)
-        with pytest.raises(BackendError):
-            ws.count(backend="exact", kernel=extended)
-        with pytest.raises(BackendError):
-            ws.count(backend="exact", kernel=compile_nfa(even_zeros_dfa, 5))
-        with pytest.raises(BackendError):
-            ws.count(backend="montecarlo", kernel=compile_nfa(even_zeros_dfa, 5))
-
     def test_spectrum_extension_does_not_corrupt_counts(self, even_zeros_dfa):
         ws = WitnessSet.from_nfa(even_zeros_dfa, 9)
         assert ws.spectrum(15)[15] == 2**14  # extends reachable_kernel in place

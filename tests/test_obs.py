@@ -97,18 +97,6 @@ class TestRegistry:
         counter.inc()
         assert counter.value == 1
 
-    def test_always_counter_ignores_kill_switch(self):
-        counter = obs.Counter(always=True)
-        obs.set_enabled(False)
-        counter.inc(3)
-        assert counter.value == 3
-
-    def test_registry_always_counter_ignores_kill_switch(self):
-        counter = obs.metrics().counter("functional_total", always=True)
-        obs.set_enabled(False)
-        counter.inc(2)
-        assert obs.metrics().snapshot()["counters"]["functional_total"] == 2
-
 
 # ----------------------------------------------------------------------
 # Histogram percentiles vs exact quantiles
@@ -422,13 +410,10 @@ class TestBackCompatViews:
         view = stats.as_dict()
         assert view["hits"] == 2 and view["misses"] == 1
         assert set(view) == {
-            "hits", "misses", "stores", "evictions", "corrupt", "skipped"
+            "hits", "misses", "stores", "evictions", "corrupt", "skipped",
+            "mmap_hits",
         }
         assert stats.mmap_hits == 1
-        # The registry mirrored the functional counters.
-        counters = obs.metrics().snapshot()["counters"]
-        assert counters[metric_names.STORE_HITS] == 2
-        assert counters[metric_names.STORE_MISSES] == 1
 
     def test_store_stats_keeps_every_concurrent_bump(self):
         """A store is shared by the engine's executor and the caller:
@@ -458,8 +443,6 @@ class TestBackCompatViews:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert stats.hits == stats.mmap_hits == threads * rounds
-        counters = obs.metrics().snapshot()["counters"]
-        assert counters[metric_names.STORE_MMAP_HITS] == threads * rounds
 
     def test_witness_set_cache_stats(self):
         from repro.service.protocol import WitnessSetCache, spec_key
@@ -470,34 +453,34 @@ class TestBackCompatViews:
         view = cache.stats()
         assert view["hits"] == 1 and view["misses"] == 1
         assert view["resident"] == 1
-        counters = obs.metrics().snapshot()["counters"]
-        assert counters[metric_names.CACHE_HITS] == 1
-        assert counters[metric_names.CACHE_MISSES] == 1
 
-    def test_store_stats_exact_under_kill_switch(self):
-        from repro.service.store import StoreStats
-
-        obs.set_enabled(False)
-        stats = StoreStats()
-        stats.inc("hits", 3)
-        assert stats.as_dict()["hits"] == 3  # the functional view is exact
-        # ... and the mirrored registry series tracks it even with
-        # REPRO_OBS off: the snapshot never diverges from the exact view.
-        counters = obs.metrics().snapshot()["counters"]
-        assert counters[metric_names.STORE_HITS] == 3
-        obs.set_enabled(True)
-
-    def test_cache_counters_exact_under_kill_switch(self):
-        from repro.service.protocol import WitnessSetCache, spec_key
+    def test_engine_stats_carry_cache_and_store_series_under_kill_switch(
+        self, tmp_path
+    ):
+        """The engine's summary is the one writer of the cache and store
+        series: they equal its counts, with REPRO_OBS off and workers=0."""
+        from repro.service.engine import Engine
+        from repro.service.store import STORE_SERIES
 
         obs.set_enabled(False)
-        cache = WitnessSetCache(max_resident=4)
-        cache.get(spec_key(SPEC), SPEC)
-        cache.get(spec_key(SPEC), SPEC)
-        counters = obs.metrics().snapshot()["counters"]
-        assert counters[metric_names.CACHE_HITS] == cache.hits == 1
-        assert counters[metric_names.CACHE_MISSES] == cache.misses == 1
-        obs.set_enabled(True)
+        requests = [{"id": index, "op": "count", "spec": SPEC} for index in range(3)]
+        with Engine(workers=0, store_root=tmp_path) as engine:
+            for request in requests:
+                engine.execute([request])
+            stats = engine.stats()
+        assert stats["hits"] == 2 and stats["misses"] == 1
+        assert stats["store"]["misses"] == stats["store"]["stores"] == 1
+        counters = stats["metrics"]["counters"]
+        assert counters[metric_names.CACHE_HITS] == stats["hits"]
+        assert counters[metric_names.CACHE_MISSES] == stats["misses"]
+        for key, series in STORE_SERIES.items():
+            assert counters[series] == stats["store"][key], key
+        # The process registry holds none of these series, and the
+        # switch still gates every series it does hold.
+        registry = obs.metrics().snapshot()["counters"]
+        written = {metric_names.CACHE_HITS, metric_names.CACHE_MISSES}
+        assert not written.union(STORE_SERIES.values()) & set(registry)
+        assert not any(registry.values())
 
 
 # ----------------------------------------------------------------------
@@ -534,6 +517,9 @@ class TestServingSurfaces:
         assert stats["served"] >= 4
         assert stats["engine"]["workers"] == 2
         counters = stats["metrics"]["counters"]
+        # The pool-wide cache series are the engine summary's own sums.
+        assert counters[metric_names.CACHE_HITS] == stats["engine"]["hits"]
+        assert counters[metric_names.CACHE_MISSES] == stats["engine"]["misses"]
         sample_series = obs.series_key(
             metric_names.PROTOCOL_REQUESTS, {"op": "sample"}
         )

@@ -334,18 +334,6 @@ class TestPlanBackedWitnessSet:
         assert ws.count_exact() == 0
         assert ws.sample(rng=0) is None
 
-    def test_backend_rejects_foreign_plan_kernel(self):
-        from repro.errors import BackendError
-
-        ws_a = WitnessSet.from_intersection("(ab|ba)*", "(a|b)*", 6)
-        ws_b = WitnessSet.from_intersection("(ab)*", "(a|b)*", 6)
-        with pytest.raises(BackendError):
-            ws_b.count(backend="exact", kernel=ws_a.kernel)
-        with pytest.raises(BackendError):
-            ws_b.count(backend="fpras", rng=0, kernel=ws_a.reachable_kernel)
-        # The witness set's own kernel passes the identity guard.
-        assert ws_b.count(backend="exact", kernel=ws_b.kernel) == ws_b.count_exact()
-
     def test_rpq_evaluator_exposes_plan(self):
         from repro.graphdb.rpq import RpqEvaluator
 
