@@ -454,6 +454,31 @@ class TestBackCompatViews:
         assert view["hits"] == 1 and view["misses"] == 1
         assert view["resident"] == 1
 
+    def test_store_stats_exact_under_kill_switch(self):
+        from repro.service.store import STORE_SERIES, StoreStats
+
+        obs.set_enabled(False)
+        stats = StoreStats()
+        stats.inc("hits", 3)
+        assert stats.as_dict()["hits"] == stats.hits == 3
+        # The store owns its counts: the registry holds no mirror of them.
+        registry = obs.metrics().snapshot()["counters"]
+        assert not set(STORE_SERIES.values()) & set(registry)
+
+    def test_cache_counters_exact_under_kill_switch(self):
+        from repro.service.protocol import WitnessSetCache, spec_key
+
+        obs.set_enabled(False)
+        cache = WitnessSetCache(max_resident=4)
+        cache.get(spec_key(SPEC), SPEC)
+        cache.get(spec_key(SPEC), SPEC)
+        assert cache.hits == cache.stats()["hits"] == 1
+        assert cache.misses == cache.stats()["misses"] == 1
+        # The cache owns its counts: the registry holds no mirror of them.
+        registry = obs.metrics().snapshot()["counters"]
+        assert metric_names.CACHE_HITS not in registry
+        assert metric_names.CACHE_MISSES not in registry
+
     def test_engine_stats_carry_cache_and_store_series_under_kill_switch(
         self, tmp_path
     ):
