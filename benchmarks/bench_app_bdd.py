@@ -11,8 +11,8 @@ import pytest
 from repro.bdd.builders import conj, disj, neg, obdd_from_formula, random_nobdd, var
 from repro.bdd.nobdd import EvalNobddRelation
 from repro.bdd.obdd import EvalObddRelation
-from repro.core.classes import RelationULSolver
-from repro.core.exact import count_words_exact
+from repro.core.exact import count_words_exact, count_words_ufa
+from repro.core.exact_sampler import ExactUniformSampler
 from repro.core.fpras import approx_count_nfa
 from workloads import BENCH_FPRAS, SEED
 
@@ -31,7 +31,7 @@ def test_obdd_model_counting(benchmark, observe, width):
     compiled = relation.compile(obdd)
 
     def count():
-        return RelationULSolver(compiled.nfa, compiled.length, check=False).count()
+        return count_words_ufa(compiled.nfa, compiled.length, check=False)
 
     models = benchmark(count)
     # Inclusion–exclusion: 4^w - 3^w models of the staircase.
@@ -45,10 +45,10 @@ def test_obdd_uniform_model_sampling(benchmark, observe):
     obdd = obdd_from_formula(staircase_formula(5), order)
     relation = EvalObddRelation()
     compiled = relation.compile(obdd)
-    solver = RelationULSolver(compiled.nfa, compiled.length, check=False)
-    benchmark(solver.sample, 0)
+    sampler = ExactUniformSampler(compiled.nfa, compiled.length, check=False)
+    benchmark(sampler.sample, 0)
     for seed in range(10):
-        model = relation.decode_witness(obdd, solver.sample(seed))
+        model = relation.decode_witness(obdd, sampler.sample(seed))
         assert obdd.evaluate(model) == 1
     observe("E12", "OBDD sampling: 10/10 sampled assignments are models")
 

@@ -73,10 +73,6 @@ from repro.core import (
     FprasParameters,
     FprasState,
     LasVegasUniformGenerator,
-    RelationNL,
-    RelationNLSolver,
-    RelationUL,
-    RelationULSolver,
     SpanLFunction,
     approx_count_nfa,
     compile_nfa,
@@ -100,7 +96,7 @@ from repro.errors import (
 )
 from repro.utils.rng import make_rng
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 
 def __getattr__(name: str):
@@ -162,10 +158,6 @@ __all__ = [
     "FprasState",
     "FprasParameters",
     "LasVegasUniformGenerator",
-    "RelationNL",
-    "RelationUL",
-    "RelationNLSolver",
-    "RelationULSolver",
     "SpanLFunction",
     # errors
     "ReproError",

@@ -66,7 +66,6 @@ from repro.core.enumeration import (
     enumerate_words_nfa,
 )
 from repro.core.exact import count_words_exact, length_spectrum
-from repro.core.exact_sampler import ExactUniformSampler
 from repro.core.fpras import FprasParameters, FprasState
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.plan import Plan, Product, as_plan, lower_plan
@@ -434,24 +433,6 @@ class WitnessSet:
             store.put(fp, self.n, trimmed, kernel)
         return kernel
 
-    @property
-    def backward_table(self) -> list:
-        """Per-layer accepting-completion counts over :attr:`kernel` (dict view)."""
-        return self._cached("backward_table", lambda: self.kernel.backward_dicts())
-
-    @property
-    def exact_sampler(self) -> ExactUniformSampler:
-        """The §5.3.3 sampler, executing on the cached compiled kernel.
-
-        The sampler runs entirely on the kernel, so plan-backed sets
-        never materialize an automaton for sampling."""
-        return self._cached(
-            "exact_sampler",
-            lambda: ExactUniformSampler(
-                self.nfa, self.n, check=False, kernel=self.kernel
-            ),
-        )
-
     def fpras_state(
         self,
         delta: float | None = None,
@@ -500,7 +481,7 @@ class WitnessSet:
         scale)."""
         if self.is_unambiguous:
             # On the pruned kernel, runs = words; the backward table's
-            # layer-0 total is the count, shared with the exact sampler.
+            # layer-0 total is the count, shared with sampling.
             return self._cached("count_exact", lambda: self.kernel.total_runs)
         return self._cached(
             "count_exact", lambda: count_words_exact(self.stripped, self.n)
@@ -620,7 +601,7 @@ class WitnessSet:
         if not self.nonempty:
             return None
         if self.is_unambiguous:
-            return self.exact_sampler.sample(generator)
+            return self.kernel.sample_word(generator)
         state = self.fpras_state()
         for _ in range(DEFAULT_ATTEMPTS_PER_CALL):
             w = state.sample_witness(generator)
@@ -701,7 +682,7 @@ class WitnessSet:
                 generator.getrandbits(32)  # advance the shared stream
             return self.sample_with_streams(streams)
         if self.is_unambiguous:
-            words = self.exact_sampler.sample_batch(k, generator)
+            words = self.kernel.sample_batch(k, generator)
             return [self.decode(w) for w in words]
         return [self.decode(self._sample_word_or_none(generator)) for _ in range(k)]
 
@@ -720,7 +701,7 @@ class WitnessSet:
         if not self.nonempty:
             raise EmptyWitnessSetError(f"no witnesses of length {self.n}")
         if self.is_unambiguous:
-            words = self.exact_sampler.sample_batch(len(streams), list(streams))
+            words = self.kernel.sample_batch(len(streams), streams)
             return [self.decode(w) for w in words]
         return [self.decode(self._sample_word_or_none(g)) for g in streams]
 
@@ -1031,7 +1012,18 @@ class WitnessSet:
         compiled: CompiledInstance | None = None,
         **kwargs,
     ) -> "WitnessSet":
-        """Escape hatch: wrap any :class:`AutomatonBackedRelation`."""
+        """The query object of a relation of one's own: ``instance``
+        compiled by any :class:`AutomatonBackedRelation`, witnesses
+        decoded back into the relation's domain.
+
+        The class is read off the ambiguity certificate, as for every
+        other constructor: Theorem 5's exact suite when the compiled
+        automaton is unambiguous, Theorem 2's FPRAS / PLVUG otherwise.
+        Callers who must refuse ambiguous input run
+        :func:`~repro.automata.unambiguous.require_unambiguous` on the
+        compiled automaton first.  ``compiled`` skips the compile when
+        the caller already holds it.
+        """
         compiled = compiled or relation.compile(instance)
         kwargs.setdefault("source", getattr(relation, "name", "relation"))
         return cls(

@@ -39,6 +39,7 @@ from repro.automata.random_gen import (
 )
 from repro.automata.encoding import BinaryEncodedNFA, decode_word, encode_word, symbol_codes
 from repro.automata.serialization import (
+    nfa_from_document,
     nfa_from_json,
     nfa_to_dot,
     nfa_to_json,
@@ -88,6 +89,7 @@ __all__ = [
     "decode_word",
     "nfa_to_json",
     "nfa_from_json",
+    "nfa_from_document",
     "nfa_to_dot",
     "unrolled_dag_to_dot",
     "brzozowski_dfa",

@@ -7,6 +7,7 @@ This module provides:
   encoding of NFAs (states and symbols must be JSON-representable:
   strings, numbers, booleans, or nested lists/tuples thereof; tuples are
   encoded as tagged lists so round-trips are exact);
+  :func:`nfa_from_document` decodes an already parsed document;
 * :func:`nfa_to_dot` — Graphviz DOT text for automata (initial state
   marked with an entry arrow, finals double-circled);
 * :func:`unrolled_dag_to_dot` — the layered ``N_unroll`` view, which is
@@ -82,7 +83,11 @@ def nfa_to_json(nfa: NFA, indent: int | None = None) -> str:
 
 def nfa_from_json(text: str) -> NFA:
     """Inverse of :func:`nfa_to_json` (validates format and version)."""
-    document = json.loads(text)
+    return nfa_from_document(json.loads(text))
+
+
+def nfa_from_document(document: dict[str, Any]) -> NFA:
+    """:func:`nfa_from_json` on an already parsed JSON document."""
     if document.get("format") != "repro.nfa":
         raise InvalidAutomatonError("not a repro.nfa document")
     if document.get("version") != FORMAT_VERSION:

@@ -70,7 +70,7 @@ import ast
 import sys
 from typing import Hashable
 
-from repro import backends
+from repro import __version__, backends
 from repro.api import WitnessSet
 from repro.automata.serialization import nfa_to_dot, unrolled_dag_to_dot
 from repro.core.fpras import FprasParameters
@@ -249,14 +249,14 @@ def _spec_from_args(args) -> dict:
         if args.source is None or args.target is None:
             raise SystemExit("--rpq requires --source and --target")
         from repro.automata.serialization import _encode_atom
-        from repro.graphdb.graph import graph_from_json
+        from repro.graphdb.graph import graph_from_document
 
         with open(args.graph_json, "r", encoding="utf-8") as handle:
-            graph_text = handle.read()
-        graph = graph_from_json(graph_text)
+            document = _json.load(handle)
+        graph = graph_from_document(document)
         return {
             "kind": "rpq",
-            "graph": _json.loads(graph_text),
+            "graph": document,
             "pattern": args.regex,
             "source": _encode_atom(_parse_vertex(graph, args.source)),
             "target": _encode_atom(_parse_vertex(graph, args.target)),
@@ -512,18 +512,6 @@ def _command_stats(args) -> int:
     return 0
 
 
-def _distribution_version() -> str:
-    """The installed package version, falling back to the module's."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        return version("repro-witness-sets")
-    except PackageNotFoundError:
-        import repro
-
-        return repro.__version__
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -533,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"%(prog)s {_distribution_version()}",
+        version=f"%(prog)s {__version__}",
     )
     commands = parser.add_subparsers(dest="command")
 

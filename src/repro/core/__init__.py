@@ -4,7 +4,7 @@ Layout (paper section → module):
 
 * §2 relations / problems        → :mod:`repro.core.relations`
 * §3 transducers, Lemma 13       → :mod:`repro.core.transducers`
-* §3 class facades               → :mod:`repro.core.classes`
+* §3 SpanL, transducer relations → :mod:`repro.core.classes`
 * §5 reductions (Prop. 11)       → :mod:`repro.core.reductions`
 * §5.2 self-reducibility (ψ)     → :mod:`repro.core.selfreduce`
 * §5.3.1 Algorithm 1             → :mod:`repro.core.enumeration`
@@ -88,14 +88,7 @@ from repro.core.transducers import (
     compile_to_nfa,
     outputs_brute_force,
 )
-from repro.core.classes import (
-    RelationNL,
-    RelationNLSolver,
-    RelationUL,
-    RelationULSolver,
-    SpanLFunction,
-    TransducerRelation,
-)
+from repro.core.classes import SpanLFunction, TransducerRelation
 from repro.core.spectrum import SpectrumSolver, pad_automaton, strip_padding
 from repro.core.almost_uniform import AlmostUniformGenerator, total_variation_from_uniform
 
@@ -160,10 +153,6 @@ __all__ = [
     "CompilationReport",
     "compile_to_nfa",
     "outputs_brute_force",
-    "RelationNL",
-    "RelationUL",
-    "RelationNLSolver",
-    "RelationULSolver",
     "TransducerRelation",
     "SpanLFunction",
     "SpectrumSolver",

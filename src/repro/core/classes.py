@@ -1,218 +1,25 @@
-"""The complexity-class facades: RelationNL, RelationUL, and SpanL.
+"""SpanL functions and the relations of NL-transducers (Corollary 3).
 
-These classes are the library's main user-facing API: wrap a relation
-(anything implementing
-:class:`~repro.core.relations.AutomatonBackedRelation`, or a raw
-``(NFA, k)`` instance) and get exactly the solver suite the paper's
-theorems grant:
-
-====================  =========================  ==========================
-Problem               :class:`RelationULSolver`   :class:`RelationNLSolver`
-====================  =========================  ==========================
-ENUM                  constant delay (Alg. 1)     polynomial delay
-COUNT                 exact, poly time (§5.3.2)   FPRAS (Thm 22)
-GEN                   exact uniform (§5.3.3)      PLVUG (Cor. 23)
-====================  =========================  ==========================
-
+:class:`TransducerRelation` is the relation ``R(M)`` of an NL-transducer
+``M`` (Definition 1), compiled to a fixed-length automaton by Lemma 13.
 :class:`SpanLFunction` packages Corollary 3: any function presented as
-``x ↦ |M(x)|`` for an NL-transducer ``M`` gets an FPRAS by compiling the
-transducer (Lemma 13) and running the #NFA FPRAS on the result.
+``x ↦ |M(x)|`` gets an FPRAS by compiling the transducer and running the
+#NFA FPRAS on the result.
+
+The solver suites of Theorems 2 and 5 live on one query object:
+``WitnessSet.from_compiled(relation, x)`` wraps any compiled relation
+(a :class:`TransducerRelation` included) and picks the exact or the
+approximate suite from the ambiguity certificate.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator
 
-from repro.automata.nfa import NFA, Word
-from repro.automata.unambiguous import is_unambiguous, require_unambiguous
-from repro.core.enumeration import enumerate_words_nfa, enumerate_words_ufa
-from repro.core.exact import count_accepting_runs_of_length, count_words_exact
-from repro.core.exact_sampler import ExactUniformSampler
+from repro.core.exact import count_words_exact
 from repro.core.fpras import FprasParameters, approx_count_nfa
-from repro.core.plvug import LasVegasUniformGenerator
 from repro.core.relations import AutomatonBackedRelation, CompiledInstance
 from repro.core.transducers import Transducer, compile_to_nfa
-from repro.errors import EmptyWitnessSetError
-from repro.utils.rng import make_rng
-
-
-class RelationULSolver:
-    """Theorem 5's solver suite for one compiled RelationUL instance.
-
-    Construction verifies unambiguity (the class membership certificate)
-    and does the shared preprocessing; the three problem methods are then
-    as cheap as the paper promises.
-    """
-
-    def __init__(self, nfa: NFA, length: int, check: bool = True):
-        self.nfa = (
-            require_unambiguous(nfa, context="RelationUL")
-            if check
-            else nfa.without_epsilon()
-        )
-        self.length = length
-        self._sampler: ExactUniformSampler | None = None
-
-    def enumerate(self) -> Iterator[Word]:
-        """ENUM with constant delay (Algorithm 1)."""
-        return enumerate_words_ufa(self.nfa, self.length, check=False)
-
-    def count(self) -> int:
-        """COUNT exactly, in polynomial time (Section 5.3.2)."""
-        return count_accepting_runs_of_length(self.nfa, self.length)
-
-    def sample(self, rng: random.Random | int | None = None) -> Word:
-        """GEN: an exactly uniform witness (Section 5.3.3).
-
-        Raises :class:`EmptyWitnessSetError` when there are none.
-        """
-        if self._sampler is None:
-            self._sampler = ExactUniformSampler(self.nfa, self.length, check=False)
-        return self._sampler.sample(rng)
-
-    def sample_or_none(self, rng: random.Random | int | None = None) -> Word | None:
-        """GEN with the paper's ⊥ convention (None when empty)."""
-        try:
-            return self.sample(rng)
-        except EmptyWitnessSetError:
-            return None
-
-
-class RelationNLSolver:
-    """Theorem 2's solver suite for one compiled RelationNL instance."""
-
-    def __init__(
-        self,
-        nfa: NFA,
-        length: int,
-        delta: float = 0.1,
-        rng: random.Random | int | None = None,
-        params: FprasParameters | None = None,
-    ):
-        self.nfa = nfa.without_epsilon()
-        self.length = length
-        self.delta = delta
-        self.rng = make_rng(rng)
-        self.params = params
-        self._generator: LasVegasUniformGenerator | None = None
-
-    def enumerate(self) -> Iterator[Word]:
-        """ENUM with polynomial delay (flashlight search)."""
-        return enumerate_words_nfa(self.nfa, self.length)
-
-    def count_approx(self, delta: float | None = None) -> float:
-        """COUNT via the FPRAS (Theorem 22)."""
-        return approx_count_nfa(
-            self.nfa,
-            self.length,
-            delta=delta if delta is not None else self.delta,
-            rng=self.rng,
-            params=self.params,
-        )
-
-    def count_exact(self) -> int:
-        """COUNT exactly — exponential worst case; baseline/testing only."""
-        return count_words_exact(self.nfa, self.length)
-
-    def _plvug(self) -> LasVegasUniformGenerator:
-        if self._generator is None:
-            self._generator = LasVegasUniformGenerator(
-                self.nfa, self.length, delta=self.delta, rng=self.rng, params=self.params
-            )
-        return self._generator
-
-    def sample(self) -> Word | None:
-        """GEN via the PLVUG (Corollary 23); None encodes ⊥ (empty set)."""
-        return self._plvug().generate()
-
-    def sample_many(self, count: int) -> list[Word]:
-        return self._plvug().sample_many(count)
-
-
-class RelationUL:
-    """A relation in RelationUL: a relation plus Theorem 5's guarantees.
-
-    Wraps an :class:`AutomatonBackedRelation`; per-input solvers are built
-    by :meth:`solver`, and the convenience methods decode witnesses back
-    into the relation's domain objects.
-    """
-
-    def __init__(self, relation: AutomatonBackedRelation, check: bool = True):
-        self.relation = relation
-        self.check = check
-
-    def solver(self, instance) -> RelationULSolver:
-        compiled = self.relation.compile(instance)
-        return RelationULSolver(compiled.nfa, compiled.length, check=self.check)
-
-    def enumerate(self, instance) -> Iterator:
-        solver = self.solver(instance)
-        for w in solver.enumerate():
-            yield self.relation.decode_witness(instance, w)
-
-    def count(self, instance) -> int:
-        return self.solver(instance).count()
-
-    def sample(self, instance, rng: random.Random | int | None = None):
-        w = self.solver(instance).sample(rng)
-        return self.relation.decode_witness(instance, w)
-
-
-class RelationNL:
-    """A relation in RelationNL: a relation plus Theorem 2's guarantees."""
-
-    def __init__(
-        self,
-        relation: AutomatonBackedRelation,
-        delta: float = 0.1,
-        rng: random.Random | int | None = None,
-        params: FprasParameters | None = None,
-    ):
-        self.relation = relation
-        self.delta = delta
-        self.rng = make_rng(rng)
-        self.params = params
-
-    def solver(self, instance) -> RelationNLSolver:
-        compiled = self.relation.compile(instance)
-        return RelationNLSolver(
-            compiled.nfa,
-            compiled.length,
-            delta=self.delta,
-            rng=self.rng,
-            params=self.params,
-        )
-
-    def enumerate(self, instance) -> Iterator:
-        solver = self.solver(instance)
-        for w in solver.enumerate():
-            yield self.relation.decode_witness(instance, w)
-
-    def count_approx(self, instance, delta: float | None = None) -> float:
-        return self.solver(instance).count_approx(delta)
-
-    def count_exact(self, instance) -> int:
-        return self.solver(instance).count_exact()
-
-    def sample(self, instance):
-        w = self.solver(instance).sample()
-        if w is None:
-            return None
-        return self.relation.decode_witness(instance, w)
-
-    def upgrade_if_unambiguous(self, instance) -> RelationULSolver | None:
-        """Opportunistic upgrade: if this input's automaton happens to be
-        unambiguous, return the (strictly better) RelationUL solver.
-
-        The class dispatch a practical system would perform: unambiguity
-        is checkable in polynomial time, and the exact algorithms dominate
-        the approximate ones whenever they apply.
-        """
-        compiled = self.relation.compile(instance)
-        if is_unambiguous(compiled.nfa):
-            return RelationULSolver(compiled.nfa, compiled.length, check=False)
-        return None
 
 
 class TransducerRelation(AutomatonBackedRelation):

@@ -48,39 +48,24 @@ class ExactUniformSampler:
     table-guided walk, and :meth:`sample_batch` draws many witnesses in a
     single layer-by-layer pass.  Amortizes the Section 5.3.3
     preprocessing across many draws, which is how the uniform-generation
-    experiments (E7) use it.  A caller that already holds the compiled
-    kernel (e.g. the :class:`repro.api.WitnessSet` facade) passes it as
-    ``kernel``: the Lemma 15 trimmed kernel of an ε-free unambiguous
-    automaton.
+    experiments (E7) use it.  The :class:`repro.api.WitnessSet` facade
+    draws on its own cached kernel with the same two kernel calls.
     """
 
-    def __init__(
-        self,
-        nfa: NFA,
-        n: int,
-        check: bool = True,
-        kernel: CompiledDAG | None = None,
-    ):
-        if kernel is None:
-            prepared = (
-                require_unambiguous(nfa, context="exact uniform sampling")
-                if check
-                else nfa.without_epsilon()
-            )
-            kernel = compile_nfa(prepared, n, trimmed=True)
+    def __init__(self, nfa: NFA, n: int, check: bool = True):
+        prepared = (
+            require_unambiguous(nfa, context="exact uniform sampling")
+            if check
+            else nfa.without_epsilon()
+        )
         self.n = n
-        self.kernel: CompiledDAG = kernel
-        self.total = kernel.total_runs
+        self.kernel: CompiledDAG = compile_nfa(prepared, n, trimmed=True)
+        self.total = self.kernel.total_runs
 
     @property
     def count(self) -> int:
         """|L_n(N)| — a byproduct of the table build."""
         return self.total
-
-    @property
-    def back(self) -> list:
-        """The backward table in the seed dict shape (compat view)."""
-        return self.kernel.backward_dicts()
 
     def sample(self, rng: random.Random | int | None = None) -> Word:
         """Draw one exactly-uniform word of ``L_n(N)``.

@@ -19,7 +19,8 @@ the witness set.  :class:`AutomatonBackedRelation` is that interface: an
 object that, given ``x``, produces ``(N_x, k_x)`` with
 ``W_R(x) = L_{k_x}(N_x)``.  The concrete relations of Section 3/4
 (SAT-DNF, EVAL-eVA, EVAL-RPQ, EVAL-OBDD, ...) implement it, and
-:mod:`repro.core.classes` attaches the right solver set per class.
+``WitnessSet.from_compiled(relation, x)`` (:mod:`repro.api`) runs the
+right solver set for the class the compiled automaton certifies.
 """
 
 from __future__ import annotations
@@ -83,11 +84,12 @@ class AutomatonBackedRelation(abc.ABC, Generic[InputT, WitnessT]):
         w = self.encode_witness(instance, witness)
         return len(w) == compiled.length and compiled.nfa.accepts(w)
 
-    # Convenience wrappers; the class facades in repro.core.classes add
-    # the full solver suites (delay guarantees, FPRAS, PLVUG).
+    # Uncached baselines, kept for the Prop. 11 reductions; the cached
+    # solver suites (delay guarantees, FPRAS, PLVUG) run on
+    # WitnessSet.from_compiled(relation, x).
 
     def witnesses(self, instance: InputT) -> Iterator[WitnessT]:
-        """Enumerate all witnesses (polynomial delay; see RelationNL for more)."""
+        """Enumerate all witnesses (polynomial delay)."""
         from repro.core.enumeration import enumerate_words
 
         compiled = self.compile(instance)

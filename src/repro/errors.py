@@ -4,9 +4,9 @@ The paper's framework treats malformed inputs in a precise way: an input
 that is not correctly encoded simply has an *empty witness set* (Section
 5.2).  At the Python API level we are stricter: constructing an invalid
 object raises one of the exceptions below, so that bugs surface early
-instead of silently producing empty answers.  The relation-level entry
-points (``RelationNL``/``RelationUL``) catch these and map them to the
-paper's empty-witness-set convention where that behaviour is requested.
+instead of silently producing empty answers.  The paper's ⊥ for an
+empty witness set survives where it is asked for: ``WitnessSet.sample()``
+with no ``k`` returns ``None``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,12 @@ FPRAS and sampling a uniform path a PLVUG (Corollary 8), in *combined*
 complexity (query part of the input), which was open before this paper.
 """
 
-from repro.graphdb.graph import GraphDatabase, graph_from_json, graph_to_json
+from repro.graphdb.graph import (
+    GraphDatabase,
+    graph_from_document,
+    graph_from_json,
+    graph_to_json,
+)
 from repro.graphdb.rpq import RPQ, EvalRpqRelation, RpqEvaluator, Path
 
 __all__ = [
@@ -16,5 +21,6 @@ __all__ = [
     "RpqEvaluator",
     "EvalRpqRelation",
     "graph_from_json",
+    "graph_from_document",
     "graph_to_json",
 ]

@@ -187,9 +187,13 @@ def graph_from_json(text: str) -> GraphDatabase:
     """Inverse of :func:`graph_to_json` (validates format and version)."""
     import json
 
+    return graph_from_document(json.loads(text))
+
+
+def graph_from_document(document: dict) -> GraphDatabase:
+    """:func:`graph_from_json` on an already parsed JSON document."""
     from repro.automata.serialization import _decode_atom
 
-    document = json.loads(text)
     if document.get("format") != "repro.graph":
         raise InvalidAutomatonError("not a repro.graph document")
     if document.get("version") != GRAPH_FORMAT_VERSION:

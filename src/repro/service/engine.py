@@ -59,6 +59,9 @@ _Task: TypeAlias = "tuple[int, int, list[dict[str, Any]]] | None"
 #: One worker answer: (batch id, group index, response group).
 _Result: TypeAlias = "tuple[int, int, list[dict[str, Any]]]"
 
+#: One request group with its spec key (``None``: control or spec-less).
+_Group: TypeAlias = "tuple[str | None, list[dict[str, Any]]]"
+
 #: How long Engine.execute waits on the result queue before checking
 #: worker liveness (seconds).
 _POLL_SECONDS = 0.25
@@ -115,7 +118,9 @@ def _worker_main(
         if len(group) == 1 and group[0].get("op") in CONTROL_OPS:
             responses = [_control_response(cache, group[0], worker_id)]
         else:
-            responses = execute_group(cache, group, worker=worker_id)
+            # One key per group: every request in it shares the spec.
+            key = spec_key(group[0]["spec"]) if "spec" in group[0] else None
+            responses = execute_group(cache, key, group, worker=worker_id)
         results.put((batch_id, group_index, responses))
 
 
@@ -246,22 +251,23 @@ class Engine:
         return value % self.workers
 
     @staticmethod
-    def group_requests(requests: list[dict[str, Any]]) -> list[list[dict[str, Any]]]:
-        """Partition a batch into per-spec groups (order-stable).
+    def group_requests(requests: list[dict[str, Any]]) -> list[_Group]:
+        """Partition a batch into ``(spec key, group)`` pairs (order-stable).
 
-        Control ops (``ping`` / ``stats``) become singleton groups;
-        everything else groups by spec key so
-        :func:`~repro.service.protocol.execute_group` can coalesce the
-        sample ops inside each group into one kernel pass.
+        Control ops (``ping`` / ``stats``) and spec-less requests become
+        singleton groups with key ``None``; everything else groups by
+        spec key so :func:`~repro.service.protocol.execute_group` can
+        coalesce the sample ops inside each group into one kernel pass.
+        Each spec is hashed here, once.
         """
         grouped: defaultdict[str, list[dict[str, Any]]] = defaultdict(list)
-        singletons: list[list[dict[str, Any]]] = []
+        singletons: list[_Group] = []
         for request in requests:
             if request.get("op") in CONTROL_OPS or "spec" not in request:
-                singletons.append([request])
+                singletons.append((None, [request]))
             else:
                 grouped[spec_key(request["spec"])].append(request)
-        return list(grouped.values()) + singletons
+        return [*grouped.items(), *singletons]
 
     # ------------------------------------------------------------------
     # Execution
@@ -292,11 +298,11 @@ class Engine:
             cache = self._local_cache
             assert cache is not None  # always built when workers == 0
             responses: list[dict[str, Any]] = []
-            for group in groups:
+            for key, group in groups:
                 if len(group) == 1 and group[0].get("op") in CONTROL_OPS:
                     responses.append(_control_response(cache, group[0], 0))
                 else:
-                    responses.extend(execute_group(cache, group))
+                    responses.extend(execute_group(cache, key, group))
         else:
             responses = self._execute_pooled(groups)
         return self._order_responses(requests, responses)
@@ -324,22 +330,19 @@ class Engine:
             ordered.append(response)
         return ordered
 
-    def _execute_pooled(self, groups: list[list[dict[str, Any]]]) -> list[dict[str, Any]]:
+    def _execute_pooled(self, groups: list[_Group]) -> list[dict[str, Any]]:
         results = self._results
         assert results is not None  # always built when workers > 0
         with self._pool_lock:
             return self._drain_batch(groups, results)
 
     def _drain_batch(
-        self, groups: list[list[dict[str, Any]]], results: MPQueue[_Result]
+        self, groups: list[_Group], results: MPQueue[_Result]
     ) -> list[dict[str, Any]]:
         batch_id = next(self._batch_ids)
         pending: dict[int, tuple[int, list[dict[str, Any]]]] = {}
-        for group_index, group in enumerate(groups):
-            key = spec_key(group[0]["spec"]) if "spec" in group[0] else str(
-                group[0].get("id")
-            )
-            worker = self.route(key)
+        for group_index, (key, group) in enumerate(groups):
+            worker = self.route(key if key is not None else str(group[0].get("id")))
             self._task_queues[worker].put((batch_id, group_index, group))
             pending[group_index] = (worker, group)
         responses: list[dict[str, Any]] = []

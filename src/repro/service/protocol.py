@@ -124,7 +124,7 @@ def spec_key(spec: dict[str, Any]) -> str:
 def _sub_source(sub: dict[str, Any]) -> NFA:
     """An NFA from an ``intersection`` operand sub-spec."""
     from repro.automata.regex import compile_regex
-    from repro.automata.serialization import nfa_from_json
+    from repro.automata.serialization import nfa_from_document
 
     kind = sub.get("kind", "regex")
     if kind == "regex":
@@ -133,7 +133,7 @@ def _sub_source(sub: dict[str, Any]) -> NFA:
             sub["pattern"], alphabet=list(alphabet) if alphabet else None
         )
     if kind == "nfa":
-        return nfa_from_json(json.dumps(sub["nfa"]))
+        return nfa_from_document(sub["nfa"])
     raise ProtocolError(f"unsupported intersection operand kind {kind!r}")
 
 
@@ -164,10 +164,10 @@ def witness_set_from_spec(
                 spec["pattern"], spec["n"], alphabet=alphabet, **kwargs
             )
         if kind == "nfa":
-            from repro.automata.serialization import nfa_from_json
+            from repro.automata.serialization import nfa_from_document
 
             return WitnessSet.from_nfa(
-                nfa_from_json(json.dumps(spec["nfa"])), spec["n"], **kwargs
+                nfa_from_document(spec["nfa"]), spec["n"], **kwargs
             )
         if kind == "intersection":
             return WitnessSet.from_intersection(
@@ -188,9 +188,9 @@ def witness_set_from_spec(
             )
         if kind == "rpq":
             from repro.automata.serialization import _decode_atom
-            from repro.graphdb.graph import graph_from_json
+            from repro.graphdb.graph import graph_from_document
 
-            graph = graph_from_json(json.dumps(spec["graph"]))
+            graph = graph_from_document(spec["graph"])
             return WitnessSet.from_rpq(
                 graph,
                 spec["pattern"],
@@ -442,13 +442,17 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
 
 def execute_group(
     cache: WitnessSetCache,
+    key: str | None,
     requests: list[dict[str, Any]],
     worker: int | None = None,
 ) -> list[dict[str, Any]]:
     """Execute requests that share one spec key; coalesce the sample ops.
 
-    Returns one response per request, in request order.  Failures are
-    per-request: one bad request never poisons its batch siblings.
+    ``key`` is the group's :func:`spec_key`, computed once by the caller
+    (``None`` only for a spec-less singleton, which gets an error
+    response).  Returns one response per request, in request order.
+    Failures are per-request: one bad request never poisons its batch
+    siblings.
     """
     # Responses are keyed by batch position, never by object identity:
     # a request object submitted twice in one group (client retry reusing
@@ -469,16 +473,16 @@ def execute_group(
             continue
         # Non-sample ops and invalid-k sample requests (which must get
         # their own validation error, never a sibling's witnesses).
-        responses[position] = _respond(cache, request, worker)
+        responses[position] = _respond(cache, key, request, worker)
     if sampleable:
         # Denominator of the coalescing ratio: every sampleable request,
         # whether or not it ends up sharing a kernel pass.
         obs.metrics().counter(metric_names.SAMPLE_REQUESTS).inc(len(sampleable))
     if len(sampleable) == 1:
         position, request = sampleable[0]
-        responses[position] = _respond(cache, request, worker)
+        responses[position] = _respond(cache, key, request, worker)
     elif sampleable:
-        responses.update(_respond_coalesced(cache, sampleable, worker))
+        responses.update(_respond_coalesced(cache, key, sampleable, worker))
     return [responses[position] for position in range(len(requests))]
 
 
@@ -524,7 +528,10 @@ def _attach_timing(
 
 
 def _respond(
-    cache: WitnessSetCache, request: dict[str, Any], worker: int | None
+    cache: WitnessSetCache,
+    key: str | None,
+    request: dict[str, Any],
+    worker: int | None,
 ) -> dict[str, Any]:
     registry = obs.metrics()
     registry.counter(
@@ -532,7 +539,7 @@ def _respond(
     ).inc()
     response = _base_response(request, worker)
     spec = request.get("spec")
-    if spec is None:
+    if spec is None or key is None:
         registry.counter(metric_names.PROTOCOL_ERRORS).inc()
         response.update(
             ok=False, error="missing field 'spec'", error_type="ProtocolError"
@@ -541,7 +548,7 @@ def _respond(
     with obs.request_span() as span:
         _record_queue_wait(request, span)
         try:
-            ws = cache.get(spec_key(spec), spec)
+            ws = cache.get(key, spec)
             with span.stage(metric_names.STAGE_EXECUTION):
                 result = _execute_one(ws, request)
             response.update(ok=True, result=result)
@@ -558,6 +565,7 @@ def _respond(
 
 def _respond_coalesced(
     cache: WitnessSetCache,
+    key: str | None,
     indexed: list[tuple[int, dict[str, Any]]],
     worker: int | None,
 ) -> dict[int, dict[str, Any]]:
@@ -576,7 +584,9 @@ def _respond_coalesced(
         # group was enqueued as one engine batch).
         with obs.request_span() as span:
             _record_queue_wait(first, span)
-            ws = cache.get(spec_key(first["spec"]), first["spec"])
+            if key is None:
+                raise ProtocolError("missing field 'spec'")
+            ws = cache.get(key, first["spec"])
             with span.stage(metric_names.STAGE_EXECUTION):
                 batches = draw_samples_coalesced(
                     ws,
@@ -610,7 +620,7 @@ def _respond_coalesced(
         # Fall back to independent execution so one odd request (bad k,
         # empty set, ...) gets its own error and the others still answer.
         for position, request in indexed:
-            out[position] = _respond(cache, request, worker)
+            out[position] = _respond(cache, key, request, worker)
     return out
 
 

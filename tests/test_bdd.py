@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import WitnessSet
 from repro.automata.unambiguous import is_unambiguous
 from repro.bdd.builders import (
     conj,
@@ -21,7 +22,6 @@ from repro.bdd.obdd import (
     TERMINAL_FALSE,
     TERMINAL_TRUE,
 )
-from repro.core.classes import RelationULSolver
 from repro.core.exact import count_words_exact
 from repro.errors import InvalidAutomatonError
 
@@ -84,15 +84,14 @@ class TestOBDD:
 
     def test_relation_suite(self, rng):
         d = xor_obdd()
-        relation = EvalObddRelation()
-        compiled = relation.compile(d)
-        solver = RelationULSolver(compiled.nfa, compiled.length)
-        assert solver.count() == 2
-        models = [relation.decode_witness(d, w) for w in solver.enumerate()]
+        ws = WitnessSet.from_compiled(EvalObddRelation(), d)
+        assert ws.is_unambiguous
+        assert ws.count() == 2
+        models = list(ws.enumerate())
+        assert len(models) == 2
         for model in models:
             assert d.evaluate(model) == 1
-        sampled = relation.decode_witness(d, solver.sample(rng))
-        assert d.evaluate(sampled) == 1
+        assert d.evaluate(ws.sample(rng=rng)) == 1
 
 
 class TestObddFromFormula:

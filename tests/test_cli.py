@@ -281,6 +281,33 @@ class TestVersionAndUsage:
 
         assert repro.__version__ in out
 
+    def test_pyproject_takes_version_from_package(self):
+        # One source for the version: an installed ``repro --version`` and
+        # ``repro.__version__`` can only agree if pyproject.toml names the
+        # module attribute instead of a literal.  Parsed as text: Python
+        # 3.10 has no tomllib.
+        import os
+        import re
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as handle:
+            text = handle.read()
+        tables = dict(
+            (match.group(1), match.group(2))
+            for match in re.finditer(
+                r"^\[([^\]\n]+)\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S
+            )
+        )
+        project = tables["project"]
+        assert not re.search(r"^version\s*=", project, re.M)
+        dynamic = re.search(r"^dynamic\s*=\s*\[([^\]]*)\]", project, re.M)
+        assert dynamic is not None and '"version"' in dynamic.group(1)
+        assert re.search(
+            r'^version\s*=\s*\{\s*attr\s*=\s*"repro\.__version__"\s*\}',
+            tables["tool.setuptools.dynamic"],
+            re.M,
+        )
+
     def test_no_subcommand_exits_2_with_usage(self, capsys):
         assert main([]) == 2
         err = capsys.readouterr().err

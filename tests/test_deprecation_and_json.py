@@ -3,12 +3,18 @@ round-trips on randomized graphs, including tuple-labelled vertices."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
 from repro.errors import InvalidAutomatonError
-from repro.graphdb.graph import GraphDatabase, graph_from_json, graph_to_json
+from repro.graphdb.graph import (
+    GraphDatabase,
+    graph_from_document,
+    graph_from_json,
+    graph_to_json,
+)
 
 
 def _random_graph(rng: random.Random) -> GraphDatabase:
@@ -37,6 +43,17 @@ class TestGraphJsonRoundTrip:
     def test_indent_is_cosmetic(self, rng):
         graph = _random_graph(rng)
         assert graph_from_json(graph_to_json(graph, indent=2)).edges == graph.edges
+
+    def test_parsed_document_decodes_like_text(self, rng):
+        # The service decodes spec documents JSON has already parsed.
+        for _ in range(10):
+            text = graph_to_json(_random_graph(rng))
+            from_text = graph_from_json(text)
+            from_document = graph_from_document(json.loads(text))
+            assert from_document.vertices == from_text.vertices
+            assert from_document.edges == from_text.edges
+        with pytest.raises(InvalidAutomatonError):
+            graph_from_document({"format": "not.a.graph", "version": 1})
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(InvalidAutomatonError):

@@ -1,18 +1,15 @@
-"""Tests for the relation framework, reductions (Prop. 11) and class facades."""
+"""Tests for the relation framework, reductions (Prop. 11) and the class
+suites (Theorems 2 and 5) on the WitnessSet facade."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import WitnessSet
 from repro.automata.nfa import NFA, word
 from repro.automata.operations import words_of_length
-from repro.core.classes import (
-    RelationNL,
-    RelationNLSolver,
-    RelationUL,
-    RelationULSolver,
-    SpanLFunction,
-)
+from repro.automata.unambiguous import require_unambiguous
+from repro.core.classes import SpanLFunction
 from repro.core.fpras import FprasParameters
 from repro.core.reductions import (
     MemNfaRelation,
@@ -75,84 +72,89 @@ class TestCompletenessReduction:
 
 
 class TestRelationULSolver:
+    """Theorem 5's exact suite, behind ``require_unambiguous``."""
+
     def test_full_suite(self, even_zeros_dfa, rng):
-        solver = RelationULSolver(even_zeros_dfa, 5)
-        assert solver.count() == 16
-        words = list(solver.enumerate())
+        ws = WitnessSet.from_nfa(require_unambiguous(even_zeros_dfa), 5)
+        assert ws.is_unambiguous
+        assert ws.count() == 16
+        words = list(ws.enumerate())
         assert len(words) == 16
-        assert solver.sample(rng) in set(words)
+        assert ws.sample(rng=rng) in set(words)
 
     def test_rejects_ambiguous(self, endswith_one_nfa):
         with pytest.raises(AmbiguityError):
-            RelationULSolver(endswith_one_nfa, 4)
+            require_unambiguous(endswith_one_nfa)
+        assert not WitnessSet.from_nfa(endswith_one_nfa, 4).is_unambiguous
 
     def test_sample_or_none_empty(self, rng):
-        solver = RelationULSolver(NFA.empty_language("01"), 3)
-        assert solver.sample_or_none(rng) is None
+        ws = WitnessSet.from_nfa(NFA.empty_language("01"), 3)
+        assert ws.sample(rng=rng) is None
 
     def test_sample_empty_raises(self, rng):
-        solver = RelationULSolver(NFA.empty_language("01"), 3)
+        ws = WitnessSet.from_nfa(NFA.empty_language("01"), 3)
         with pytest.raises(EmptyWitnessSetError):
-            solver.sample(rng)
+            ws.sample(1, rng=rng)
+        with pytest.raises(EmptyWitnessSetError):
+            ws.sample_batch(1, rng=rng)
 
 
 class TestRelationNLSolver:
+    """Theorem 2's suite (FPRAS, PLVUG) on an ambiguous automaton."""
+
     def test_full_suite(self, endswith_one_nfa, rng):
-        solver = RelationNLSolver(endswith_one_nfa, 8, delta=0.3, rng=rng, params=FAST)
+        ws = WitnessSet.from_nfa(
+            endswith_one_nfa, 8, delta=0.3, rng=rng, params=FAST
+        )
+        assert not ws.is_unambiguous
         exact = 2**8 - 1
-        assert solver.count_exact() == exact
-        estimate = solver.count_approx()
+        assert ws.count_exact() == exact
+        estimate = ws.count(backend="fpras")
         assert abs(estimate - exact) <= 0.4 * exact
-        words = list(solver.enumerate())
+        words = list(ws.enumerate())
         assert len(words) == exact
-        w = solver.sample()
+        w = ws.sample()
         assert w is not None and endswith_one_nfa.accepts(w)
 
     def test_sample_many(self, endswith_one_nfa, rng):
-        solver = RelationNLSolver(endswith_one_nfa, 8, delta=0.3, rng=rng, params=FAST)
-        samples = solver.sample_many(5)
+        ws = WitnessSet.from_nfa(
+            endswith_one_nfa, 8, delta=0.3, rng=rng, params=FAST
+        )
+        samples = ws.sample(5)
         assert len(samples) == 5
+        assert all(endswith_one_nfa.accepts(w) for w in samples)
 
 
 class TestRelationFacades:
+    """``WitnessSet.from_compiled``: a relation's witnesses, decoded."""
+
     def test_relation_nl_on_dnf(self, rng):
         phi = random_dnf(7, 3, 2, rng=8)
-        nl = RelationNL(SatDnfRelation(), delta=0.3, rng=rng, params=FAST)
+        ws = WitnessSet.from_compiled(
+            SatDnfRelation(), phi, delta=0.3, rng=rng, params=FAST
+        )
         exact = phi.count_models_brute()
-        assert nl.count_exact(phi) == exact
-        estimate = nl.count_approx(phi)
+        assert ws.count_exact() == exact
+        estimate = ws.count(backend="fpras")
         assert abs(estimate - exact) <= 0.4 * exact
-        assignment = nl.sample(phi)
+        assignment = ws.sample()
         assert phi.evaluate(assignment)
-        enumerated = list(nl.enumerate(phi))
+        enumerated = list(ws.enumerate())
         assert len(enumerated) == exact
 
-    def test_upgrade_if_unambiguous(self, rng):
-        # A DNF whose terms are disjoint compiles to an unambiguous NFA.
-        from repro.dnf.formulas import DNFFormula, DNFTerm
-
-        phi = DNFFormula(
-            num_variables=4,
-            terms=(
-                DNFTerm.from_dict({0: 0, 1: 0}),
-                DNFTerm.from_dict({0: 1, 1: 1}),
-            ),
-        )
-        nl = RelationNL(SatDnfRelation(), rng=rng)
-        upgraded = nl.upgrade_if_unambiguous(phi)
-        assert upgraded is not None
-        assert upgraded.count() == phi.count_models_brute()
-
     def test_relation_ul_on_disjoint_dnf(self, rng):
+        # A DNF whose terms are disjoint compiles to an unambiguous NFA,
+        # so the facade runs the exact suite on it.
         from repro.dnf.formulas import DNFFormula, DNFTerm
 
         phi = DNFFormula(
             num_variables=4,
             terms=(DNFTerm.from_dict({0: 0}), DNFTerm.from_dict({0: 1, 1: 1})),
         )
-        ul = RelationUL(SatDnfRelation())
-        assert ul.count(phi) == phi.count_models_brute()
-        assignment = ul.sample(phi, rng)
+        ws = WitnessSet.from_compiled(SatDnfRelation(), phi)
+        assert ws.is_unambiguous
+        assert ws.count() == phi.count_models_brute()
+        assignment = ws.sample(rng=rng)
         assert phi.evaluate(assignment)
 
 

@@ -9,6 +9,7 @@ import pytest
 from repro.automata.nfa import EPSILON, NFA
 from repro.automata.random_gen import random_nfa
 from repro.automata.serialization import (
+    nfa_from_document,
     nfa_from_json,
     nfa_to_dot,
     nfa_to_json,
@@ -47,6 +48,14 @@ class TestJsonRoundTrip:
         for _ in range(5):
             nfa = random_nfa(6, rng=rng)
             assert nfa_from_json(nfa_to_json(nfa)) == nfa
+
+    def test_parsed_document_decodes_like_text(self, rng):
+        # The service decodes spec documents JSON has already parsed.
+        for _ in range(5):
+            text = nfa_to_json(random_nfa(6, rng=rng))
+            assert nfa_from_document(json.loads(text)) == nfa_from_json(text)
+        with pytest.raises(InvalidAutomatonError):
+            nfa_from_document({"format": "something-else"})
 
     def test_rejects_wrong_format(self):
         with pytest.raises(InvalidAutomatonError):
