@@ -267,16 +267,18 @@ class WitnessSet:
         and routes requests in the service engine.  Covers the source
         only — compose with ``n`` for per-length artifacts.  Raises
         :class:`~repro.service.fingerprint.FingerprintError` when states
-        or symbols have no canonical serialization.
+        or symbols have no canonical serialization.  The computation's
+        wall time is recorded as the ``fingerprint`` stage.
         """
         from repro.service.fingerprint import fingerprint_source
 
-        return self._cached(
-            "fingerprint",
-            lambda: fingerprint_source(
-                self.plan if self.plan is not None else self.nfa
-            ),
-        )
+        def build() -> str:
+            started = time.perf_counter()
+            value = fingerprint_source(self.plan if self.plan is not None else self.nfa)
+            add_stage(metric_names.STAGE_FINGERPRINT, time.perf_counter() - started)
+            return value
+
+        return self._cached("fingerprint", build)
 
     def _store_key(self):
         """``(store, fingerprint)`` when persistence is usable, else

@@ -9,8 +9,13 @@ The paper's complete problems (Proposition 12) are
 Every algorithm in :mod:`repro.core` — enumeration, exact counting, exact
 uniform generation, the FPRAS and the Las Vegas generator — operates on the
 :class:`NFA` defined here.  The class is a *value type*: the transition
-structure is frozen at construction, adjacency maps are precomputed, and all
-"mutating" operations return new automata.
+structure is frozen at construction and all "mutating" operations return
+new automata.  Construction validates the automaton and notes whether it
+has ε-transitions; the forward and backward transition indexes behind
+:meth:`NFA.successors`, :meth:`NFA.out_edges` and their reverses are built
+on the first query that needs them.  An automaton that is only
+fingerprinted, such as one whose kernel a warm store restores, never
+builds them.
 
 Conventions
 -----------
@@ -26,7 +31,7 @@ Conventions
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import InvalidAutomatonError
 
@@ -121,24 +126,46 @@ class NFA:
         )
         self._transitions = transition_set
         self._validate()
+        self._has_epsilon = any(symbol is EPSILON for _, symbol, _ in transition_set)
+        self._hash = None
+        # _delta and _rdelta stay unset until the first query needs them.
+
+    if not TYPE_CHECKING:  # a misspelt attribute stays a type error
+
+        def __getattr__(self, name: str) -> Any:
+            # Reached only when normal lookup misses, i.e. for an index
+            # slot that is still unset; once filled, reading it costs a
+            # slot load.
+            if name == "_delta" or name == "_rdelta":
+                delta, rdelta = self._build_indexes()
+                return delta if name == "_delta" else rdelta
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+
+    def _build_indexes(self) -> tuple[dict, dict]:
+        """Build the forward and backward transition indexes and publish both.
+
+        Executor threads may share an automaton, so each index is complete
+        before either slot is set.  Two threads racing here both build the
+        same indexes, and either result is correct.
+        """
         delta: dict[State, dict[Symbol, set[State]]] = {}
         rdelta: dict[State, dict[Symbol, set[State]]] = {}
-        has_epsilon = False
-        for source, symbol, target in transition_set:
+        for source, symbol, target in self._transitions:
             delta.setdefault(source, {}).setdefault(symbol, set()).add(target)
             rdelta.setdefault(target, {}).setdefault(symbol, set()).add(source)
-            if symbol is EPSILON:
-                has_epsilon = True
-        self._delta = {
+        forward = {
             source: {symbol: frozenset(targets) for symbol, targets in by_symbol.items()}
             for source, by_symbol in delta.items()
         }
-        self._rdelta = {
+        backward = {
             target: {symbol: frozenset(sources) for symbol, sources in by_symbol.items()}
             for target, by_symbol in rdelta.items()
         }
-        self._has_epsilon = has_epsilon
-        self._hash = None
+        self._rdelta = backward
+        self._delta = forward
+        return forward, backward
 
     def _validate(self) -> None:
         if EPSILON in self._alphabet:

@@ -64,6 +64,15 @@ def _decode_atom(value: Any) -> Any:
     return value
 
 
+#: Atom types that decode to themselves: the fast path of
+#: :func:`nfa_from_document`, which skips :func:`_decode_atom` for them.
+_PLAIN = (int, str)
+
+
+def _decode_atoms(values: list[Any]) -> list[Any]:
+    return [value if type(value) in _PLAIN else _decode_atom(value) for value in values]
+
+
 def nfa_to_json(nfa: NFA, indent: int | None = None) -> str:
     """Serialize an NFA to a versioned JSON document."""
     document = {
@@ -95,14 +104,16 @@ def nfa_from_document(document: dict[str, Any]) -> NFA:
             f"unsupported format version {document.get('version')!r}"
         )
     return NFA(
-        [_decode_atom(state) for state in document["states"]],
-        [_decode_atom(symbol) for symbol in document["alphabet"]],
+        _decode_atoms(document["states"]),
+        _decode_atoms(document["alphabet"]),
         [
-            (_decode_atom(source), _decode_atom(symbol), _decode_atom(target))
+            (source, symbol, target)
+            if type(source) in _PLAIN and type(symbol) in _PLAIN and type(target) in _PLAIN
+            else (_decode_atom(source), _decode_atom(symbol), _decode_atom(target))
             for source, symbol, target in document["transitions"]
         ],
         _decode_atom(document["initial"]),
-        [_decode_atom(state) for state in document["finals"]],
+        _decode_atoms(document["finals"]),
     )
 
 

@@ -67,6 +67,7 @@ FPRAS_REACH_CACHE_MISSES = "repro_fpras_reach_cache_misses_total"
 STAGE_PARSE = "parse"
 STAGE_COALESCE_WAIT = "coalesce_wait"
 STAGE_QUEUE_WAIT = "queue_wait"
+STAGE_FINGERPRINT = "fingerprint"
 STAGE_STORE_FETCH = "store_fetch"
 STAGE_LOWERING = "lowering"
 STAGE_EXECUTION = "execution"
@@ -78,6 +79,7 @@ STAGES = (
     STAGE_PARSE,
     STAGE_COALESCE_WAIT,
     STAGE_QUEUE_WAIT,
+    STAGE_FINGERPRINT,
     STAGE_STORE_FETCH,
     STAGE_LOWERING,
     STAGE_EXECUTION,
@@ -121,6 +123,7 @@ __all__ = [
     "STAGE_PARSE",
     "STAGE_COALESCE_WAIT",
     "STAGE_QUEUE_WAIT",
+    "STAGE_FINGERPRINT",
     "STAGE_STORE_FETCH",
     "STAGE_LOWERING",
     "STAGE_EXECUTION",

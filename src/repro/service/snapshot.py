@@ -24,7 +24,16 @@ as JSON integer lists inside the header — JSON integers are arbitrary
 precision, so exactness survives the round-trip.  State and symbol
 objects go through the same tagged-atom codec as the NFA serializer, so
 tuples, frozensets (spanner marker sets) and plan product states
-round-trip by value.
+round-trip by value, each with its exact type.
+
+Labels have fast paths, all byte-identical to the codec.  A layer of
+plain strings and numbers is stored raw.  A layer of tuples of ints and
+strings, such as product states, is written without the recursive
+codec, and each distinct tuple is encoded once per snapshot.  On
+restore, a ``json.loads`` object hook turns every tagged tuple of
+scalars (strings, numbers, booleans, None) back into its tuple while
+the header is parsed.  Nested tuples, frozensets and ε take the codec
+both ways.
 
 A restored kernel carries a :class:`_SnapshotSource` in place of its
 automaton: initial state, accepting-state membership and alphabet are
@@ -41,9 +50,10 @@ import mmap
 import os
 import struct
 from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Container, Iterable
 
-from repro.automata.serialization import _decode_atom, _encode_atom
+from repro.automata.serialization import _TUPLE_TAG, _decode_atom, _encode_atom
 from repro.errors import InvalidAutomatonError, ReproError
 
 if TYPE_CHECKING:
@@ -141,13 +151,37 @@ class _SnapshotSource:
         return f"<SnapshotSource resolved={self._resolved is not None}>"
 
 
-def _encode_atoms(values: Iterable[object]) -> list[Any]:
+#: Item types of a tuple label that the decoder's fast path reads as
+#: themselves: the tagged-atom codec maps each of them to its JSON scalar.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Item types of a tuple label that the encoder memoizes by value.  Two
+#: equal tuples of these have items of the same types, which is not so
+#: for ``1`` and ``True`` or ``0.0`` and ``-0.0``.
+_EXACT = frozenset({str, int})
+
+
+def _tuple_label(obj: dict[str, Any]) -> Any:
+    """``json.loads`` object hook: a tagged tuple of scalars becomes the
+    tuple while the header is parsed.  Every other object stays as
+    parsed (header fields, or labels left to :func:`_decode_atom`)."""
+    if len(obj) == 1:
+        items = obj.get(_TUPLE_TAG)
+        if type(items) is list and _SCALARS.issuperset(map(type, items)):
+            return tuple(items)
+    return obj
+
+
+def _encode_atoms(values: Iterable[object], memo: dict[Any, Any]) -> list[Any]:
     """A sequence of states/symbols → its header encoding.
 
     Plain scalar sequences (strings/numbers — the overwhelmingly common
     state shape) are stored raw under a ``["plain", ...]`` marker so the
     restore path is a single C-level JSON parse; anything structured
-    (tuples, frozensets, ε) falls back to the tagged-atom codec.
+    (tuples, frozensets, ε) is stored under ``["tagged", ...]``.  A
+    sequence of tuples of ints and strings (product states) skips the
+    recursive codec: each distinct tuple is encoded once per snapshot,
+    through ``memo``, to the tagged form the codec would give it.
     """
     items = list(values)
     if all(
@@ -155,6 +189,16 @@ def _encode_atoms(values: Iterable[object]) -> list[Any]:
         for item in items
     ):
         return ["plain", items]
+    if set(map(type, items)) == {tuple} and _EXACT.issuperset(
+        map(type, chain.from_iterable(items))
+    ):
+        encoded = []
+        for item in items:
+            label = memo.get(item)
+            if label is None:
+                label = memo[item] = {_TUPLE_TAG: list(item)}
+            encoded.append(label)
+        return ["tagged", encoded]
     return ["tagged", [_encode_atom(item) for item in items]]
 
 
@@ -162,7 +206,8 @@ def _decode_atoms(encoded: list[Any]) -> tuple[Any, ...]:
     marker, items = encoded
     if marker == "plain":
         return tuple(items)
-    return tuple(_decode_atom(item) for item in items)
+    # Tuples of scalars were decoded by _tuple_label during the parse.
+    return tuple(item if type(item) is tuple else _decode_atom(item) for item in items)
 
 
 def _encode_count_row(row: CountRow) -> tuple[dict[str, Any], bytes | None]:
@@ -200,9 +245,10 @@ def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> byt
     if version not in (1, 2):
         raise SnapshotError(f"unsupported snapshot version {version!r}")
     try:
-        symbols = _encode_atoms(kernel.symbols)
+        memo: dict[Any, Any] = {}
+        symbols = _encode_atoms(kernel.symbols, memo)
         states = [
-            _encode_atoms(kernel.layer_states(t)) for t in range(kernel.n + 1)
+            _encode_atoms(kernel.layer_states(t), memo) for t in range(kernel.n + 1)
         ]
     except InvalidAutomatonError as error:
         raise SnapshotError(f"kernel is not snapshot-serializable: {error}") from error
@@ -288,7 +334,10 @@ def kernel_from_bytes(
     try:
         (header_len,) = struct.unpack_from("<I", view, len(MAGIC))
         header_start = len(MAGIC) + 4
-        header = json.loads(bytes(view[header_start : header_start + header_len]))
+        header = json.loads(
+            bytes(view[header_start : header_start + header_len]),
+            object_hook=_tuple_label,
+        )
     except (struct.error, ValueError) as error:
         raise SnapshotError(f"corrupt snapshot header: {error}") from error
     version = header.get("version")

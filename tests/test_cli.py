@@ -361,6 +361,7 @@ class TestServeAndQuery:
         yield query
         query("shutdown")
         proc.wait(timeout=10)
+        proc.stderr.close()
 
     def test_query_count_matches_local(self, capsys, server):
         remote = server("count", "--regex", "(ab|ba)*", "--alphabet", "ab", "-n", "10")

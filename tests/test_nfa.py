@@ -69,6 +69,80 @@ class TestConstruction:
         assert pickle.loads(pickle.dumps(EPSILON)) is EPSILON
 
 
+def _index_built(nfa: NFA) -> bool:
+    try:
+        NFA._delta.__get__(nfa, NFA)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestLazyIndexes:
+    def test_built_by_the_first_query_only(self, endswith_one_nfa):
+        nfa = NFA(
+            endswith_one_nfa.states,
+            endswith_one_nfa.alphabet,
+            endswith_one_nfa.transitions,
+            endswith_one_nfa.initial,
+            endswith_one_nfa.finals,
+        )
+        assert not _index_built(nfa)
+        assert pickle.loads(pickle.dumps(nfa)) == nfa
+        assert nfa.accepts(word("0101"))
+        assert _index_built(nfa)
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            nfa.missing
+
+    def test_complete_under_concurrent_first_use(self):
+        """Threads racing to the first query of a shared automaton each
+        see both indexes in full."""
+        import random
+        import sys
+        import threading
+
+        rng = random.Random(7)
+        states = range(40)
+        transitions = [
+            (source, symbol, rng.randrange(40))
+            for source in states
+            for symbol in "abc"
+            for _ in range(2)
+        ]
+        reference = NFA(states, "abc", transitions, 0, [1, 2])
+
+        def answers(nfa):
+            return [
+                (nfa.successors(state, symbol), nfa.predecessors(state, symbol))
+                for state in states
+                for symbol in "abc"
+            ]
+
+        expected = answers(reference)
+        workers = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                shared = NFA(states, "abc", transitions, 0, [1, 2])
+                barrier = threading.Barrier(workers)
+                seen = []
+
+                def query(shared=shared, barrier=barrier, seen=seen):
+                    barrier.wait(timeout=10)
+                    seen.append(answers(shared))
+
+                threads = [threading.Thread(target=query) for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert len(seen) == workers
+                assert all(result == expected for result in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestWordHelpers:
     def test_word_from_string(self):
         assert word("abc") == ("a", "b", "c")

@@ -228,6 +228,44 @@ class TestTracing:
         )
         assert obs.metrics().snapshot()["histograms"][key]["count"] == 1
 
+    def test_fingerprint_stage_on_the_cold_request_only(self, tmp_path):
+        from repro.service.engine import Engine
+
+        request = {"op": "count", "spec": SPEC, "trace": True}
+        with Engine(workers=0, store_root=tmp_path) as engine:
+            (cold,) = engine.execute([dict(request, id=1)])
+            (again,) = engine.execute([dict(request, id=2)])
+        assert cold["ok"] and again["ok"]
+        assert cold["timing"][metric_names.STAGE_FINGERPRINT] >= 0.0
+        assert metric_names.STAGE_FINGERPRINT not in again["timing"]
+
+    def test_fingerprint_stage_outside_a_span_counts_each_computation(self):
+        from repro.api import WitnessSet
+
+        ws = WitnessSet.from_regex("(ab|ba)*", 8, alphabet="ab", store=False)
+        ws.fingerprint()
+        ws.fingerprint()
+        key = obs.series_key(
+            metric_names.STAGE_SECONDS, {"stage": metric_names.STAGE_FINGERPRINT}
+        )
+        assert obs.metrics().snapshot()["histograms"][key]["count"] == 1
+
+    def test_fingerprint_stage_not_recorded_under_kill_switch(self, tmp_path):
+        from repro.api import WitnessSet
+        from repro.service.engine import Engine
+
+        obs.set_enabled(False)
+        with Engine(workers=0, store_root=tmp_path) as engine:
+            (response,) = engine.execute(
+                [{"id": 1, "op": "count", "spec": SPEC, "trace": True}]
+            )
+        WitnessSet.from_regex("(ab)*", 8, alphabet="ab", store=False).fingerprint()
+        assert response["ok"] and "timing" not in response
+        key = obs.series_key(
+            metric_names.STAGE_SECONDS, {"stage": metric_names.STAGE_FINGERPRINT}
+        )
+        assert key not in obs.metrics().snapshot()["histograms"]
+
     @pytest.mark.parametrize("workers", [0, 1, 4])
     def test_trace_propagates_across_workers(self, workers):
         from repro.service.engine import Engine

@@ -17,6 +17,7 @@ import pytest
 from repro.api import WitnessSet
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_nfa, random_ufa
+from repro.automata.serialization import nfa_to_json
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.plan import Product, as_plan, lower_plan
 from repro.errors import InvalidAutomatonError
@@ -37,6 +38,7 @@ from repro.service import (
     witness_set_from_spec,
 )
 from repro.service.protocol import render_witness
+from repro.service.snapshot import kernel_from_mmap
 from repro.utils.rng import make_rng, spawn_seq, substreams
 
 SEED = 20190621
@@ -138,6 +140,26 @@ def _assert_kernel_equivalent(kernel: CompiledDAG, restored: CompiledDAG):
         )
 
 
+def _mixed_label_nfa() -> NFA:
+    """Tuple states mixing int, bool, float, str and None, some nested,
+    over symbols of several types."""
+    states = [
+        (0, True, 1.5, "a", None),
+        (1, False, -0.0, "é"),
+        ((2, True), (None, 2.0)),
+        (3.0, (False, ("b", 0))),
+        (True, 1),
+    ]
+    alphabet = [True, 0, 2.5, "x", (1, None)]
+    transitions = [
+        (source, symbol, states[(index + offset) % len(states)])
+        for index, source in enumerate(states)
+        for offset, symbol in enumerate(alphabet)
+        if offset % 2 == index % 2 or offset == 4
+    ]
+    return NFA(states, alphabet, transitions, states[0], states[2:])
+
+
 class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("seed", range(8))
     def test_random_ufa_round_trip(self, seed):
@@ -189,6 +211,43 @@ class TestSnapshotRoundTrip:
             assert [kernel.sample_word(a) for _ in range(5)] == [
                 restored.sample_word(b) for _ in range(5)
             ]
+
+    @pytest.mark.parametrize("restore", ["copy", "mmap"])
+    def test_labels_keep_their_exact_types(self, restore, tmp_path):
+        """``1`` for ``True`` (or ``0`` for ``-0.0``) passes an ``==``
+        check, so compare the ``repr`` of every restored label."""
+        mixed = _mixed_label_nfa()
+        plain = NFA(
+            ["p", "q"], mixed.alphabet,
+            [("p", symbol, "q") for symbol in mixed.alphabet]
+            + [("q", symbol, "p") for symbol in mixed.alphabet],
+            "p", ["p", "q"],
+        )
+        # (1, 2) labels layer 0 and the equal (True, 2) layers 2 and 4.
+        aliased = NFA(
+            [(1, 2), "x"], ["a"],
+            [((1, 2), "a", "x"), ("x", "a", (True, 2))],
+            (1, 2), [(1, 2)],
+        )
+        kernels = [
+            compile_nfa(mixed, 5, trimmed=True),
+            compile_nfa(mixed, 5, trimmed=False),
+            lower_plan(Product(mixed, plain), 5, trimmed=True),
+            compile_nfa(aliased, 4, trimmed=True),
+        ]
+        for index, kernel in enumerate(kernels):
+            kernel.backward_counts()
+            data = kernel_to_bytes(kernel)
+            if restore == "copy":
+                restored = kernel_from_bytes(data)
+            else:
+                path = tmp_path / f"kernel{index}.kern"
+                path.write_bytes(data)
+                restored = kernel_from_mmap(path)
+            assert repr(restored.symbols) == repr(kernel.symbols)
+            for t in range(kernel.n + 1):
+                assert repr(restored.layer_states(t)) == repr(kernel.layer_states(t))
+            assert kernel_to_bytes(restored) == data
 
     def test_bad_magic_rejected(self):
         with pytest.raises(SnapshotError):
@@ -381,6 +440,43 @@ class TestWitnessSetStoreWiring:
         # came from the snapshot, so the dag/stripped artifacts were
         # never built.
         assert "dag" not in warm._cache and "stripped" not in warm._cache
+
+    @pytest.mark.parametrize("kind", ["nfa", "intersection"])
+    def test_warm_restart_does_no_automaton_work(self, tmp_path, kind):
+        """A restart that finds its kernel in the store answers from it:
+        the automaton is fingerprinted, never stripped, and its
+        transition indexes are never built."""
+        def document(seed):
+            nfa = random_ufa(24, rng=seed, completeness=0.9, ensure_nonempty_length=12)
+            return json.loads(nfa_to_json(nfa))
+
+        if kind == "nfa":
+            spec = {"kind": "nfa", "nfa": document(SEED), "n": 12}
+        else:
+            spec = {
+                "kind": "intersection",
+                "left": {"kind": "nfa", "nfa": document(SEED)},
+                "right": {"kind": "nfa", "nfa": document(SEED + 1)},
+                "n": 12,
+            }
+        root = tmp_path / "kernels"
+        cold = witness_set_from_spec(spec, store=KernelStore(root))
+        answers = (cold.count(), cold.sample_batch(20, rng=5, use_substreams=True))
+        assert answers[0] > 0
+
+        store = KernelStore(root, mmap=True)
+        warm = witness_set_from_spec(spec, store=store)
+        assert warm.count() == answers[0]
+        assert warm.sample_batch(20, rng=5, use_substreams=True) == answers[1]
+        assert store.stats.hits == 1 and store.stats.misses == 0
+        assert "stripped" not in warm.stats.misses
+        automata = [warm.nfa] if warm.plan is None else [
+            warm.plan.left.nfa, warm.plan.right.nfa
+        ]
+        for nfa in automata:
+            for index_slot in (NFA._delta, NFA._rdelta):
+                with pytest.raises(AttributeError):
+                    index_slot.__get__(nfa, NFA)
 
     def test_ambiguity_certificate_persisted(self, store):
         nfa = random_ufa(20, rng=SEED, completeness=0.9, ensure_nonempty_length=10)
