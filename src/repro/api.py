@@ -16,6 +16,11 @@ pipeline as a single query object:
   kernel, so only the forward-reachable (and backward-useful) product
   fragment is ever allocated — ``ws.describe()["lowering"]`` shows the
   cross-product blow-up avoided;
+* every witness set holds one source plan — its plan, or else its
+  stripped automaton as an :class:`~repro.core.plan.Atom` — that its
+  kernels are lowered from (:func:`~repro.core.plan.lower_plan`), its
+  ambiguity certificate walks and ``contains`` simulates; ``nonempty``
+  reads the trimmed kernel every sampler uses next;
 * all shared preprocessing (ε-strip + trim, the ambiguity check, the
   pruned unrolling compiled into the array kernel, the FPRAS sketch) is
   computed lazily **exactly once** and reused by every subsequent
@@ -67,11 +72,10 @@ from repro.core.enumeration import (
 )
 from repro.core.exact import count_words_exact, length_spectrum
 from repro.core.fpras import FprasParameters, FprasState
-from repro.core.kernel import CompiledDAG, compile_nfa
-from repro.core.plan import Plan, Product, as_plan, lower_plan
+from repro.core.kernel import CompiledDAG
+from repro.core.plan import Atom, Plan, Product, as_plan, lower_plan
 from repro.core.plvug import DEFAULT_ATTEMPTS_PER_CALL
 from repro.core.relations import AutomatonBackedRelation, CompiledInstance
-from repro.core.unroll import accepted_word_exists
 from repro.errors import (
     EmptyWitnessSetError,
     GenerationFailedError,
@@ -250,12 +254,30 @@ class WitnessSet:
         On a plan-backed witness set this **materializes** the plan's
         reachable fragment (the eager product cost the lazy pipeline
         otherwise avoids); only the ambiguous-instance fallbacks (FPRAS,
-        subset counting, polynomial-delay enumeration) and
-        :meth:`contains` on relation-free sets ever need it.
+        subset counting, polynomial-delay enumeration) ever need it.  On
+        an NFA-backed set it is also the source plan's automaton.
         """
         if self.plan is not None:
             return self._cached("stripped", lambda: self.plan.to_nfa().trim())
         return self._cached("stripped", lambda: self.nfa.without_epsilon().trim())
+
+    @property
+    def _source(self) -> Plan:
+        """The one source plan: :attr:`plan`, or else the stripped
+        automaton as its :class:`~repro.core.plan.Atom`.
+
+        Built on first use, so a warm restart whose kernels come off the
+        store never strips the automaton.
+        """
+        if self.plan is not None:
+            return self.plan
+        return self._cached("source", lambda: Atom(self.stripped))
+
+    @property
+    def _adjacency(self) -> dict:
+        """One successor memo shared by every lowering of the source
+        (trimmed + reachable kernels explore the same forward states)."""
+        return self._cached("adjacency", dict)
 
     def fingerprint(self) -> str:
         """Stable content fingerprint of the language source.
@@ -296,9 +318,9 @@ class WitnessSet:
     def is_unambiguous(self) -> bool:
         """The class-membership certificate (RelationUL vs RelationNL).
 
-        Plan-backed sets run the self-product check on the lazy
-        interface — only the forward-reachable pairs of the product's
-        self-product are ever expanded, never the operand automaton.
+        The self-product check runs on the source plan's lazy interface
+        — only the forward-reachable pairs of its self-product are ever
+        expanded, and a composite plan's operands are never materialized.
         With a kernel store attached, the certificate is persisted per
         fingerprint (it is a property of the source, not of ``n``), so
         warm processes skip the self-product walk too.
@@ -310,9 +332,7 @@ class WitnessSet:
                 meta = store.get_meta(fp)
                 if meta is not None and "unambiguous" in meta:
                     return meta["unambiguous"]
-            value = is_unambiguous(
-                self.plan if self.plan is not None else self.stripped
-            )
+            value = is_unambiguous(self._source)
             if store is not None:
                 store.put_meta(fp, {"unambiguous": value})
             return value
@@ -321,25 +341,13 @@ class WitnessSet:
 
     @property
     def nonempty(self) -> bool:
-        """Exact emptiness test (a reachability check, Lemma 15)."""
+        """Exact emptiness test on the Lemma 15 pruned :attr:`kernel`.
 
-        def build() -> bool:
-            if self.plan is not None or "kernel" in self._cache:
-                return not self.kernel.is_empty
-            store, fp = self._store_key()
-            if store is not None:
-                # A warm store answers from the snapshot (and primes the
-                # kernel cache); a cold miss falls through to the cheap
-                # reachability walk rather than forcing a full compile.
-                restored = store.get(
-                    fp, self.n, True, source_resolver=self._source_resolver()
-                )
-                if restored is not None:
-                    self._cache.setdefault("kernel", restored)
-                    return not restored.is_empty
-            return accepted_word_exists(self.stripped, self.n)
-
-        return self._cached("nonempty", build)
+        That kernel is the one every sampler reads next, and with a
+        store attached it is restored from (or persisted to) the store
+        like any other query's kernel.
+        """
+        return self._cached("nonempty", lambda: not self.kernel.is_empty)
 
     @property
     def dag(self) -> CompiledDAG:
@@ -353,21 +361,15 @@ class WitnessSet:
 
         One integer-indexed lowering (CSR edge arrays plus packed
         run-count tables), shared by ``count`` / ``sample`` /
-        ``enumerate``; built exactly once per witness set.  Plan-backed
-        sets lower the plan's forward-reachable, backward-useful
-        fragment directly (:func:`repro.core.plan.lower_plan`) — no
-        intermediate NFA; the lowering's
+        ``enumerate``; built exactly once per witness set by lowering
+        the source plan (:func:`repro.core.plan.lower_plan`).  A
+        composite plan lowers its forward-reachable, backward-useful
+        fragment directly — no intermediate NFA — and its
         :class:`~repro.core.plan.LoweringStats` are surfaced by
         :meth:`describe`.  With a kernel store attached, a snapshot of
         the same instance (any process) is restored instead of lowering.
         """
         return self._cached("kernel", lambda: self._load_or_build_kernel(trimmed=True))
-
-    @property
-    def _plan_adjacency(self) -> dict:
-        """One successor memo shared by every lowering of this set's plan
-        (trimmed + reachable kernels explore the same forward states)."""
-        return self._cached("plan_adjacency", dict)
 
     @property
     def reachable_kernel(self) -> CompiledDAG:
@@ -388,19 +390,9 @@ class WitnessSet:
     def _source_resolver(self):
         """Zero-argument resolver a snapshot-restored kernel uses to reach
         the original transitions (only if it is later extended)."""
-        if self.plan is not None:
-            from repro.core.plan import _MemoSource
+        from repro.core.plan import _MemoSource
 
-            return lambda: _MemoSource(self.plan, self._plan_adjacency)
-        return lambda: self.stripped
-
-    def _build_kernel(self, trimmed: bool) -> CompiledDAG:
-        """The cold path: lower the plan / compile the automaton."""
-        if self.plan is not None:
-            return lower_plan(
-                self.plan, self.n, trimmed=trimmed, adjacency=self._plan_adjacency
-            )
-        return compile_nfa(self.stripped, self.n, trimmed)
+        return lambda: _MemoSource(self._source, self._adjacency)
 
     def _load_or_build_kernel(self, trimmed: bool) -> CompiledDAG:
         """Restore the kernel from the store, or build it and persist it.
@@ -418,11 +410,13 @@ class WitnessSet:
             if restored is not None:
                 restored.accel = self._accel
                 return restored
-        # Lowering (plan/NFA → compiled kernel) is the expensive build
+        # Lowering (source plan → compiled kernel) is the expensive build
         # step a kernel store exists to amortize; its wall time feeds the
         # per-stage histogram, the per-request trace, and describe().
         started = time.perf_counter()
-        kernel = self._build_kernel(trimmed)
+        kernel = lower_plan(
+            self._source, self.n, trimmed=trimmed, adjacency=self._adjacency
+        )
         elapsed = time.perf_counter() - started
         self._lowering_seconds += elapsed
         add_stage(metric_names.STAGE_LOWERING, elapsed)
@@ -724,16 +718,13 @@ class WitnessSet:
         return self.relation.encode_witness(self.instance, witness)
 
     def contains(self, witness) -> bool:
-        """Membership ``witness ∈ W`` (the p-relation check).
-
-        Plan-backed sets answer by on-the-fly subset simulation over the
-        plan — no materialization."""
+        """Membership ``witness ∈ W`` (the p-relation check), by
+        on-the-fly subset simulation over the source plan — no
+        materialization."""
         w = self.encode(witness)
         if len(w) != self.n:
             return False
-        if self.plan is not None:
-            return self.plan.accepts(w)
-        return self.stripped.accepts(w)
+        return self._source.accepts(w)
 
     def describe(self) -> dict:
         """Automaton facts for reports and ``repro inspect``.

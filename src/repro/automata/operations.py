@@ -4,30 +4,15 @@ These constructions follow the textbook recipes with fresh-state labelling
 that keeps results well-formed regardless of source state names: every
 operation relabels operands into disjoint namespaces before combining.
 
-The product (intersection) construction here is also the engine behind the
-graph-database RPQ evaluation of Section 4.2 (product of a graph with a
-query automaton) and the unambiguity test (product of an automaton with
-itself) — all three now share one lazy pair exploration,
-:func:`product_transitions`, which works over anything exposing the
-on-the-fly successor interface (concrete :class:`NFA`\\ s or the symbolic
-plans of :mod:`repro.core.plan`).
-
-Two construction styles coexist:
-
-* the **eager** functions below keep their materialize-an-NFA API, but
-  the binary products now *trim as they build* — the pair frontier is
-  bounded by per-operand usefulness, so even the legacy path stops
-  allocating the full cross product before ``trim()``;
-* each combinator has a **plan-returning** sibling (``union_plan``,
-  ``intersection_plan``, ...) that builds a symbolic
-  :class:`~repro.core.plan.Plan` node instead, for callers that lower
-  straight into the :class:`~repro.core.kernel.CompiledDAG` kernel and
-  never want the intermediate automaton.
+There is one product construction, the lazy
+:class:`repro.core.plan.Product` node: :func:`intersection` is its
+materialized, trimmed rendering.  Callers that lower straight into the
+:class:`~repro.core.kernel.CompiledDAG` kernel build the plan nodes of
+:mod:`repro.core.plan` (``Product``, ``Union``, ``Concat``, ``Star``,
+``Relabel``) directly and never materialize the intermediate automaton.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.automata.dfa import determinize, minimize
 from repro.automata.nfa import EPSILON, NFA
@@ -117,128 +102,18 @@ def repeat(nfa: NFA, low: int, high: int | None) -> NFA:
     return result
 
 
-def product_transitions(
-    a,
-    b,
-    a_keep: frozenset | None = None,
-    b_keep: frozenset | None = None,
-) -> Iterator[tuple]:
-    """Lazily explore the synchronous product of two automaton sources.
-
-    Yields ``((sa, sb), symbol, (ta, tb))`` transition triples by forward
-    BFS from ``(a.initial, b.initial)``, expanding each pair exactly
-    once.  ``a``/``b`` are anything exposing the on-the-fly successor
-    interface — ``initial``, ``out_edges(state)`` and
-    ``successors(state, symbol)`` — i.e. concrete :class:`NFA`\\ s or
-    :class:`repro.core.plan.Plan` nodes.
-
-    ``a_keep`` / ``b_keep`` bound the frontier: a successor pair is only
-    expanded (or emitted) when each component lies in its keep-set.
-    Passing the operands' co-reachable state sets turns the exploration
-    into a trim-as-you-build product — pairs whose components cannot
-    reach a final state are pruned *before* they are materialized, which
-    is a necessary condition for product usefulness.
-
-    This single exploration is shared by the eager :func:`intersection`,
-    and — instantiated with ``b = a`` — by the self-product ambiguity
-    check of :mod:`repro.automata.unambiguous`.
-    """
-    start = (a.initial, b.initial)
-    seen = {start}
-    stack = [start]
-    while stack:
-        state_a, state_b = stack.pop()
-        for symbol, target_a in a.out_edges(state_a):
-            if a_keep is not None and target_a not in a_keep:
-                continue
-            targets_b = b.successors(state_b, symbol)
-            if not targets_b:
-                continue
-            for target_b in targets_b:
-                if b_keep is not None and target_b not in b_keep:
-                    continue
-                pair = (target_a, target_b)
-                yield (state_a, state_b), symbol, pair
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-
-
 def intersection(left: NFA, right: NFA) -> NFA:
     """Product NFA accepting L(left) ∩ L(right).
 
-    Operands are ε-eliminated first so the synchronous product is sound.
-    The exploration trims as it builds: only pairs both of whose
-    components are co-reachable in their operand are ever expanded, so
-    the intermediate materialization is bounded by the useful-component
-    pairs rather than the full cross product; the final ``trim()`` then
-    removes the (now few) pairs that are not *jointly* useful.  The
-    resulting automaton is identical to the classical
+    The materialized, trimmed rendering of the lazy
+    :class:`~repro.core.plan.Product` node: operands are ε-eliminated
+    (as plan atoms), states are ``(left, right)`` pairs, and the result
+    keeps the useful pairs over the shared alphabet — the classical
     explore-everything-then-trim construction.
-    """
-    a = left.without_epsilon()
-    b = right.without_epsilon()
-    alphabet = a.alphabet & b.alphabet
-    initial = (a.initial, b.initial)
-    states = {initial}
-    transitions: list[tuple] = []
-    for source, symbol, pair in product_transitions(
-        a, b, a_keep=a.coreachable_states(), b_keep=b.coreachable_states()
-    ):
-        transitions.append((source, symbol, pair))
-        states.add(pair)
-    finals = {
-        (state_a, state_b)
-        for (state_a, state_b) in states
-        if state_a in a.finals and state_b in b.finals
-    }
-    return NFA(states, alphabet, transitions, initial, finals).trim()
-
-
-# ----------------------------------------------------------------------
-# Plan-returning variants: symbolic nodes instead of materialized NFAs
-# ----------------------------------------------------------------------
-
-
-def intersection_plan(left, right):
-    """L(left) ∩ L(right) as a lazy :class:`~repro.core.plan.Product` node.
-
-    Nothing is materialized: the product states exist only while a
-    lowering (:func:`repro.core.plan.lower_plan`) or a facade query
-    (:meth:`repro.api.WitnessSet.from_plan`) walks them.  Operands may be
-    NFAs, regex strings or other plans.
     """
     from repro.core.plan import Product
 
-    return Product(left, right)
-
-
-def union_plan(left, right):
-    """L(left) ∪ L(right) as a lazy plan node (on-the-fly ε-fan-out)."""
-    from repro.core.plan import Union
-
-    return Union(left, right)
-
-
-def concatenate_plan(left, right):
-    """L(left)·L(right) as a lazy plan node (on-the-fly ε-bridge)."""
-    from repro.core.plan import Concat
-
-    return Concat(left, right)
-
-
-def star_plan(operand):
-    """L(operand)* as a lazy plan node (on-the-fly loop-back)."""
-    from repro.core.plan import Star
-
-    return Star(operand)
-
-
-def relabel_plan(operand, mapping):
-    """Symbol relabelling as a lazy plan node (per-edge mapping)."""
-    from repro.core.plan import Relabel
-
-    return Relabel(operand, mapping)
+    return Product(left, right).to_nfa().trim()
 
 
 def difference(left: NFA, right: NFA) -> NFA:

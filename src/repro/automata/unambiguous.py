@@ -7,18 +7,17 @@ the constant-delay enumerator and the exact uniform sampler of Section 5.3
 are only correct on UFAs.
 
 The test is the classical *self-product* criterion: build the product of
-the (trimmed) automaton with itself; the automaton is ambiguous iff some
-useful product state ``(p, q)`` with ``p ≠ q`` lies on an accepting product
+the automaton with itself; the automaton is ambiguous iff some useful
+product state ``(p, q)`` with ``p ≠ q`` lies on an accepting product
 path.  That runs in O(m²·|Σ|) — polynomial, as required for a class
 membership check.
 
-The product pairs are explored through the shared lazy pair walk
-:func:`repro.automata.operations.product_transitions`, so the check
-accepts either a concrete :class:`NFA` (ε-eliminated and trimmed first)
-or any source exposing the on-the-fly successor interface — in
-particular the symbolic plans of :mod:`repro.core.plan`, whose product
-states are never materialized beyond the pairs the walk actually
-reaches.
+There is one walk: every source — a concrete :class:`NFA` (as its
+:class:`~repro.core.plan.Atom`) or a symbolic plan of
+:mod:`repro.core.plan` — is wrapped by
+:func:`~repro.core.plan.memoized_source` and its self-product pairs are
+explored lazily, so no product state exists beyond the pairs the walk
+actually reaches.
 
 Also provided:
 
@@ -41,43 +40,39 @@ from repro.errors import AmbiguityError
 def is_unambiguous(source) -> bool:
     """Decide unambiguity in O(m²·|Σ|) via the self-product construction.
 
-    ``source`` is an :class:`NFA` — ε-eliminated and trimmed first, since
-    ambiguity is a property of *useful* runs and dead branches must not
-    trigger false positives — or any lazy automaton source (a
-    :class:`repro.core.plan.Plan`), checked directly on the on-the-fly
-    successor interface without materializing the operand.  Only the
-    forward-reachable pairs of the self-product ever exist; usefulness
-    of a divergent pair is decided by the backward sweep below, so the
-    explicit pre-trim is unnecessary for correctness (it only shrinks the
-    NFA walk).
+    ``source`` is an :class:`NFA` (ε-eliminated as its
+    :class:`~repro.core.plan.Atom`) or any lazy automaton source (a
+    :class:`repro.core.plan.Plan`); either way it is checked on the
+    memoized on-the-fly successor interface.  Only the forward-reachable
+    pairs of the self-product ever exist, and usefulness of a divergent
+    pair is decided by the backward sweep below, so dead branches never
+    trigger a false positive and no pre-trim is needed.
     """
-    if isinstance(source, NFA):
-        source = source.without_epsilon().trim()
-        if not source.finals:
-            return True  # empty language: vacuously unambiguous
-    else:
-        # Lazy sources recompute successor blocks per call; the pair walk
-        # revisits each component state many times, so memoize once here.
-        from repro.core.plan import memoized_source
+    # The pair walk revisits each component state many times, so its
+    # successor blocks are memoized once here.
+    from repro.core.plan import memoized_source
 
-        source = memoized_source(source)
+    source = memoized_source(source)
 
-    # One shared lazy pair walk streams the self-product transitions:
-    # record the reached pairs, the off-diagonal ("divergent") ones, and
-    # the reverse adjacency the backward sweep needs — a single pass
-    # instead of the former explore-then-re-explore duplicate of the
-    # operations.intersection product loop.
-    from repro.automata.operations import product_transitions
-
+    # One forward DFS over the self-product, expanding each pair once,
+    # records the reached pairs, the off-diagonal ("divergent") ones, and
+    # the reverse adjacency the backward sweep needs.
     start = (source.initial, source.initial)
     seen = {start}
+    stack = [start]
     diagonal_escaped: set = set()
     reverse: dict[tuple, set] = {}
-    for predecessor, _, pair in product_transitions(source, source):
-        seen.add(pair)
-        if pair[0] != pair[1]:
-            diagonal_escaped.add(pair)
-        reverse.setdefault(pair, set()).add(predecessor)
+    while stack:
+        pair = stack.pop()
+        for symbol, target_a in source.out_edges(pair[0]):
+            for target_b in source.successors(pair[1], symbol):
+                target = (target_a, target_b)
+                reverse.setdefault(target, set()).add(pair)
+                if target not in seen:
+                    seen.add(target)
+                    stack.append(target)
+                    if target_a != target_b:
+                        diagonal_escaped.add(target)
 
     if not diagonal_escaped:
         return True

@@ -36,12 +36,12 @@ length-spectrum sweeps from quadratic into linear total work.
 
 The kernel is *source-generic*: construction only reads the NFA
 interface (``initial`` / ``finals`` membership / ``out_edges`` /
-``alphabet`` / ``has_epsilon``), so the lazy plan lowering of
-:mod:`repro.core.plan` hands it a memoized symbolic source instead of a
-materialized automaton and the same layer and CSR code serves both.
-Plan-lowered kernels carry their :class:`~repro.core.plan.
-LoweringStats` in :attr:`CompiledDAG.lowering` (``None`` for kernels
-compiled from concrete NFAs).
+``alphabet`` / ``has_epsilon``).  Every kernel is built by the one
+lowering, :func:`repro.core.plan.lower_plan`, which hands it a memoized
+plan source; a concrete automaton is lowered as its
+:class:`~repro.core.plan.Atom` (:func:`compile_nfa`).  Composite plans
+carry their :class:`~repro.core.plan.LoweringStats` in
+:attr:`CompiledDAG.lowering`; it is ``None`` for ``Atom`` roots.
 """
 
 from __future__ import annotations
@@ -933,23 +933,26 @@ class CompiledDAG:
 
 
 def compile_nfa(nfa: NFA, n: int, trimmed: bool = True) -> CompiledDAG:
-    """Compile ``nfa``'s length-``n`` unrolling straight to the kernel.
+    """Lower ``nfa``'s length-``n`` unrolling to the kernel, as its ``Atom``.
 
     ``trimmed=True`` gives the Lemma 15 pruning (count / sample /
     enumerate); ``trimmed=False`` the reachable-only FPRAS / spectrum
     view, which supports :meth:`CompiledDAG.extend_to`.
     """
-    return CompiledDAG(nfa.without_epsilon(), n, trimmed)
+    from repro.core.plan import lower_plan
+
+    return lower_plan(nfa, n, trimmed)
 
 
 def kernel_matches_nfa(kernel: CompiledDAG, nfa: NFA) -> bool:
     """Does ``kernel`` plausibly describe the same language as ``nfa``?
 
-    NFA-compiled kernels compare exactly.  Plan-lowered kernels carry a
-    symbolic source whose language cannot be compared without the
-    materialization the plan route avoids, so they are only *sanity*
-    checked on the cheap invariants a matching facade pairing always
-    satisfies — same initial state and same alphabet (a plan's
+    Kernels lowered from an automaton (an ``Atom`` root) compare it
+    exactly.  Composite plan kernels carry a symbolic source whose
+    language cannot be compared without the materialization the plan
+    route avoids, so they — and snapshot-restored kernels — are only
+    *sanity* checked on the cheap invariants a matching facade pairing
+    always satisfies — same initial state and same alphabet (a plan's
     :meth:`~repro.core.plan.Plan.to_nfa` rendering preserves both).
     That catches accidental cross-alphabet mixups but NOT two unrelated
     plans sharing both labels; callers handing a plan-lowered kernel to
@@ -957,7 +960,12 @@ def kernel_matches_nfa(kernel: CompiledDAG, nfa: NFA) -> bool:
     ``uniform_run_sampler(kernel=)``) are responsible for the pairing.
     The facade always pairs a witness set with its own cached kernels.
     """
+    from repro.core.plan import Atom
+
     source = kernel.nfa
+    plan = getattr(source, "plan", None)
+    if isinstance(plan, Atom):
+        return plan.nfa == nfa
     if isinstance(source, NFA):
         return source == nfa
     return source.initial == nfa.initial and source.alphabet == nfa.alphabet

@@ -17,17 +17,20 @@ interface — ``initial`` / ``out_edges(state)`` / ``successors(state,
 symbol)`` / ``finals`` — instead of a materialized transition set.
 Composite states exist only while the lowering's frontier touches them.
 
-:func:`lower_plan` is the lowering pass: it memoizes each plan state's
-successor block exactly once, unrolls the memo with the same layer
-function every kernel uses (:func:`repro.core.kernel.unroll_layers`:
-forward reach, plus the Lemma 15 pruning in trimmed mode), and writes
-the result *directly* into the integer-indexed CSR arrays of
+:func:`lower_plan` is the one lowering: every kernel is built by it,
+and a concrete automaton is lowered as its :class:`Atom`
+(:func:`repro.core.kernel.compile_nfa` is that call).  It memoizes each
+plan state's successor block exactly once, unrolls the memo with the
+one layer function (:func:`repro.core.kernel.unroll_layers`: forward
+reach, plus the Lemma 15 pruning in trimmed mode), and writes the
+result *directly* into the integer-indexed CSR arrays of
 :class:`~repro.core.kernel.CompiledDAG` — no intermediate NFA object
-for composite inputs.  The lowering records a
+for composite inputs.  A composite lowering records a
 :class:`LoweringStats` so callers (``WitnessSet.describe()``, the
 ``bench_lazy_product`` gate) can verify that no more states were ever
 materialized than the exploration reached, and how that compares to the
-nominal cross-product size the eager pipeline would have allocated.
+nominal cross-product size the eager pipeline would have allocated; an
+:class:`Atom` root has no product to report and records none.
 
 Every plan is ε-free by construction: nodes that classically introduce
 ε-transitions (:class:`Union`, :class:`Concat`, :class:`Star`) perform
@@ -37,13 +40,14 @@ materializing unreachable derivative states.
 
 Interoperability: a plan implements enough of the :class:`NFA` read
 interface (``initial`` / ``finals`` membership / ``out_edges`` /
-``successors`` / ``alphabet`` / ``has_epsilon``) that the kernel, the
-lazy self-product unambiguity check
-(:func:`repro.automata.unambiguous.is_unambiguous`) and the shared
-product exploration of :mod:`repro.automata.operations` consume NFAs and
-plans through one code path.  :meth:`Plan.to_nfa` is the eager escape
-hatch for algorithms that genuinely need a materialized automaton (the
-FPRAS fallback on ambiguous instances).
+``successors`` / ``alphabet`` / ``has_epsilon``) that the kernel and
+the lazy self-product unambiguity check
+(:func:`repro.automata.unambiguous.is_unambiguous`) read every source
+through one code path.  :meth:`Plan.to_nfa` is the eager escape hatch
+for algorithms that genuinely need a materialized automaton (the FPRAS
+fallback on ambiguous instances, and the eager
+:func:`repro.automata.operations.intersection`, which is
+``Product(left, right).to_nfa().trim()``).
 """
 
 from __future__ import annotations
@@ -187,14 +191,16 @@ class Plan:
         return frozenset(t for s, t in self.out_edges(state) if s == symbol)
 
     def accepts(self, input_word: Iterable[Symbol]) -> bool:
-        """On-the-fly subset simulation — no materialization."""
+        """On-the-fly subset simulation — no materialization.
+
+        Steps with :meth:`successors`, so an :class:`Atom` answers from
+        its automaton's transition index, as :meth:`NFA.accepts` does.
+        """
         current: set[State] = {self.initial}
         for symbol in input_word:
             nxt: set[State] = set()
             for state in current:
-                for edge_symbol, target in self.out_edges(state):
-                    if edge_symbol == symbol:
-                        nxt.add(target)
+                nxt |= self.successors(state, symbol)
             if not nxt:
                 return False
             current = nxt
@@ -287,10 +293,10 @@ class Product(Plan):
     """Synchronous product / intersection: states are ``(left, right)``
     pairs, expanded only when the lowering frontier reaches them.
 
-    State naming matches the eager
-    :func:`repro.automata.operations.intersection`, so the lazy lowering
-    and the eager product compile to bit-identical kernels (the
-    equivalence tests rely on this for seeded sampling comparisons).
+    The eager :func:`repro.automata.operations.intersection` is this
+    node's trimmed :meth:`~Plan.to_nfa`, so the lazy lowering and the
+    eager product compile to bit-identical kernels (the equivalence
+    tests rely on this for seeded sampling comparisons).
     """
 
     __slots__ = ("left", "right")
@@ -718,19 +724,22 @@ class _MemoSource:
     memo; states first touched later (``CompiledDAG.extend_to`` growing a
     reachable-mode kernel) fall through to the plan and are memoized
     then.  This is what lets one CSR-construction code path serve both
-    concrete NFAs and symbolic plans.
+    concrete NFAs and symbolic plans.  :meth:`successors` answers from a
+    per-state symbol index, built once from the memoized block.
     """
 
-    __slots__ = ("plan", "adjacency")
+    __slots__ = ("plan", "adjacency", "_by_symbol")
 
     plan: Plan
     adjacency: _Adjacency
+    _by_symbol: dict[State, dict[Symbol, frozenset[State]]]
 
     has_epsilon = False
 
     def __init__(self, plan: Plan, adjacency: _Adjacency) -> None:
         self.plan = plan
         self.adjacency = adjacency
+        self._by_symbol = {}
 
     @property
     def initial(self) -> State:
@@ -752,7 +761,14 @@ class _MemoSource:
         return edges
 
     def successors(self, state: State, symbol: Symbol) -> frozenset[State]:
-        return frozenset(t for s, t in self.out_edges(state) if s == symbol)
+        index = self._by_symbol.get(state)
+        if index is None:
+            grouped: dict[Symbol, set[State]] = {}
+            for edge_symbol, target in self.out_edges(state):
+                grouped.setdefault(edge_symbol, set()).add(target)
+            index = {s: frozenset(targets) for s, targets in grouped.items()}
+            self._by_symbol[state] = index
+        return index.get(symbol, frozenset())
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
         return f"<MemoSource {self.plan.describe()} states={len(self.adjacency)}>"
@@ -784,10 +800,12 @@ def lower_plan(
     materialized NFA.  The forward layers also feed the stats.
 
     The returned kernel is bit-identical (states, edge order, symbols) to
-    compiling the eager product NFA of the same composition, so exact
-    counts, spectra and seeded sampling streams agree with the eager
-    pipeline; only the construction cost differs.  ``kernel.lowering``
-    carries the :class:`LoweringStats`.
+    lowering the eager product NFA of the same composition as an
+    :class:`Atom`, so exact counts, spectra and seeded sampling streams
+    agree with the eager pipeline; only the construction cost differs.
+    ``kernel.lowering`` carries the :class:`LoweringStats` of a composite
+    plan, and stays ``None`` for an :class:`Atom` root (an automaton's
+    snapshot header keeps ``"lowering": null``).
 
     ``adjacency`` optionally supplies a successor memo shared across
     several lowerings of the *same plan* (the facade passes one dict for
@@ -800,9 +818,11 @@ def lower_plan(
         adjacency = {}
     source = _MemoSource(plan, adjacency)
     forward, live = unroll_layers(source, n, trimmed)
+    kernel = CompiledDAG(source, n, trimmed, layers=live)
+    if isinstance(plan, Atom):
+        return kernel
     reached: set[State] = set()
     reached.update(*forward)
-    kernel = CompiledDAG(source, n, trimmed, layers=live)
     # Count against `reached` (not the raw memo) so a shared adjacency
     # dict from an earlier lowering never inflates this lowering's stats.
     explored = [state for state in reached if state in adjacency]

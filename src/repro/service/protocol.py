@@ -48,7 +48,10 @@ Reproducibility contract: every ``sample`` / ``sample_batch`` draw uses
 deterministic per-draw substreams of the request seed
 (:func:`repro.utils.rng.spawn_seq`), so a request's results depend only
 on ``(spec, seed, k)`` — never on which worker serves it, nor on which
-other requests were coalesced into the same kernel pass.
+other requests were coalesced into the same kernel pass.  An ambiguous
+spec's draws also walk the resident set's FPRAS sketch, which every
+worker builds from the same :data:`RESIDENT_SEED`; a ``count`` without
+a ``seed`` is answered as with ``"seed": RESIDENT_SEED``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,13 @@ SERVICE_OPS = frozenset(
 #: page is one cheap kernel walk burst, big enough that paging overhead
 #: (one request round-trip per page) stays negligible.
 DEFAULT_ENUM_CHUNK = 500
+
+#: The seed of every resident witness set, and of every ``count``
+#: request that brings no ``seed``.  An ambiguous spec's Las Vegas draws
+#: walk the set's shared FPRAS sketch, so a fixed seed makes them, and
+#: unseeded estimates, depend on the request alone — not on which
+#: worker, restart or transport built the resident set.
+RESIDENT_SEED = 0
 
 
 class ProtocolError(ReproError):
@@ -390,7 +400,9 @@ class WitnessSetCache:
             return ws
         self.misses += 1
         ws = witness_set_from_spec(
-            spec, store=self.store if self.store is not None else False
+            spec,
+            store=self.store if self.store is not None else False,
+            rng=RESIDENT_SEED,
         )
         self._cache[key] = ws
         while len(self._cache) > self.max_resident:
@@ -417,10 +429,15 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
 
         if _backends.get(backend).exact:
             return ws.count(backend, **options)
+        # An unseeded estimate is seeded with RESIDENT_SEED, so it never
+        # draws on the resident set's own stream: that stream seeds the
+        # sketch Las Vegas draws walk, which then does not depend on
+        # which requests ran first.
+        seed = request.get("seed")
         return ws.count(
             backend,
             delta=request.get("delta"),
-            rng=request.get("seed"),
+            rng=RESIDENT_SEED if seed is None else seed,
             **options,
         )
     if op in SAMPLE_OPS:
@@ -632,6 +649,7 @@ __all__ = [
     "CONTROL_OPS",
     "CONNECTION_OPS",
     "DEFAULT_ENUM_CHUNK",
+    "RESIDENT_SEED",
     "paging_rounds",
     "spec_key",
     "witness_set_from_spec",

@@ -24,6 +24,7 @@ from repro.automata.nfa import NFA, word
 from repro.automata.random_gen import random_nfa
 from repro.automata.regex import compile_regex
 from repro.automata.unambiguous import is_unambiguous
+from repro.core.kernel import compile_nfa
 from repro.core.plan import (
     Atom,
     Concat,
@@ -112,13 +113,6 @@ class TestPlanNodes:
         assert not plan.accepts(word("baba"))  # not in a(a|b)*
         assert not plan.accepts(word("aa"))  # not in (ab|ba)*
 
-    def test_plan_returning_operation_variants(self, left, right):
-        assert isinstance(ops.intersection_plan(left, right), Product)
-        assert isinstance(ops.union_plan(left, right), Union)
-        assert isinstance(ops.concatenate_plan(left, right), Concat)
-        assert isinstance(ops.star_plan(left), Star)
-        assert isinstance(ops.relabel_plan(left, {"a": "x", "b": "y"}), Relabel)
-
     def test_nested_composition_lowers(self, left, right):
         # (L ∩ R)* ∪ L — three levels of symbolic nesting, one lowering.
         plan = Union(Star(Product(left, right)), Atom(left))
@@ -185,6 +179,36 @@ class TestLowering:
         assert trimmed.nfa.adjacency is reachable.nfa.adjacency
         assert trimmed.lowering.explored_states <= trimmed.lowering.reached_states
         assert reachable.lowering.explored_states <= reachable.lowering.reached_states
+
+    @pytest.mark.parametrize("kind", ["nfa", "regex"])
+    def test_automaton_sources_share_exploration(self, kind):
+        # NFA-backed sets lower through the same memo as plans: the
+        # trimmed and reachable kernels read one successor memo.
+        if kind == "nfa":
+            ws = WitnessSet.from_nfa(compile_regex("(ab|ba)*a?", alphabet=AB), 6)
+        else:
+            ws = WitnessSet.from_regex("(ab|ba)*a?", 6, alphabet="ab")
+        trimmed = ws.kernel
+        reachable = ws.reachable_kernel
+        assert trimmed.nfa.adjacency is reachable.nfa.adjacency
+        assert trimmed.lowering is None and reachable.lowering is None
+
+    @pytest.mark.parametrize("trimmed", [True, False])
+    def test_compile_nfa_is_the_atom_lowering(self, trimmed, rng):
+        # The one lowering: compiling an automaton is lowering its Atom,
+        # byte for byte, and an Atom root records no LoweringStats.
+        automata = [
+            compile_regex("(ab|ba)*(a|b)?", alphabet=AB, method="thompson"),
+            random_nfa(6, density=1.6, rng=rng),
+            compile_regex("a(a|b)*b", alphabet=AB),
+        ]
+        for nfa in automata:
+            compiled = compile_nfa(nfa, 7, trimmed)
+            lowered = lower_plan(Atom(nfa), 7, trimmed)
+            assert compiled.lowering is None and lowered.lowering is None
+            compiled.forward_counts()
+            lowered.forward_counts()
+            assert compiled.to_bytes() == lowered.to_bytes()
 
     def test_direct_constructors_reject_foreign_plan_kernel(self):
         from repro.baselines.montecarlo import uniform_run_sampler

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfa import determinize, minimize
-from repro.automata.nfa import NFA, word
+from repro.automata.nfa import EPSILON, NFA, word
 from repro.automata.operations import intersection, union, words_of_length
 from repro.automata.regex import compile_regex, match_brute_force, parse
 from repro.automata.unambiguous import is_unambiguous
@@ -27,6 +27,39 @@ def small_nfas(draw, max_states: int = 5):
             transitions.extend((source, symbol, target) for target in targets)
     finals = draw(st.lists(st.sampled_from(states), max_size=num_states, unique=True))
     return NFA(states, "01", transitions, 0, finals)
+
+
+@st.composite
+def epsilon_nfas(draw, max_states: int = 4):
+    """Small NFAs over {0,1} with ε-transitions and a dead sink state."""
+    num_states = draw(st.integers(1, max_states))
+    states = list(range(num_states))
+    targets_of = st.lists(st.sampled_from(states + ["dead"]), max_size=2, unique=True)
+    transitions = []
+    for source in states:
+        for symbol in ("0", "1", EPSILON):
+            transitions.extend((source, symbol, target) for target in draw(targets_of))
+    finals = draw(st.lists(st.sampled_from(states), max_size=num_states, unique=True))
+    return NFA(states + ["dead"], "01", transitions, 0, finals)
+
+
+def classical_product(left: NFA, right: NFA) -> NFA:
+    """The textbook intersection: every pair of states of the ε-free
+    operands, every pair of same-symbol transitions, then trim."""
+    a = left.without_epsilon()
+    b = right.without_epsilon()
+    return NFA(
+        [(p, q) for p in a.states for q in b.states],
+        a.alphabet & b.alphabet,
+        [
+            ((p, q), symbol, (p_next, q_next))
+            for p, symbol, p_next in a.transitions
+            for q, other, q_next in b.transitions
+            if symbol == other
+        ],
+        (a.initial, b.initial),
+        [(p, q) for p in a.finals for q in b.finals],
+    ).trim()
 
 
 @st.composite
@@ -79,6 +112,11 @@ class TestAlgebraProperties:
     @settings(max_examples=60, deadline=None)
     def test_intersection_membership(self, a, b, w):
         assert intersection(a, b).accepts(w) == (a.accepts(w) and b.accepts(w))
+
+    @given(epsilon_nfas(), epsilon_nfas())
+    @settings(max_examples=80, deadline=None)
+    def test_intersection_is_the_classical_product(self, a, b):
+        assert intersection(a, b) == classical_product(a, b)
 
     @given(small_nfas(max_states=4))
     @settings(max_examples=30, deadline=None)

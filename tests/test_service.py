@@ -37,7 +37,7 @@ from repro.service import (
     spec_key,
     witness_set_from_spec,
 )
-from repro.service.protocol import render_witness
+from repro.service.protocol import WitnessSetCache, execute_group, render_witness
 from repro.service.snapshot import kernel_from_mmap
 from repro.utils.rng import make_rng, spawn_seq, substreams
 
@@ -478,6 +478,23 @@ class TestWitnessSetStoreWiring:
                 with pytest.raises(AttributeError):
                     index_slot.__get__(nfa, NFA)
 
+    def test_warm_first_sample_reads_the_stored_kernel(self, tmp_path):
+        """A warm NFA-sourced set whose first query draws (no count
+        first) answers from the stored kernel alone: the emptiness test
+        reads the kernel the sampler uses, restored once and run on the
+        set's own backend."""
+        nfa = random_ufa(24, rng=SEED, completeness=0.9, ensure_nonempty_length=12)
+        root = tmp_path / "kernels"
+        cold = WitnessSet.from_nfa(nfa, 12, store=KernelStore(root))
+        drawn = cold.sample_batch(20, rng=5, use_substreams=True)
+
+        store = KernelStore(root, mmap=True)
+        warm = WitnessSet.from_nfa(nfa, 12, store=store, kernel_backend="numpy")
+        assert warm.sample_batch(20, rng=5, use_substreams=True) == drawn
+        assert store.stats.hits == 1 and store.stats.misses == 0
+        assert "stripped" not in warm.stats.misses
+        assert warm.kernel.kernel_backend == warm.describe()["kernel_backend"]
+
     def test_ambiguity_certificate_persisted(self, store):
         nfa = random_ufa(20, rng=SEED, completeness=0.9, ensure_nonempty_length=10)
         assert WitnessSet.from_nfa(nfa, 10, store=store).is_unambiguous
@@ -749,6 +766,22 @@ class TestSpecs:
         assert witness_set_from_spec(spec).count() == WitnessSet.from_nfa(
             nfa, 5, store=False
         ).count()
+
+    def test_resident_sets_answer_alike_on_ambiguous_specs(self):
+        """Two resident caches (two workers, restarts or transports)
+        answer an ambiguous spec alike, whatever each served before: the
+        sketch Las Vegas draws walk comes from RESIDENT_SEED, and an
+        unseeded FPRAS count never draws on the set's own stream."""
+        spec = {"kind": "regex", "pattern": "(0|1)*101(0|1)*", "alphabet": "01", "n": 11}
+        key = spec_key(spec)
+        sample = {"op": "sample", "k": 20, "seed": 7, "spec": spec}
+        count = {"op": "count", "backend": "fpras", "delta": 0.5, "spec": spec}
+        first, second = WitnessSetCache(), WitnessSetCache()
+        drawn = execute_group(first, key, [sample])
+        counted = execute_group(first, key, [count])
+        assert counted[0]["ok"] and drawn[0]["ok"]
+        assert execute_group(second, key, [count]) == counted
+        assert execute_group(second, key, [sample]) == drawn
 
     def test_render_witness_does_not_import_the_cli(self):
         """The wire renders witnesses itself: serving never loads the

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.automata.nfa import NFA, word
+from repro.automata.nfa import EPSILON, NFA, word
 from repro.automata.operations import words_of_length
 from repro.automata.random_gen import ambiguity_blowup, random_nfa, random_ufa
 from repro.automata.unambiguous import (
@@ -14,6 +16,22 @@ from repro.automata.unambiguous import (
     require_unambiguous,
 )
 from repro.errors import AmbiguityError
+
+
+def _untrimmed(nfa: NFA, seed: int | None = None) -> NFA:
+    """``nfa`` behind a fresh ε-entry, with a dead state every state can
+    step into on every symbol, plus one random ε-edge when ``seed`` is
+    given (the only change that can alter the language)."""
+    states = sorted(nfa.states)
+    transitions = set(nfa.transitions)
+    transitions.add(("start", EPSILON, nfa.initial))
+    if seed is not None:
+        generator = random.Random(seed)
+        transitions.add((generator.choice(states), EPSILON, generator.choice(states)))
+    for state in states + ["dead"]:
+        for symbol in nfa.alphabet:
+            transitions.add((state, symbol, "dead"))
+    return NFA(states + ["start", "dead"], nfa.alphabet, transitions, "start", nfa.finals)
 
 
 class TestIsUnambiguous:
@@ -58,16 +76,30 @@ class TestIsUnambiguous:
         assert not is_unambiguous(nfa)
 
     def test_agreement_with_run_counts(self, rng):
-        """Oracle check: unambiguous ⟺ every accepted word has one run."""
-        for _ in range(15):
-            nfa = random_nfa(5, density=1.3, rng=rng).without_epsilon().trim()
-            claimed = is_unambiguous(nfa)
-            truly = all(
-                nfa.count_accepting_runs(w) == 1
-                for n in range(6)
-                for w in words_of_length(nfa, n)
+        """Oracle check: unambiguous ⟺ every accepted word has one run.
+
+        Each random automaton is checked trimmed and also untrimmed, with
+        ε-edges and a nondeterministic dead branch: the certificate walks
+        the automaton as given, and the runs are counted on its ε-free
+        form."""
+        for index in range(15):
+            raw = random_nfa(5, density=1.3, rng=rng)
+            ufa = random_ufa(5, rng=index)
+            inputs = (
+                raw.without_epsilon().trim(),
+                _untrimmed(raw),
+                _untrimmed(raw, seed=index),
+                _untrimmed(ufa),
             )
-            assert claimed == truly
+            for nfa in inputs:
+                runs = nfa.without_epsilon()
+                claimed = is_unambiguous(nfa)
+                truly = all(
+                    runs.count_accepting_runs(w) == 1
+                    for n in range(8)
+                    for w in words_of_length(runs, n)
+                )
+                assert claimed == truly
 
     def test_random_ufa_generator_delivers(self, rng):
         for _ in range(10):
