@@ -28,9 +28,10 @@ Claims measured (and asserted, so regressions fail the suite):
   user-visible first-result latency, impossible if the server
   materialized the set.
 * S1g: a warm ``KernelStore`` start through the mmap tier
-  (``KernelStore(root, mmap=True)``, snapshot format v2) beats the
-  full-deserialize restore on a payload-heavy kernel — the zero-copy
-  views skip the array copies, so only the JSON header is parsed
+  (``KernelStore(root, mmap=True)``, snapshot format v3: an aligned
+  payload and one label table per kernel) beats the full-deserialize
+  restore on a payload-heavy kernel — the zero-copy views skip the array
+  copies, so only the JSON header and the label-id rows are read
   eagerly.  Gated at ≥ 1.5x; answers are identical either way.
 """
 

@@ -148,7 +148,9 @@ class WitnessSet:
         spectra lower the plan's reachable fragment straight into the
         array kernel, and the product automaton is only materialized if
         an ambiguous-instance fallback (FPRAS, subset counting) needs
-        it.
+        it.  ``nfa`` may also be a zero-argument callable returning the
+        NFA or plan: the source is then *deferred*, built the first time
+        :attr:`nfa` or :attr:`plan` is read.
     plan:
         The symbolic plan behind a plan-backed witness set (see
         :meth:`from_plan`).
@@ -193,6 +195,7 @@ class WitnessSet:
         rng: random.Random | int | None = None,
         store=None,
         kernel_backend: str | None = None,
+        alias=None,
     ):
         if n < 0:
             raise ValueError("witness length must be ≥ 0")
@@ -200,8 +203,10 @@ class WitnessSet:
             nfa, plan = None, nfa
         if nfa is None and plan is None:
             raise InvalidRelationInputError("a WitnessSet needs an NFA or a plan")
-        self.nfa = nfa
-        self.plan = plan
+        #: The builder of a deferred source, until it has run.
+        self._pending = nfa if callable(nfa) else None
+        self._nfa = None if self._pending is not None else nfa
+        self._plan = plan
         self.n = n
         self.relation = relation
         self.instance = instance
@@ -228,6 +233,11 @@ class WitnessSet:
         self._accel = _accel_mod.resolve(kernel_backend)
         self.stats = CacheStats()
         self._cache: dict = {}
+        self._alias = alias if store is not None else None
+        if self._alias is not None and self._alias.fingerprint is not None:
+            self._cache["fingerprint"] = self._alias.fingerprint
+        #: True while the cached fingerprint is the alias's, unchecked.
+        self._unchecked = "fingerprint" in self._cache
         #: ``_cache`` keys of the integer-seeded FPRAS sketches, oldest use first.
         self._seeded_sketches: OrderedDict[tuple, None] = OrderedDict()
         #: Cumulative wall time spent lowering (building) kernels for
@@ -246,6 +256,50 @@ class WitnessSet:
         value = build()
         self._cache[key] = value
         return value
+
+    @property
+    def nfa(self) -> NFA | None:
+        """The automaton (None on a plan-backed set); a deferred source
+        is built on first read."""
+        if self._pending is not None:
+            self._build_source()
+        return self._nfa
+
+    @property
+    def plan(self) -> Plan | None:
+        """The symbolic plan (None on an NFA-backed set); a deferred
+        source is built on first read."""
+        if self._pending is not None:
+            self._build_source()
+        return self._plan
+
+    def _build_source(self) -> None:
+        """Run the deferred source's builder, then check the alias
+        fingerprint the set has used so far against the source."""
+        source = self._pending()
+        self._pending = None
+        if isinstance(source, Plan):
+            self._plan = source
+        else:
+            self._nfa = source
+        self._check_alias()
+
+    def _check_alias(self) -> None:
+        """Recompute a fingerprint taken from the store's alias.
+
+        On a mismatch the alias is corrupt: it is counted, replaced by
+        the true fingerprint, and every artifact read under the wrong one
+        is dropped, so the set carries on as a cold build would.
+        """
+        if not self._unchecked:
+            return
+        self._unchecked = False
+        del self._cache["fingerprint"]
+        if self.fingerprint() != self._alias.fingerprint:
+            self.store.stats.inc("corrupt")
+            kept = ("fingerprint", "stripped", "source", "adjacency")
+            self._cache = {key: self._cache[key] for key in kept if key in self._cache}
+            self._seeded_sketches.clear()
 
     @property
     def stripped(self) -> NFA:
@@ -298,6 +352,9 @@ class WitnessSet:
             started = time.perf_counter()
             value = fingerprint_source(self.plan if self.plan is not None else self.nfa)
             add_stage(metric_names.STAGE_FINGERPRINT, time.perf_counter() - started)
+            alias = self._alias
+            if alias is not None and value != alias.fingerprint:
+                self.store.put_alias(alias.key, alias.version, value)
             return value
 
         return self._cached("fingerprint", build)
@@ -334,7 +391,8 @@ class WitnessSet:
                     return meta["unambiguous"]
             value = is_unambiguous(self._source)
             if store is not None:
-                store.put_meta(fp, {"unambiguous": value})
+                self._check_alias()
+                store.put_meta(self.fingerprint(), {"unambiguous": value})
             return value
 
         return self._cached("unambiguous", build)
@@ -426,7 +484,8 @@ class WitnessSet:
                 kernel.backward_counts()
             else:
                 kernel.forward_counts()
-            store.put(fp, self.n, trimmed, kernel)
+            self._check_alias()
+            store.put(self.fingerprint(), self.n, trimmed, kernel)
         return kernel
 
     def fpras_state(
@@ -519,6 +578,10 @@ class WitnessSet:
         ``max_length > n``) — one compilation for the whole sweep.
         """
         bound = self.n if max_length is None else max_length
+        if bound > self.n:
+            # Extending the kernel needs the source: build it (checking
+            # an alias fingerprint) before any stored fact is read.
+            self._source
         if self.is_unambiguous:
             def build():
                 kernel = self.reachable_kernel
@@ -744,6 +807,7 @@ class WitnessSet:
         ``repro_stage_seconds{stage="lowering"}``; ``0.0`` means every
         kernel so far came off the store.
         """
+        plan = self.plan  # builds a deferred source before any stored fact is read
         info = {
             "source": self.source,
             "length": self.n,
@@ -757,7 +821,7 @@ class WitnessSet:
             # (or none has been needed yet).
             "lowering_seconds": self._lowering_seconds,
         }
-        if self.plan is not None:
+        if plan is not None:
             kernel = self.kernel
 
             def shape() -> tuple[int, int]:
@@ -778,10 +842,10 @@ class WitnessSet:
             num_states, num_transitions = self._cached("plan_shape", shape)
             info.update(
                 {
-                    "plan": self.plan.describe(),
+                    "plan": plan.describe(),
                     "states": num_states,
                     "transitions": num_transitions,
-                    "alphabet": self.plan.alphabet,
+                    "alphabet": plan.alphabet,
                     "lowering": (
                         kernel.lowering.as_dict()
                         if kernel.lowering is not None
@@ -801,14 +865,16 @@ class WitnessSet:
         return info
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        if self.plan is not None:
+        if self._pending is not None:
+            return f"<WitnessSet source={self.source!r} n={self.n} deferred>"
+        if self._plan is not None:
             return (
                 f"<WitnessSet source={self.source!r} n={self.n} "
-                f"plan={self.plan.describe()}>"
+                f"plan={self._plan.describe()}>"
             )
         return (
             f"<WitnessSet source={self.source!r} n={self.n} "
-            f"states={self.nfa.num_states}>"
+            f"states={self._nfa.num_states}>"
         )
 
     # ------------------------------------------------------------------

@@ -52,6 +52,8 @@ STORE_EVICTIONS = "repro_store_evictions_total"
 STORE_CORRUPT = "repro_store_corrupt_total"
 STORE_SKIPPED = "repro_store_skipped_total"
 STORE_MMAP_HITS = "repro_store_mmap_hits_total"
+STORE_ALIAS_HITS = "repro_store_alias_hits_total"
+STORE_ALIAS_MISSES = "repro_store_alias_misses_total"
 
 # --- kernel / accel profiling -----------------------------------------
 KERNEL_BACKEND_SELECTED = "repro_kernel_backend_total"
@@ -114,6 +116,8 @@ __all__ = [
     "STORE_CORRUPT",
     "STORE_SKIPPED",
     "STORE_MMAP_HITS",
+    "STORE_ALIAS_HITS",
+    "STORE_ALIAS_MISSES",
     "KERNEL_BACKEND_SELECTED",
     "ACCEL_SPILLS",
     "FPRAS_WALKS",

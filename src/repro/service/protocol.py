@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Generator
@@ -71,6 +72,7 @@ from repro.utils.rng import make_rng, substreams
 if TYPE_CHECKING:
     from repro.api import WitnessSet
     from repro.automata.nfa import NFA
+    from repro.core.plan import Plan
     from repro.service.store import KernelStore
 
 PROTOCOL_VERSION = 1
@@ -101,6 +103,19 @@ SERVICE_OPS = frozenset(
 #: (one request round-trip per page) stays negligible.
 DEFAULT_ENUM_CHUNK = 500
 
+#: Version of the spec → automaton code: :func:`witness_set_from_spec`
+#: and every constructor and compiler it calls.  A store alias (spec key
+#: → fingerprint) records it with ``FINGERPRINT_VERSION``, and a restart
+#: trusts the alias without building the automaton.  Bump it whenever a
+#: spec may build a different automaton or plan, or restarts would
+#: answer from the kernels of the one the old code built.
+SPEC_VERSION = 1
+
+#: Kinds whose witnesses are the words themselves: on an alias hit their
+#: automaton is built only when a query needs more than stored kernels.
+WORD_KINDS = frozenset({"regex", "nfa", "intersection"})
+
+
 #: The seed of every resident witness set, and of every ``count``
 #: request that brings no ``seed``.  An ambiguous spec's Las Vegas draws
 #: walk the set's shared FPRAS sketch, so a fixed seed makes them, and
@@ -127,8 +142,37 @@ def spec_key(spec: dict[str, Any]) -> str:
     the same automaton fingerprint; they then share store entries but
     not necessarily a worker — affinity is best-effort by design.
     """
-    text = json.dumps(spec, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    # A spec is parsed JSON, so it has no cycles: the encoder's circular
+    # reference bookkeeping (a dict insert per list) is skipped.
+    text = json.dumps(
+        spec,
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=False,
+        check_circular=False,
+    )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _word_source(spec: dict[str, Any]) -> NFA | Plan:
+    """The automaton (``regex``, ``nfa``) or plan (``intersection``) of a
+    word-valued spec, as ``WitnessSet.from_regex`` / ``from_nfa`` /
+    ``from_intersection`` build it."""
+    from repro.core.plan import Product, as_plan
+
+    kind = spec["kind"]
+    if kind == "regex":
+        from repro.automata.regex import compile_regex
+
+        alphabet = spec.get("alphabet")
+        return compile_regex(
+            spec["pattern"], alphabet=list(alphabet) if alphabet is not None else None
+        )
+    if kind == "nfa":
+        from repro.automata.serialization import nfa_from_document
+
+        return nfa_from_document(spec["nfa"])
+    return Product(as_plan(_sub_source(spec["left"])), as_plan(_sub_source(spec["right"])))
 
 
 def _sub_source(sub: dict[str, Any]) -> NFA:
@@ -150,6 +194,7 @@ def _sub_source(sub: dict[str, Any]) -> NFA:
 def witness_set_from_spec(
     spec: dict[str, Any],
     store: KernelStore | bool | None = False,
+    key: str | None = None,
     **kwargs: Any,
 ) -> WitnessSet:
     """Build the :class:`~repro.api.WitnessSet` a spec describes.
@@ -160,30 +205,39 @@ def witness_set_from_spec(
     arguments (``delta`` / ``params`` / ``rng``) are forwarded to the
     constructor — the CLI builds its local witness sets through this
     same function, so the spec is the single source of input semantics.
+
+    With a store, the set's fingerprint is aliased under the spec's
+    :func:`spec_key` (``key``, when the caller already has it).  On an
+    alias hit the set takes the stored fingerprint, and a word-valued
+    spec (:data:`WORD_KINDS`) defers building its automaton until a
+    query needs more than the stored kernels and metadata; the spec is
+    read again then, so it must not be changed while the set is in use.
     """
     from repro.api import WitnessSet
 
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ProtocolError("spec must be an object with a 'kind'")
     kind = spec["kind"]
-    kwargs = dict(kwargs, store=store)
-    try:
-        if kind == "regex":
-            alphabet = spec.get("alphabet")
-            return WitnessSet.from_regex(
-                spec["pattern"], spec["n"], alphabet=alphabet, **kwargs
-            )
-        if kind == "nfa":
-            from repro.automata.serialization import nfa_from_document
+    if store is None and os.environ.get("REPRO_KERNEL_STORE"):
+        # As in the facade: without the switch the store stack stays unloaded.
+        from repro.service.store import default_store
 
-            return WitnessSet.from_nfa(
-                nfa_from_document(spec["nfa"]), spec["n"], **kwargs
-            )
-        if kind == "intersection":
-            return WitnessSet.from_intersection(
-                _sub_source(spec["left"]), _sub_source(spec["right"]),
-                spec["n"], **kwargs,
-            )
+        store = default_store()
+    alias = None
+    if store:
+        from repro.service.fingerprint import FINGERPRINT_VERSION
+        from repro.service.store import Alias
+
+        key = key if key is not None else spec_key(spec)
+        version = f"{FINGERPRINT_VERSION}.{SPEC_VERSION}"
+        alias = Alias(key, version, store.get_alias(key, version))
+    kwargs = dict(kwargs, store=store or False, alias=alias)
+    try:
+        if kind in WORD_KINDS:
+            n = spec["n"]
+            if alias is not None and alias.fingerprint is not None:
+                return WitnessSet(lambda: _word_source(spec), n, source=kind, **kwargs)
+            return WitnessSet(_word_source(spec), n, source=kind, **kwargs)
         if kind == "dnf":
             return WitnessSet.from_dnf(
                 spec["formula"],
@@ -402,6 +456,7 @@ class WitnessSetCache:
         ws = witness_set_from_spec(
             spec,
             store=self.store if self.store is not None else False,
+            key=key,
             rng=RESIDENT_SEED,
         )
         self._cache[key] = ws
@@ -650,6 +705,8 @@ __all__ = [
     "CONNECTION_OPS",
     "DEFAULT_ENUM_CHUNK",
     "RESIDENT_SEED",
+    "SPEC_VERSION",
+    "WORD_KINDS",
     "paging_rounds",
     "spec_key",
     "witness_set_from_spec",

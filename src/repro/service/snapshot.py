@@ -8,16 +8,21 @@ complete execution state and ``CompiledDAG.from_bytes`` restores a
 kernel that answers count / sample / enumerate / spectrum queries
 without touching the original automaton.
 
-Layout::
+Layout (version 3)::
 
     magic  b"RPROKRN1"
     u32    header length
     bytes  header — JSON (UTF-8) with the structural metadata:
-           n, trimmed, symbols, per-layer states (tagged-atom codec),
+           n, trimmed, symbols, the label table (each distinct state
+           once, tagged-atom codec), the per-layer label-id row lengths,
            the initial index, per-layer final indices, LoweringStats,
            and the section directory for the binary payload
-    bytes  payload — the CSR edge arrays and any *packed* run-count
-           rows, each dumped as a little-endian ``array('q')``
+    pad    zero bytes up to an 8-byte file offset
+    bytes  payload — one label-id row per layer (layer ``t``'s states
+           as indices into the label table, in the layer's index
+           order, each a little-endian ``array('Q')``), then the CSR
+           edge arrays and any *packed* run-count rows, each dumped as a
+           little-endian ``array('q')``
 
 Count rows that spilled to bignums (entries beyond 64 bits) are encoded
 as JSON integer lists inside the header — JSON integers are arbitrary
@@ -26,14 +31,28 @@ objects go through the same tagged-atom codec as the NFA serializer, so
 tuples, frozensets (spanner marker sets) and plan product states
 round-trip by value, each with its exact type.
 
-Labels have fast paths, all byte-identical to the codec.  A layer of
-plain strings and numbers is stored raw.  A layer of tuples of ints and
-strings, such as product states, is written without the recursive
-codec, and each distinct tuple is encoded once per snapshot.  On
-restore, a ``json.loads`` object hook turns every tagged tuple of
-scalars (strings, numbers, booleans, None) back into its tuple while
-the header is parsed.  Nested tuples, frozensets and ε take the codec
-both ways.
+A kernel repeats a few states over many layers (a product kernel of
+57,475 vertices has 785 distinct states), so version 3 encodes each
+distinct state once.  The table shares an entry between equal labels
+only where equality implies the same encoding: in layers of exact ints
+and strings, or of tuples of them.  A layer holding any other label,
+such as ``True``, ``1.0``, ``-0.0`` or a tuple holding one, gets an
+entry per label, so ``(1, 2)`` and ``(True, 2)`` never merge.  A
+restore maps each layer's ids through the
+table; an id out of range, a layer whose length does not match its
+edge block, or a layer holding one state twice is a
+:class:`SnapshotError`.
+
+The table encoding has fast paths, byte-identical to the codec: a table
+of plain strings and numbers is stored raw, and tuples of ints and
+strings skip the recursive codec.  On restore, a ``json.loads`` object
+hook turns every tagged tuple of scalars (strings, numbers, booleans,
+None) back into its tuple while the header is parsed.  Nested tuples,
+frozensets and ε take the codec both ways.
+
+Versions 1 and 2 (still written on request, and read) store every layer
+as its own list of encoded labels in the header, under ``states``;
+version 1 also leaves the payload unpadded.
 
 A restored kernel carries a :class:`_SnapshotSource` in place of its
 automaton: initial state, accepting-state membership and alphabet are
@@ -64,9 +83,13 @@ MAGIC = b"RPROKRN1"
 
 #: Version 2 pads the payload to an 8-byte file offset so every ``'q'``
 #: section is naturally aligned — what lets :func:`kernel_from_mmap`
-#: hand out int64 views straight over the mapped file.  Version-1
-#: snapshots still load (with a copying restore).
-SNAPSHOT_VERSION = 2
+#: hand out int64 views straight over the mapped file.  Version 3 keeps
+#: that and replaces the per-layer label lists with one label table and
+#: per-layer label-id rows.  Versions 1 and 2 still load (version 1
+#: with a copying restore).
+SNAPSHOT_VERSION = 3
+
+_VERSIONS = (1, 2, 3)
 
 #: Payload sections are little-endian int64 rows; version ≥ 2 aligns
 #: their start (and hence, all of them) to this boundary.
@@ -202,6 +225,34 @@ def _encode_atoms(values: Iterable[object], memo: dict[Any, Any]) -> list[Any]:
     return ["tagged", [_encode_atom(item) for item in items]]
 
 
+def _label_table(kernel: CompiledDAG) -> tuple[list[Any], list[array[int]]]:
+    """The version-3 label table and every layer's label-id row.
+
+    Labels are numbered in order of first appearance, layer by layer.
+    A layer of exact ints and strings, or of tuples of them, shares one
+    entry per distinct label.  Any other layer gets an entry per label:
+    equal labels of other types may encode differently.
+    """
+    ids: dict[Any, int] = {}
+    labels: list[Any] = []
+    rows = []
+    for t in range(kernel.n + 1):
+        layer = kernel.layer_states(t)
+        kinds = set(map(type, layer))
+        if _EXACT.issuperset(kinds) or (
+            kinds == {tuple} and _EXACT.issuperset(map(type, chain.from_iterable(layer)))
+        ):
+            for label in layer:
+                if label not in ids:
+                    ids[label] = len(labels)
+                    labels.append(label)
+            rows.append(array("Q", map(ids.__getitem__, layer)))
+        else:
+            rows.append(array("Q", range(len(labels), len(labels) + len(layer))))
+            labels.extend(layer)
+    return labels, rows
+
+
 def _decode_atoms(encoded: list[Any]) -> tuple[Any, ...]:
     marker, items = encoded
     if marker == "plain":
@@ -238,25 +289,32 @@ def _decode_count_row(
 def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> bytes:
     """Serialize ``kernel`` into the snapshot format (see module docs).
 
-    ``version`` selects the on-disk layout: 2 (the default) pads the
-    payload start to an 8-byte offset for mmap borrowing; 1 writes the
-    legacy unpadded layout (kept for compatibility tests).
+    ``version`` selects the on-disk layout: 3 (the default) writes the
+    label table; 2 writes per-layer label lists, and 1 also leaves the
+    payload unpadded (both kept for compatibility).
     """
-    if version not in (1, 2):
+    if version not in _VERSIONS:
         raise SnapshotError(f"unsupported snapshot version {version!r}")
+    header: dict[str, Any] = {"version": version, "n": kernel.n, "trimmed": kernel.trimmed}
+    sections: list[bytes] = []
     try:
         memo: dict[Any, Any] = {}
-        symbols = _encode_atoms(kernel.symbols, memo)
-        states = [
-            _encode_atoms(kernel.layer_states(t), memo) for t in range(kernel.n + 1)
-        ]
+        header["symbols"] = _encode_atoms(kernel.symbols, memo)
+        if version >= 3:
+            labels, rows = _label_table(kernel)
+            header["labels"] = _encode_atoms(labels, memo)
+            header["layers"] = [len(row) for row in rows]
+            sections.extend(row.tobytes() for row in rows)
+        else:
+            header["states"] = [
+                _encode_atoms(kernel.layer_states(t), memo) for t in range(kernel.n + 1)
+            ]
     except InvalidAutomatonError as error:
         raise SnapshotError(f"kernel is not snapshot-serializable: {error}") from error
 
     initial_index = kernel.index_of(0, kernel.nfa.initial)
     finals_idx = [list(kernel.final_indices(t)) for t in range(kernel.n + 1)]
 
-    sections: list[bytes] = []
     edges = []
     for t in range(kernel.n):
         start_row = array("q", kernel._edge_start[t])
@@ -281,19 +339,14 @@ def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> byt
     forward = encode_table(kernel._forward)
     backward = encode_table(kernel._backward)
 
-    header = {
-        "version": version,
-        "n": kernel.n,
-        "trimmed": kernel.trimmed,
-        "symbols": symbols,
-        "states": states,
-        "initial_index": initial_index,
-        "finals_idx": finals_idx,
-        "edges": edges,
-        "forward": forward,
-        "backward": backward,
-        "lowering": kernel.lowering.as_dict() if kernel.lowering else None,
-    }
+    header.update(
+        initial_index=initial_index,
+        finals_idx=finals_idx,
+        edges=edges,
+        forward=forward,
+        backward=backward,
+        lowering=kernel.lowering.as_dict() if kernel.lowering else None,
+    )
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode(
         "utf-8"
     )
@@ -306,6 +359,26 @@ def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> byt
         if pad:
             prefix.append(b"\x00" * pad)
     return b"".join(prefix + sections)
+
+
+def _check_layers(
+    n: int,
+    states: list[tuple[Any, ...]],
+    index: list[dict[Any, int]],
+    edge_start: list[Any],
+    tables: tuple[list[CountRow] | None, ...],
+) -> None:
+    """Raise :class:`SnapshotError` unless every per-layer structure has
+    its layer's size: one index entry per state (no state twice), one
+    edge offset per state plus one, one count per state."""
+    sizes = [len(layer) for layer in states]
+    if len(sizes) != n + 1 or len(edge_start) != n:
+        raise SnapshotError("snapshot layer structure does not match n")
+    if list(map(len, index)) != sizes or [len(row) - 1 for row in edge_start] != sizes[:n]:
+        raise SnapshotError("snapshot layers do not match their edge blocks")
+    for table in tables:
+        if table is not None and list(map(len, table)) != sizes:
+            raise SnapshotError("snapshot count rows do not match their layers")
 
 
 def kernel_from_bytes(
@@ -340,8 +413,8 @@ def kernel_from_bytes(
         )
     except (struct.error, ValueError) as error:
         raise SnapshotError(f"corrupt snapshot header: {error}") from error
-    version = header.get("version")
-    if version not in (1, SNAPSHOT_VERSION):
+    version = header.get("version") if isinstance(header, dict) else None
+    if version not in _VERSIONS:
         raise SnapshotError(f"unsupported snapshot version {version!r}")
     borrow = borrow and version >= 2 and _LP64
     borrowed_any = False
@@ -349,11 +422,24 @@ def kernel_from_bytes(
     try:
         n = header["n"]
         symbols = _decode_atoms(header["symbols"])
-        states = [_decode_atoms(layer) for layer in header["states"]]
         offset = header_start + header_len
         if version >= 2:
             offset += (-offset) % _ALIGN
         itemsize = array("q").itemsize
+        if version >= 3:
+            labels = _decode_atoms(header["labels"])
+            states = []
+            for size in header["layers"]:
+                end = offset + size * itemsize
+                if end > len(view):
+                    raise SnapshotError("truncated snapshot payload")
+                # Unsigned: an id past the table, whatever its sign bit,
+                # raises IndexError (a corrupt body).
+                ids = view[offset:end].cast("Q")
+                offset = end
+                states.append(tuple(map(labels.__getitem__, ids)))
+        else:
+            states = [_decode_atoms(layer) for layer in header["states"]]
 
         long_matches_q = _LP64
 
@@ -405,18 +491,17 @@ def kernel_from_bytes(
             # "successfully" and crash later instead of being
             # quarantined by the store.
             raise SnapshotError("snapshot payload size mismatch")
+        index = [dict(zip(layer, range(len(layer)))) for layer in states]
+        _check_layers(n, states, index, edge_start, (forward, backward))
         finals_idx = {t: tuple(row) for t, row in enumerate(header["finals_idx"])}
         initial_index = header["initial_index"]
+        initial = states[0][initial_index] if initial_index is not None else None
+        finals_union = frozenset(
+            states[t][i] for t, row in finals_idx.items() for i in row
+        )
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as error:
         raise SnapshotError(f"corrupt snapshot body: {error}") from error
 
-    if len(states) != n + 1 or len(header["edges"]) != n:
-        raise SnapshotError("snapshot layer structure does not match n")
-
-    initial = states[0][initial_index] if initial_index is not None else None
-    finals_union = frozenset(
-        states[t][i] for t, row in finals_idx.items() for i in row
-    )
     source = _SnapshotSource(
         initial, finals_union, frozenset(symbols), resolver=source_resolver
     )
@@ -428,9 +513,7 @@ def kernel_from_bytes(
     kernel.symbols = symbols
     kernel._symbol_index = {s: i for i, s in enumerate(symbols)}
     kernel._states = states
-    kernel._index = [
-        {state: i for i, state in enumerate(layer)} for layer in states
-    ]
+    kernel._index = index
     kernel._edge_start = edge_start
     kernel._edge_symbol = edge_symbol
     kernel._edge_dst = edge_dst

@@ -12,27 +12,39 @@ finished artifact:
   structurally identical instances share an entry no matter who wrote
   it, and a stale entry for a *different* automaton is impossible by
   construction;
-* **atomic writes**: snapshots are written to a temp file in the same
-  directory and ``os.replace``-d into place, so concurrent readers and
-  writers (the multiprocess engine) never observe half a snapshot;
+* **one pointer layer**: an *alias* maps a wire spec's key
+  (:func:`repro.service.protocol.spec_key`) to the fingerprint the spec
+  built, so a restart finds its kernels without building or
+  fingerprinting the automaton.  An alias records the version of the
+  code that computed it (``FINGERPRINT_VERSION`` and the protocol's
+  ``SPEC_VERSION``); one of another version is a miss and is rewritten.
+  A witness set that later builds its automaton anyway recomputes the
+  fingerprint, and a mismatch counts the alias as corrupt and replaces
+  it before anything is written under the wrong fingerprint;
+* **atomic writes**: snapshots, sidecars and aliases are written to a
+  temp file in the same directory and ``os.replace``-d into place, so
+  concurrent readers and writers (the multiprocess engine) never observe
+  half a file;
 * **LRU size bounding**: when the store grows past ``max_bytes``, the
-  least-recently-*used* entries (access bumps mtime) are evicted;
-* **corruption recovery**: an unreadable entry (truncated write, bad
-  magic, garbage) is quarantined — deleted and counted — and the caller
-  simply rebuilds, as for a miss;
+  least-recently-*used* entries (access bumps mtime) are evicted, then
+  the sidecars and aliases of fingerprints with no snapshot left;
+* **corruption recovery**: an unreadable entry, sidecar or alias
+  (truncated write, bad magic, garbage) is quarantined — deleted and
+  counted — and the caller simply rebuilds, as for a miss;
 * **stats**: hits / misses / stores / evictions / corrupt / skipped /
-  mmap-hit counts on :attr:`KernelStore.stats`.
+  mmap-hit / alias-hit / alias-miss counts on :attr:`KernelStore.stats`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.obs import add_stage
 from repro.obs import names as metric_names
@@ -53,6 +65,11 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 STORE_ENV = "REPRO_KERNEL_STORE"
 
 _SUFFIX = ".kern"
+_META_SUFFIX = ".meta.json"
+_ALIAS_SUFFIX = ".alias"
+
+#: What an alias must hold: a SHA-256 fingerprint in lowercase hex.
+_FINGERPRINT = re.compile("[0-9a-f]{64}")
 
 
 #: Store counter → the ``repro_store_*_total`` series
@@ -66,7 +83,19 @@ STORE_SERIES = {
     "corrupt": metric_names.STORE_CORRUPT,
     "skipped": metric_names.STORE_SKIPPED,
     "mmap_hits": metric_names.STORE_MMAP_HITS,
+    "alias_hits": metric_names.STORE_ALIAS_HITS,
+    "alias_misses": metric_names.STORE_ALIAS_MISSES,
 }
+
+
+class Alias(NamedTuple):
+    """A witness set's alias in a store: the spec key it sits under, the
+    version of the code behind it, and the fingerprint it held when the
+    set was built (None on a miss, until the set writes one)."""
+
+    key: str
+    version: str
+    fingerprint: str | None
 
 
 class StoreStats:
@@ -102,6 +131,8 @@ class StoreStats:
     evictions = property(lambda self: self._read("evictions"))
     corrupt = property(lambda self: self._read("corrupt"))
     mmap_hits = property(lambda self: self._read("mmap_hits"))
+    alias_hits = property(lambda self: self._read("alias_hits"))
+    alias_misses = property(lambda self: self._read("alias_misses"))
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:
@@ -202,12 +233,8 @@ class KernelStore:
             self.stats.inc("misses")
             return None
         except SnapshotError:
-            self.stats.inc("corrupt")
+            self._quarantine(path)
             self.stats.inc("misses")
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - racing unlink is fine
-                pass
             return None
         if kernel._borrow_owner is not None:
             self.stats.inc("mmap_hits")
@@ -229,7 +256,13 @@ class KernelStore:
         except SnapshotError:
             self.stats.inc("skipped")
             return False
-        path = self.path_for(fingerprint, n, trimmed)
+        self._write_atomic(self.path_for(fingerprint, n, trimmed), data)
+        self.stats.inc("stores")
+        self._evict_over_budget()
+        return True
+
+    def _write_atomic(self, path: Path, data: bytes) -> None:
+        """Write ``data`` to ``path`` through a temp file and ``os.replace``."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=path.name, suffix=".tmp"
@@ -244,9 +277,14 @@ class KernelStore:
             except OSError:
                 pass
             raise
-        self.stats.inc("stores")
-        self._evict_over_budget()
-        return True
+
+    def _quarantine(self, path: Path) -> None:
+        """Delete an unreadable file and count it as corrupt."""
+        self.stats.inc("corrupt")
+        try:
+            path.unlink()
+        except OSError:  # pragma: no cover - racing unlink is fine
+            pass
 
     # ------------------------------------------------------------------
     # Per-fingerprint metadata (tiny JSON sidecars, e.g. the ambiguity
@@ -254,7 +292,7 @@ class KernelStore:
     # ------------------------------------------------------------------
 
     def meta_path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.meta.json"
+        return self.root / fingerprint[:2] / f"{fingerprint}{_META_SUFFIX}"
 
     def get_meta(self, fingerprint: str) -> dict[str, Any] | None:
         """The metadata dict recorded for ``fingerprint`` (None if absent
@@ -262,19 +300,15 @@ class KernelStore:
         snapshots)."""
         path = self.meta_path_for(fingerprint)
         try:
-            text = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            meta = json.loads(text)
+            meta = json.loads(data)
             if not isinstance(meta, dict):
                 raise ValueError("metadata must be a JSON object")
         except ValueError:
-            self.stats.inc("corrupt")
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover
-                pass
+            self._quarantine(path)
             return None
         return meta
 
@@ -282,21 +316,45 @@ class KernelStore:
         """Merge ``values`` into the fingerprint's metadata (atomic)."""
         merged = dict(self.get_meta(fingerprint) or {})
         merged.update(values)
-        path = self.meta_path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
+        self._write_atomic(
+            self.meta_path_for(fingerprint), json.dumps(merged).encode("utf-8")
         )
+
+    # ------------------------------------------------------------------
+    # Aliases: spec key → fingerprint (see the module docs)
+    # ------------------------------------------------------------------
+
+    def alias_path_for(self, key: str) -> Path:
+        return self.root / key[:2] / f"{key}{_ALIAS_SUFFIX}"
+
+    def get_alias(self, key: str, version: str) -> str | None:
+        """The fingerprint aliased under spec key ``key`` by code of
+        ``version``, or None.
+
+        Counts an alias hit or miss.  An alias of another version is a
+        miss; an unreadable one (not JSON, or not holding a 64-hex
+        fingerprint) is also quarantined.
+        """
+        path = self.alias_path_for(key)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(merged, handle)
-            os.replace(tmp_name, path)
+            data = path.read_bytes()
         except OSError:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+            self.stats.inc("alias_misses")
+            return None
+        record = _alias_record(data)
+        if record is None:
+            self._quarantine(path)
+        elif record.get("version") == version:
+            self.stats.inc("alias_hits")
+            return record["fingerprint"]
+        self.stats.inc("alias_misses")
+        return None
+
+    def put_alias(self, key: str, version: str, fingerprint: str) -> None:
+        """Record ``fingerprint`` under spec key ``key`` (atomic; replaces
+        any earlier alias of the key)."""
+        record = {"version": version, "fingerprint": fingerprint}
+        self._write_atomic(self.alias_path_for(key), json.dumps(record).encode("utf-8"))
 
     # ------------------------------------------------------------------
     # Bounding and introspection
@@ -322,12 +380,13 @@ class KernelStore:
         return self._listing(f"*/*{_SUFFIX}")
 
     def _sidecars(self) -> list[Path]:
+        """Metadata sidecars and aliases: the store's small files."""
         if not self.root.is_dir():
             return []
-        return self._listing("*/*.meta.json")
+        return self._listing(f"*/*{_META_SUFFIX}") + self._listing(f"*/*{_ALIAS_SUFFIX}")
 
     def total_bytes(self) -> int:
-        """Store footprint: snapshots plus metadata sidecars.
+        """Store footprint: snapshots plus metadata sidecars and aliases.
 
         An entry deleted between the listing and its ``stat`` (a racing
         evictor in another process) counts as zero, not as a crash.
@@ -368,11 +427,18 @@ class KernelStore:
                 continue
             total -= size
             self.stats.inc("evictions")
-        # A sidecar whose every snapshot is gone is stranded: drop it so
-        # the directory stays bounded along with the byte budget.
+        # A sidecar or alias whose every snapshot is gone is stranded:
+        # drop it so the directory stays bounded along with the budget.
         live = {path.name.split("-n", 1)[0] for path in self.entries()}
         for path in sidecars:
-            fingerprint = path.name[: -len(".meta.json")]
+            if path.name.endswith(_META_SUFFIX):
+                fingerprint = path.name[: -len(_META_SUFFIX)]
+            else:
+                try:
+                    record = _alias_record(path.read_bytes())
+                except OSError:  # pragma: no cover - racing eviction
+                    continue
+                fingerprint = record and record["fingerprint"]
             if fingerprint not in live:
                 try:
                     path.unlink()
@@ -381,12 +447,9 @@ class KernelStore:
                     pass
 
     def clear(self) -> int:
-        """Delete every entry (snapshots and metadata sidecars)."""
+        """Delete every entry (snapshots, metadata sidecars and aliases)."""
         removed = 0
-        sidecars = (
-            list(self.root.glob("*/*.meta.json")) if self.root.is_dir() else []
-        )
-        for path in self.entries() + sidecars:
+        for path in self.entries() + self._sidecars():
             try:
                 path.unlink()
                 removed += 1
@@ -399,6 +462,18 @@ class KernelStore:
             f"<KernelStore root={str(self.root)!r} entries={len(self.entries())} "
             f"stats={self.stats.as_dict()}>"
         )
+
+
+def _alias_record(data: bytes) -> dict[str, Any] | None:
+    """An alias file's record, or None when it holds no fingerprint."""
+    try:
+        record = json.loads(data)
+        fingerprint = record["fingerprint"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    if isinstance(fingerprint, str) and _FINGERPRINT.fullmatch(fingerprint):
+        return record
+    return None
 
 
 #: Process-wide default store, memoized per root so stats accumulate.
@@ -424,6 +499,7 @@ def default_store() -> KernelStore | None:
 
 
 __all__ = [
+    "Alias",
     "KernelStore",
     "StoreStats",
     "STORE_SERIES",

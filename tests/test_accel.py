@@ -316,12 +316,12 @@ def test_snapshot_v2_payload_is_aligned():
     payload_start = len(MAGIC) + 4 + header_len
     payload_start += (-payload_start) % 8
     assert payload_start % 8 == 0
-    assert SNAPSHOT_VERSION == 2
+    assert SNAPSHOT_VERSION == 3
 
 
 def test_snapshot_v2_roundtrip_and_v1_still_loads():
     _, kernel = built_kernel()
-    for version in (1, 2):
+    for version in (1, 2, 3):
         restored = kernel_from_bytes(kernel_to_bytes(kernel, version=version))
         assert restored._borrow_owner is None
         assert [list(r) for r in restored.forward_counts()] == [
@@ -329,7 +329,7 @@ def test_snapshot_v2_roundtrip_and_v1_still_loads():
         ]
         assert restored.total_runs == kernel.total_runs
     with pytest.raises(SnapshotError):
-        kernel_to_bytes(kernel, version=3)
+        kernel_to_bytes(kernel, version=4)
 
 
 @pytest.mark.skipif(not LP64, reason="borrow mode requires LP64")

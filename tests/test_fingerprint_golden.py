@@ -8,11 +8,14 @@ the canonicalizer: NFAs (built directly and from ``repro.nfa``
 documents), ε-NFAs, every plan node, RPQs, spanners, and an automaton
 whose atoms are equal in Python but canonically distinct (``1``,
 ``True`` and ``1.0``; ``0.0`` and ``-0.0``; tuples and frozensets that
-hold them).
+hold them).  It also pins the fingerprint of the witness set one wire
+spec of each kind builds: a store aliases spec keys to those, so they
+move only with ``SPEC_VERSION``.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 from repro.api import WitnessSet
@@ -20,8 +23,9 @@ from repro.automata.nfa import EPSILON, NFA
 from repro.automata.regex import parse, thompson
 from repro.automata.serialization import nfa_from_document, nfa_from_json, nfa_to_json
 from repro.core.plan import Concat, Product, Relabel, Star, Union
-from repro.graphdb.graph import grid_graph
+from repro.graphdb.graph import graph_to_json, grid_graph
 from repro.service.fingerprint import fingerprint_source
+from repro.service.protocol import witness_set_from_spec
 from repro.spanners.eva import extraction_eva
 
 
@@ -158,3 +162,54 @@ def test_equal_atoms_of_different_types_get_different_digests():
     assert fingerprint_source(flip([False, True])) != fingerprint_source(flip([0, 1]))
     assert fingerprint_source(flip([0.0, 1.0])) != fingerprint_source(flip([0, 1]))
     assert fingerprint_source(flip([-0.0, 1.0])) != fingerprint_source(flip([0.0, 1.0]))
+
+
+def _specs() -> dict:
+    """One wire spec of each kind: what ``witness_set_from_spec`` builds."""
+    return {
+        "regex": {"kind": "regex", "pattern": "(ab|ba)*(a|b)?", "alphabet": "ab", "n": 9},
+        "nfa": {"kind": "nfa", "nfa": _random_partial_dfa(3, 20, "ab", 0.9), "n": 8},
+        "intersection": {
+            "kind": "intersection",
+            "left": {"kind": "regex", "pattern": "(ab|ba)*", "alphabet": "ab"},
+            "right": {"kind": "nfa", "nfa": _random_partial_dfa(11, 12, "ab", 0.85)},
+            "n": 10,
+        },
+        "dnf": {"kind": "dnf", "formula": "x0 & x2 | !x1 & x3"},
+        "cfg": {"kind": "cfg", "grammar": "S -> A B | a\nA -> a\nB -> b", "n": 2},
+        "rpq": {
+            "kind": "rpq",
+            "graph": json.loads(graph_to_json(grid_graph(3, 3))),
+            "pattern": "(r|d)*",
+            "source": {"§tuple": [0, 0]},
+            "target": {"§tuple": [2, 2]},
+            "n": 4,
+        },
+    }
+
+
+#: spec kind → fingerprint of the witness set the spec builds.
+SPEC_GOLDEN = {
+    "regex": "7d6b2d2f62160bd4d18afc311d6aade44d37b4af6e668fc9f9cbece9387c40b8",
+    "nfa": "428be1c875f263c0c27a70466a547f17426792969d267e6dede63099c88255b0",
+    "intersection": "bfd2fc63d619f64e9256a6064d85c077880f0faeb7e0228886f5bd252f0ef819",
+    "dnf": "0b64e97522dfc178aa02512409ec0240479beba1ed7292e9060f709ac5c3adb0",
+    "cfg": "a16b392e5ae513d43615db6f727c1db55d6a164a690b0affb54bf90b1c95033f",
+    "rpq": "28963bc7c03a6dbeaba5abdf36e9585875576e03601f15a50b6c421097d91b88",
+}
+
+
+def test_spec_fingerprints_match_golden():
+    """A kernel store aliases each spec key to the fingerprint the spec
+    builds, and a restart trusts that alias without building the
+    automaton.  So a change here means stored aliases now point at
+    another automaton's kernels."""
+    digests = {
+        kind: witness_set_from_spec(spec).fingerprint()
+        for kind, spec in _specs().items()
+    }
+    assert digests == SPEC_GOLDEN, (
+        "a spec now builds a different automaton: bump SPEC_VERSION in "
+        "repro/service/protocol.py so stored aliases stop pointing at the "
+        "old automaton's kernels, then record the new digests here"
+    )

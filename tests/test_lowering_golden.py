@@ -2,15 +2,17 @@
 
 Every route that builds an unrolled DAG — concrete NFAs, ε-NFAs, plan
 products, RPQs, spanners, incremental extension — must keep producing
-the same kernels.  This module pins the SHA-256 of
-:meth:`~repro.core.kernel.CompiledDAG.to_bytes` for the trimmed kernel
+the same kernels.  This module pins the SHA-256 of the snapshot bytes
+(:func:`~repro.service.snapshot.kernel_to_bytes`) for the trimmed kernel
 (with its backward table) and the reachable kernel (with its forward
 table) of each instance, plus the words of the polynomial-delay
 enumerator and the answers of the existence test.  A change to layer
 contents, state order, edge order, count rows or lowering stats shows up
-as a digest mismatch.  Everything runs under the pure backend and, when
-NumPy is importable, under the NumPy backend: snapshot bytes do not
-depend on the backend.
+as a digest mismatch.  The version-2 digests were recorded before the
+version-3 label table existed: they pin the kernels themselves, and a
+kernel restored from its version-3 snapshot must re-encode to them.
+Everything runs under the pure backend and, when NumPy is importable,
+under the NumPy backend: snapshot bytes do not depend on the backend.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.core import accel
 from repro.core.enumeration import enumerate_words_nfa
 from repro.core.unroll import accepted_word_exists
 from repro.graphdb.graph import grid_graph
+from repro.service.snapshot import kernel_from_bytes, kernel_from_mmap, kernel_to_bytes
 from repro.spanners.eva import extraction_eva
 
 BACKENDS = [
@@ -77,7 +80,18 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-#: name → (trimmed kernel + backward table, reachable kernel + forward table).
+def _kernels(ws: WitnessSet):
+    """The trimmed kernel with its backward table and the reachable
+    kernel with its forward table."""
+    kernel = ws.kernel
+    kernel.backward_counts()
+    reachable = ws.reachable_kernel
+    reachable.forward_counts()
+    return kernel, reachable
+
+
+#: name → version-2 snapshot digests of (trimmed kernel + backward table,
+#: reachable kernel + forward table).
 KERNEL_DIGESTS = {
     "k1": (
         "54769efa9050096b151352889f40415a58362055e3a482583def55e30faf20c4",
@@ -105,24 +119,71 @@ KERNEL_DIGESTS = {
     ),
 }
 
-#: name → reachable kernel + forward table after ``spectrum(2n)`` (the
-#: unambiguous route, which extends the kernel in place).
+#: The same kernels' version-3 snapshot digests (the default layout).
+KERNEL_DIGESTS_V3 = {
+    "k1": (
+        "deb99577733b7ba2dc15acc0284d077da1415974ea4bbed0589794d36b81f4da",
+        "4d9aab8d0a1d604eb31d0ebc5ffa026dbfc57a090b1875998c46477df6c1d550",
+    ),
+    "spill": (
+        "a41b8bc02ab78da92dd21f493eae98a0cc582dab4b8f0c4efbbd826264a26738",
+        "845b761268d8fe36a481389577f43c741df2556ab671b0b3872f13dd8ec46e4e",
+    ),
+    "epsilon": (
+        "6babb711aba5308d232345eb32f8167df609bec3cf674f74ea33b94fc59c6f47",
+        "04cd173df9080a0d2c555deac17854c87e52566975ec0aca5fc4a39780cb1bc3",
+    ),
+    "intersection": (
+        "bf52b9c8587ef0e664133765df8f9f56bb2ad1ad97c34732351ef4751429d051",
+        "8736f1b587492b95dc73667c14d604a3648cf0aee778021340a2c752b987ca2a",
+    ),
+    "rpq": (
+        "614cba73ffb9ee6928c048adcdef514ee9d1a05a76c444a21ee4451a3a72abdb",
+        "a92e7c406a30980bab89aebae9ecf854c88476fb7444c28a69b39f0282a07f8a",
+    ),
+    "spanner": (
+        "03543bd3d8ed44451f0176fdd4581581af624e249542c63c94dc4c8f9535d461",
+        "887112cc114a18b3e05afcee7488bb29b78ae1e7af77030133a58a1504e7797c",
+    ),
+}
+
+#: name → (version 2, version 3) digests of the reachable kernel + forward
+#: table after ``spectrum(2n)`` (the unambiguous route, which extends the
+#: kernel in place).
 EXTENDED_DIGESTS = {
-    "spill": "3df4931ecdddf810cd18e675488afe496dd79f498f91a469409cee8c7a4257be",
-    "rpq": "4f77f46a1dc01ee921e7e59c08cac2fb75ec0b0a33c2eaf959e7393347771c38",
+    "spill": (
+        "3df4931ecdddf810cd18e675488afe496dd79f498f91a469409cee8c7a4257be",
+        "c9953c9043c9d468a77a2c4bc18cc23e2bae58a4180703613400b50f07da4688",
+    ),
+    "rpq": (
+        "4f77f46a1dc01ee921e7e59c08cac2fb75ec0b0a33c2eaf959e7393347771c38",
+        "702588875c26453cb55ee5211ff8ea15942809fb4e99d3f36df510b30ba7b281",
+    ),
 }
 
 
 def test_kernel_snapshots_match_golden(backend):
     for name, ws in _instances(backend).items():
-        kernel = ws.kernel
-        kernel.backward_counts()
-        reachable = ws.reachable_kernel
-        reachable.forward_counts()
+        kernels = _kernels(ws)
         assert (
-            _digest(kernel.to_bytes()),
-            _digest(reachable.to_bytes()),
-        ) == KERNEL_DIGESTS[name], name
+            tuple(_digest(kernel_to_bytes(kernel, version=2)) for kernel in kernels)
+            == KERNEL_DIGESTS[name]
+        ), name
+        assert (
+            tuple(_digest(kernel.to_bytes()) for kernel in kernels)
+            == KERNEL_DIGESTS_V3[name]
+        ), name
+
+
+def test_v3_snapshots_restore_the_golden_kernels(backend, tmp_path):
+    """A kernel restored from its version-3 snapshot, by copy or over an
+    mmap, is the kernel the version-2 digests pin."""
+    for name, ws in _instances(backend).items():
+        for kernel, expected in zip(_kernels(ws), KERNEL_DIGESTS[name]):
+            path = tmp_path / f"{name}-{kernel.trimmed}.kern"
+            path.write_bytes(kernel.to_bytes())
+            for restored in (kernel_from_bytes(path.read_bytes()), kernel_from_mmap(path)):
+                assert _digest(kernel_to_bytes(restored, version=2)) == expected, name
 
 
 def test_extended_kernels_match_golden(backend):
@@ -132,7 +193,10 @@ def test_extended_kernels_match_golden(backend):
         ws.spectrum(2 * ws.n)
         reachable = ws.reachable_kernel
         assert reachable.n == 2 * ws.n
-        assert _digest(reachable.to_bytes()) == expected, name
+        assert (
+            _digest(kernel_to_bytes(reachable, version=2)),
+            _digest(reachable.to_bytes()),
+        ) == expected, name
 
 
 def test_polynomial_delay_enumeration_matches_golden(backend):

@@ -449,7 +449,7 @@ class TestBackCompatViews:
         assert view["hits"] == 2 and view["misses"] == 1
         assert set(view) == {
             "hits", "misses", "stores", "evictions", "corrupt", "skipped",
-            "mmap_hits",
+            "mmap_hits", "alias_hits", "alias_misses",
         }
         assert stats.mmap_hits == 1
 
@@ -544,6 +544,33 @@ class TestBackCompatViews:
         written = {metric_names.CACHE_HITS, metric_names.CACHE_MISSES}
         assert not written.union(STORE_SERIES.values()) & set(registry)
         assert not any(registry.values())
+
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_alias_counters_on_a_cold_warm_restart(self, tmp_path, enabled):
+        """A cold engine misses its spec's alias and writes it; a restart
+        on the same store hits it and stores nothing.  The summary's
+        alias series equal those counts whatever the switch says."""
+        from repro.service.engine import Engine
+
+        obs.set_enabled(enabled)
+        summaries = []
+        for _ in range(2):
+            with Engine(workers=0, store_root=tmp_path) as engine:
+                engine.execute([{"id": 1, "op": "count", "spec": SPEC}])
+                engine.execute([{"id": 2, "op": "sample", "spec": SPEC, "seed": 3}])
+                summaries.append(engine.stats())
+        cold, warm = (summary["store"] for summary in summaries)
+        assert (cold["alias_hits"], cold["alias_misses"], cold["stores"]) == (0, 1, 1)
+        assert (warm["alias_hits"], warm["alias_misses"], warm["stores"]) == (1, 0, 0)
+        assert (warm["hits"], warm["misses"], warm["corrupt"]) == (1, 0, 0)
+        for summary in summaries:
+            counters = summary["metrics"]["counters"]
+            assert counters[metric_names.STORE_ALIAS_HITS] == summary["store"]["alias_hits"]
+            assert (
+                counters[metric_names.STORE_ALIAS_MISSES]
+                == summary["store"]["alias_misses"]
+            )
 
 
 # ----------------------------------------------------------------------

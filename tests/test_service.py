@@ -182,6 +182,33 @@ class TestSnapshotRoundTrip:
         assert restored.spectrum_counts() == kernel.spectrum_counts()
         _assert_kernel_equivalent(kernel, restored)
 
+    def test_label_table_keeps_equal_labels_of_other_types_apart(self):
+        """``(1, 2)`` and ``(True, 2)`` are equal in Python but encode
+        differently: layers holding either restore with their own,
+        and repeated int-tuple labels share a table entry."""
+        import struct
+
+        from repro.service.snapshot import MAGIC
+
+        nfa = NFA(
+            [0, (1, 2), (True, 2)],
+            ["a"],
+            [(0, "a", (1, 2)), ((1, 2), "a", (True, 2)), ((True, 2), "a", 0)],
+            0,
+            [0, (1, 2)],
+        )
+        kernel = compile_nfa(nfa, 4, trimmed=False)
+        layers = [repr(kernel.layer_states(t)) for t in range(5)]
+        assert "True" in layers[2] and "True" not in layers[1] + layers[3]
+        for version in (2, 3):
+            restored = kernel_from_bytes(kernel_to_bytes(kernel, version=version))
+            assert [repr(restored.layer_states(t)) for t in range(5)] == layers
+        product = lower_plan(Product(as_plan("(ab|ba)*"), as_plan("(ab)*(a|b)?")), 20, trimmed=True)
+        data = kernel_to_bytes(product)
+        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+        header = json.loads(data[len(MAGIC) + 4 : len(MAGIC) + 4 + header_len])
+        assert len(header["labels"][1]) < product.vertex_count() == sum(header["layers"])
+
     def test_plan_kernel_round_trip_keeps_lowering(self):
         plan = Product(as_plan("(ab|ba)*"), as_plan("(a|b)*aa(a|b)*"))
         kernel = lower_plan(plan, 10, trimmed=True)
@@ -340,6 +367,57 @@ class TestKernelStore:
         assert store.get(fp, 8, True) is None
         assert store.stats.corrupt == 1
 
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize(
+        "damage", ["id_past_table", "negative_id", "truncated_row", "truncated_last_row"]
+    )
+    def test_corrupt_label_ids_are_quarantined(self, store, damage, mmap):
+        """A version-3 snapshot whose label ids are out of range, or whose
+        id row is one id short (header and payload kept consistent), is
+        refused at load by copy and by mmap, and the store deletes it."""
+        import struct
+
+        from repro.service.snapshot import MAGIC
+
+        fp, kernel = self._kernel(1)
+        data = kernel_to_bytes(kernel)
+        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+        start = len(MAGIC) + 4 + header_len
+        header = json.loads(data[len(MAGIC) + 4 : start])
+        payload = data[start + (-start) % 8 :]
+        layers = header["layers"]
+        if damage == "id_past_table":
+            payload = struct.pack("<q", len(header["labels"][1])) + payload[8:]
+        elif damage == "negative_id":
+            payload = struct.pack("<q", -1) + payload[8:]
+        else:
+            # A short row in a layer whose last state is not final: only
+            # the per-layer size checks can tell.
+            t = len(layers) - 1
+            if damage == "truncated_row":
+                t = next(
+                    t
+                    for t in range(1, len(layers) - 1)
+                    if max(header["finals_idx"][t], default=-1) < layers[t] - 1
+                )
+            cut = 8 * (sum(layers[: t + 1]) - 1)
+            layers[t] -= 1
+            payload = payload[:cut] + payload[cut + 8 :]
+        text = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode()
+        prefix = MAGIC + struct.pack("<I", len(text)) + text
+        bad = prefix + b"\x00" * (-len(prefix) % 8) + payload
+
+        path = store.path_for(fp, 8, True)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(bad)
+        with pytest.raises(SnapshotError):
+            kernel_from_bytes(bad)
+        with pytest.raises(SnapshotError):
+            kernel_from_mmap(path)
+        store.mmap = mmap
+        assert store.get(fp, 8, True) is None
+        assert store.stats.corrupt == 1 and not path.exists()
+
     def test_lru_eviction(self, store):
         fp0, kernel0 = self._kernel(0)
         entry_size = len(kernel_to_bytes(kernel0))
@@ -426,6 +504,24 @@ class TestKernelStore:
         assert isinstance(store.total_bytes(), int)
 
 
+def _restart_spec(kind: str) -> dict:
+    """An unambiguous word-valued spec of ``kind`` at n=12."""
+    def document(seed):
+        nfa = random_ufa(24, rng=seed, completeness=0.9, ensure_nonempty_length=12)
+        return json.loads(nfa_to_json(nfa))
+
+    if kind == "regex":
+        return {"kind": "regex", "pattern": "(ab|ba)*(a|b)?", "alphabet": "ab", "n": 12}
+    if kind == "nfa":
+        return {"kind": "nfa", "nfa": document(SEED), "n": 12}
+    return {
+        "kind": "intersection",
+        "left": {"kind": "nfa", "nfa": document(SEED)},
+        "right": {"kind": "nfa", "nfa": document(SEED + 1)},
+        "n": 12,
+    }
+
+
 class TestWitnessSetStoreWiring:
     def test_warm_start_hits_store(self, store):
         nfa = random_ufa(30, rng=SEED, completeness=0.9, ensure_nonempty_length=16)
@@ -441,42 +537,204 @@ class TestWitnessSetStoreWiring:
         # never built.
         assert "dag" not in warm._cache and "stripped" not in warm._cache
 
-    @pytest.mark.parametrize("kind", ["nfa", "intersection"])
-    def test_warm_restart_does_no_automaton_work(self, tmp_path, kind):
-        """A restart that finds its kernel in the store answers from it:
-        the automaton is fingerprinted, never stripped, and its
-        transition indexes are never built."""
-        def document(seed):
-            nfa = random_ufa(24, rng=seed, completeness=0.9, ensure_nonempty_length=12)
-            return json.loads(nfa_to_json(nfa))
+    @pytest.mark.parametrize("kind", ["regex", "nfa", "intersection"])
+    def test_warm_restart_does_no_automaton_work(self, tmp_path, kind, monkeypatch):
+        """A restart whose spec is aliased in the store answers from the
+        stored kernel alone: the deferred automaton is never built and
+        never fingerprinted."""
+        from repro.service import fingerprint as fingerprint_module
+        from repro.service import protocol
 
-        if kind == "nfa":
-            spec = {"kind": "nfa", "nfa": document(SEED), "n": 12}
-        else:
-            spec = {
-                "kind": "intersection",
-                "left": {"kind": "nfa", "nfa": document(SEED)},
-                "right": {"kind": "nfa", "nfa": document(SEED + 1)},
-                "n": 12,
-            }
+        spec = _restart_spec(kind)
         root = tmp_path / "kernels"
         cold = witness_set_from_spec(spec, store=KernelStore(root))
         answers = (cold.count(), cold.sample_batch(20, rng=5, use_substreams=True))
-        assert answers[0] > 0
+        assert answers[0] > 0 and cold.is_unambiguous
 
+        built = []
+        word_source = protocol._word_source
+        monkeypatch.setattr(
+            protocol, "_word_source", lambda spec: built.append(spec) or word_source(spec)
+        )
+
+        def no_fingerprint(source):
+            raise AssertionError("a warm restart fingerprinted its automaton")
+
+        monkeypatch.setattr(fingerprint_module, "fingerprint_source", no_fingerprint)
         store = KernelStore(root, mmap=True)
         warm = witness_set_from_spec(spec, store=store)
         assert warm.count() == answers[0]
         assert warm.sample_batch(20, rng=5, use_substreams=True) == answers[1]
+        assert warm.nonempty
+        assert built == [] and warm._pending is not None
         assert store.stats.hits == 1 and store.stats.misses == 0
-        assert "stripped" not in warm.stats.misses
-        automata = [warm.nfa] if warm.plan is None else [
-            warm.plan.left.nfa, warm.plan.right.nfa
-        ]
-        for nfa in automata:
+        assert store.stats.alias_hits == 1 and store.stats.alias_misses == 0
+
+    def test_restart_over_a_store_without_aliases(self, tmp_path):
+        """A store written before aliases existed (version-2 snapshots,
+        no alias files) is read as it is: the first restart fingerprints
+        its automaton, never strips or indexes it, rewrites no snapshot
+        and adds only the alias; the second restart is an alias hit."""
+        spec = _restart_spec("intersection")
+        root = tmp_path / "kernels"
+        cold_store = KernelStore(root)
+        cold = witness_set_from_spec(spec, store=cold_store)
+        answers = (cold.count(), cold.sample_batch(20, rng=5, use_substreams=True))
+        for path in cold_store.entries():
+            path.write_bytes(kernel_to_bytes(kernel_from_bytes(path.read_bytes()), version=2))
+        for path in root.glob("*/*.alias"):
+            path.unlink()
+        snapshots = {path: path.read_bytes() for path in cold_store.entries()}
+        files = set(root.glob("*/*"))
+
+        first_store = KernelStore(root, mmap=True)
+        first = witness_set_from_spec(spec, store=first_store)
+        assert (first.count(), first.sample_batch(20, rng=5, use_substreams=True)) == answers
+        assert first_store.stats.as_dict() == dict(
+            first_store.stats.as_dict(), hits=1, misses=0, stores=0, corrupt=0,
+            alias_hits=0, alias_misses=1,
+        )
+        assert {path: path.read_bytes() for path in cold_store.entries()} == snapshots
+        added = set(root.glob("*/*")) - files
+        assert [path.name for path in added] == [f"{spec_key(spec)}.alias"]
+        assert "stripped" not in first.stats.misses
+        for nfa in (first.plan.left.nfa, first.plan.right.nfa):
             for index_slot in (NFA._delta, NFA._rdelta):
                 with pytest.raises(AttributeError):
                     index_slot.__get__(nfa, NFA)
+
+        second_store = KernelStore(root, mmap=True)
+        second = witness_set_from_spec(spec, store=second_store)
+        assert (second.count(), second.sample_batch(20, rng=5, use_substreams=True)) == answers
+        assert second_store.stats.alias_hits == 1 and second._pending is not None
+
+    def test_deferred_set_answers_like_the_eager_set(self, tmp_path):
+        """What needs the automaton (membership, describe, the FPRAS)
+        builds it on first use and answers exactly as a cold set."""
+        spec = _restart_spec("intersection")
+        root = tmp_path / "kernels"
+        witness_set_from_spec(spec, store=KernelStore(root)).count()
+        store = KernelStore(root)
+        deferred = witness_set_from_spec(spec, store=store)
+        eager = witness_set_from_spec(spec)
+        assert deferred._pending is not None
+        words = eager.sample(6, rng=3) + [("a",) * 12, ("b",) * 12, ("a",) * 11]
+        assert [deferred.contains(w) for w in words] == [eager.contains(w) for w in words]
+        assert deferred._pending is None
+
+        def facts(ws):
+            return dict(ws.describe(), lowering_seconds=None)
+
+        assert facts(deferred) == facts(eager)
+        fpras = {"backend": "fpras", "delta": 0.3, "rng": 7}
+        assert deferred.count(**fpras) == eager.count(**fpras)
+        assert deferred.spectrum(16) == eager.spectrum(16)
+        assert store.stats.corrupt == 0 and store.stats.alias_hits == 1
+
+    @pytest.mark.parametrize("garbage", [b"\x00\xff not json", b'{"fingerprint": "abc"}', b"[1, 2]"])
+    def test_garbage_alias_is_quarantined(self, tmp_path, garbage):
+        """An unreadable alias counts as corrupt and is deleted; the set
+        builds from its spec, answers as cold, and writes a good alias."""
+        spec = _restart_spec("regex")
+        root = tmp_path / "kernels"
+        cold = witness_set_from_spec(spec, store=KernelStore(root))
+        answers = (cold.count(), cold.sample_batch(20, rng=5, use_substreams=True))
+        alias = KernelStore(root).alias_path_for(spec_key(spec))
+        alias.write_bytes(garbage)
+
+        store = KernelStore(root)
+        warm = witness_set_from_spec(spec, store=store)
+        assert store.stats.corrupt == 1 and not alias.exists()
+        assert warm._pending is None  # built from the spec, as on a cold start
+        assert (warm.count(), warm.sample_batch(20, rng=5, use_substreams=True)) == answers
+        assert store.stats.alias_misses == 1 and store.stats.hits == 1
+        assert json.loads(alias.read_text())["fingerprint"] == cold.fingerprint()
+
+    def test_mismatched_alias_is_replaced_and_never_written_under(self, tmp_path):
+        """An alias pointing at another automaton's kernels: once the set
+        builds its own automaton it counts the alias as corrupt, replaces
+        it, drops what it read under it, and stores nothing under it."""
+        spec, other = _restart_spec("regex"), _restart_spec("nfa")
+        root = tmp_path / "kernels"
+        right = witness_set_from_spec(spec, store=KernelStore(root))
+        right.count()
+        wrong = witness_set_from_spec(other, store=KernelStore(root))
+        wrong.count()
+        alias = KernelStore(root).alias_path_for(spec_key(spec))
+        record = json.loads(alias.read_text())
+        alias.write_text(json.dumps(dict(record, fingerprint=wrong.fingerprint())))
+
+        def wrong_entries():
+            return {
+                path: path.read_bytes()
+                for path in root.glob(f"*/{wrong.fingerprint()}*")
+            }
+
+        before = wrong_entries()
+        assert right.count() != wrong.count()
+
+        store = KernelStore(root)
+        ws = witness_set_from_spec(spec, store=store)
+        assert ws.count() == wrong.count()  # served from the alias, unchecked
+        assert ws.contains(right.sample(rng=1))  # builds the automaton
+        assert store.stats.corrupt == 1
+        assert ws.fingerprint() == right.fingerprint()
+        assert ws.count() == right.count()
+        assert ws.spectrum(14) == right.spectrum(14)
+        assert json.loads(alias.read_text()) == record
+        assert wrong_entries() == before
+
+    def test_alias_to_a_fingerprint_with_no_entries(self, tmp_path):
+        """An alias naming a fingerprint the store holds nothing for: the
+        first kernel miss builds the automaton, finds the alias wrong,
+        and the set answers and stores under its true fingerprint only."""
+        from repro.service.fingerprint import FINGERPRINT_VERSION
+        from repro.service.protocol import SPEC_VERSION
+
+        spec = _restart_spec("regex")
+        right = witness_set_from_spec(spec)
+        root = tmp_path / "kernels"
+        store = KernelStore(root)
+        bogus = "ab" * 32
+        version = f"{FINGERPRINT_VERSION}.{SPEC_VERSION}"
+        store.put_alias(spec_key(spec), version, bogus)
+
+        ws = witness_set_from_spec(spec, store=store)
+        assert ws.sample_batch(20, rng=5, use_substreams=True) == right.sample_batch(
+            20, rng=5, use_substreams=True
+        )
+        assert (ws.count(), ws.spectrum(14)) == (right.count(), right.spectrum(14))
+        assert store.stats.corrupt == 1 and store.stats.stores == 2
+        assert not list(root.glob(f"*/{bogus}*"))
+        assert store.get_alias(spec_key(spec), version) == right.fingerprint()
+
+    @pytest.mark.parametrize("kind", ["regex", "nfa", "intersection"])
+    def test_seeded_outputs_match_across_restarts_and_snapshot_versions(
+        self, tmp_path, kind
+    ):
+        """Cold, warm from version-3 snapshots and warm from the same
+        kernels written as version 2 (by copy and by mmap) give the same
+        counts, seeded draws, enumeration pages and spectra."""
+        spec = _restart_spec(kind)
+
+        def outputs(store):
+            ws = witness_set_from_spec(spec, store=store)
+            first, cursor = ws.enumerate_page(7)
+            return (
+                ws.count(),
+                ws.sample_batch(25, rng=9, use_substreams=True),
+                first,
+                ws.enumerate_page(5, cursor),
+                ws.spectrum(),
+            )
+
+        root = tmp_path / "kernels"
+        cold = outputs(KernelStore(root))
+        assert outputs(KernelStore(root, mmap=True)) == cold
+        for path in KernelStore(root).entries():
+            path.write_bytes(kernel_to_bytes(kernel_from_bytes(path.read_bytes()), version=2))
+        assert outputs(KernelStore(root)) == cold
+        assert outputs(KernelStore(root, mmap=True)) == cold
 
     def test_warm_first_sample_reads_the_stored_kernel(self, tmp_path):
         """A warm NFA-sourced set whose first query draws (no count
@@ -932,6 +1190,43 @@ class TestServeStdio:
         samples = [r for r in responses if isinstance(r.get("id"), int) and r["id"] < 4]
         assert len(samples) == 4 and all(r["ok"] for r in samples)
         assert all(r.get("coalesced") == 4 for r in samples)
+
+    def test_pump_batches_every_request_queued_when_its_window_closes(self):
+        """With no straggler window, requests queued before the pump wakes
+        still form one batch: the pump takes everything already queued
+        when its window closes, so the burst coalesces."""
+        import asyncio
+        import types
+
+        from repro.service.server import AsyncWitnessServer, _Pending
+
+        async def scenario(engine):
+            server = AsyncWitnessServer(engine, batch_window=0)
+            server._start()
+            loop = asyncio.get_running_loop()
+            conn = types.SimpleNamespace(closed=False)
+            futures = []
+            for i in range(4):
+                request = {"id": i, "op": "sample", "spec": SPEC, "k": 1, "seed": i}
+                futures.append(loop.create_future())
+                server._queue.put_nowait(
+                    _Pending(request, conn, None, future=futures[-1], received=loop.time())
+                )
+            pump = loop.create_task(server._pump())
+            try:
+                responses = await asyncio.wait_for(asyncio.gather(*futures), 30)
+            finally:
+                pump.cancel()
+            return server.batches, responses
+
+        with Engine(workers=0) as engine:
+            batches, responses = asyncio.run(scenario(engine))
+        assert batches == 1
+        assert [r["coalesced"] for r in responses] == [4, 4, 4, 4]
+        ws = witness_set_from_spec(SPEC)
+        assert [r["result"] for r in responses] == [
+            [render_witness(w) for w in draw_samples(ws, 1, i)] for i in range(4)
+        ]
 
     def test_stream_answers_chunk_lines(self):
         stdin = io.StringIO(
