@@ -34,6 +34,20 @@ extension* (:meth:`CompiledDAG.extend_to`): appending layers to an
 existing compilation instead of recompiling from scratch, which turns
 length-spectrum sweeps from quadratic into linear total work.
 
+Every layer applies the same transition relation, so the layers turn
+periodic after a short transient.  :func:`unroll_layers` steps each
+distinct layer once and interns equal layers to one frozenset; the
+kernel gives equal layers one sorted state tuple, one index map and one
+``final_indices`` tuple, and equal ``(t, t + 1)`` layer pairs one CSR
+block.  Layers are shared only under the *exact-type rule*
+(:func:`_exact_layer`): layer 0 and every successor set hold only
+states that are exactly ``int`` or ``str``, or only tuples of them.
+``1`` and ``True``, or ``(1, 2)`` and ``(True, 2)``, are equal without
+being interchangeable, so a source that reaches such states is lowered
+unshared.  Nothing mutates a shared block in place:
+:meth:`CompiledDAG.extend_to` appends, and copying a borrowed kernel
+onto owned arrays replaces list entries.
+
 The kernel is *source-generic*: construction only reads the NFA
 interface (``initial`` / ``finals`` membership / ``out_edges`` /
 ``alphabet`` / ``has_epsilon``).  Every kernel is built by the one
@@ -48,11 +62,13 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import chain
 from random import Random
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
     Callable,
+    Collection,
     Container,
     Iterable,
     Iterator,
@@ -111,6 +127,28 @@ class AutomatonSource(Protocol):
     def out_edges(self, state: State) -> Iterable[tuple[Symbol, State]]: ...
 
 
+#: State types whose equal values are interchangeable: two equal ints,
+#: strings or tuples of them have the same types, which is not so for
+#: ``1``, ``True`` and ``1.0``, ``0.0`` and ``-0.0``, or ``(1, 2)`` and
+#: ``(True, 2)`` (their ``repr``, hence the kernel order, differs).
+_EXACT = frozenset({int, str})
+
+
+def _exact_layer(states: Collection[State]) -> bool:
+    """The exact-type rule: every state is exactly an ``int`` or ``str``,
+    or every state is a tuple of them.  Equal layers that pass it hold
+    the same states, so they may be shared."""
+    kinds = set(map(type, states))
+    return _EXACT.issuperset(kinds) or (
+        kinds == {tuple} and _EXACT.issuperset(map(type, chain.from_iterable(states)))
+    )
+
+
+def _index_map(states: Sequence[State]) -> dict[State, int]:
+    """A layer's state → local index map."""
+    return dict(zip(states, range(len(states))))
+
+
 def _pack_counts(counts: list[int]) -> CountRow:
     """Pack a per-layer count row into ``array('q')``, spilling to a list.
 
@@ -139,34 +177,70 @@ def unroll_layers(
 
     A state's successors do not depend on its layer, so each state's
     successor set is computed once per call and shared by every layer
-    and by both passes.
+    and by both passes.  For the same reason the forward step of a layer,
+    and the Lemma 15 prune of a ``(forward[t], live[t + 1])`` pair, are
+    computed once, and equal layers are interned to one frozenset: once
+    the layers turn periodic, a step is a dict lookup.  This holds while
+    layer 0 and every successor set pass the exact-type rule.  A
+    successor set of other types turns sharing off and the forward pass
+    starts over: which of two equal states of different types (``1`` and
+    ``True``) a union keeps depends on the order it meets them, and an
+    interned layer may iterate in another order than the one it replaced.
     """
     if n < 0:
         raise ValueError("word length must be ≥ 0")
     out_edges = source.out_edges
     after: dict[State, frozenset[State]] = {}
-    forward = [frozenset({source.initial}) if first is None else first]
-    for _ in range(n):
-        reached: set[State] = set()
-        for state in forward[-1]:
-            targets = after.get(state)
-            if targets is None:
-                targets = frozenset(target for _, target in out_edges(state))
-                after[state] = targets
-            reached |= targets
-        forward.append(frozenset(reached))
+    start = frozenset({source.initial}) if first is None else first
+    interned: dict[frozenset[State], frozenset[State]] = {}
+
+    def reach(share: bool) -> list[frozenset[State]] | None:
+        """The forward layers, or None once sharing meets another type."""
+        stepped: dict[frozenset[State], frozenset[State]] = {}
+        forward = [interned.setdefault(start, start) if share else start]
+        for _ in range(n):
+            current = forward[-1]
+            reached = stepped.get(current) if share else None
+            if reached is None:
+                states: set[State] = set()
+                for state in current:
+                    targets = after.get(state)
+                    if targets is None:
+                        targets = frozenset(target for _, target in out_edges(state))
+                        after[state] = targets
+                        if share and not _exact_layer(targets):
+                            return None
+                    states |= targets
+                reached = frozenset(states)
+                if share:
+                    reached = stepped[current] = interned.setdefault(reached, reached)
+            forward.append(reached)
+        return forward
+
+    share = _exact_layer(start)
+    forward = reach(True) if share else None
+    if forward is None:
+        share = False
+        after.clear()
+        forward = reach(False)
+        assert forward is not None  # only a sharing pass gives up
     if not trimmed:
         return forward, forward
     finals = source.finals
     # Built back to front, then reversed into layer order.
-    live = [frozenset(state for state in forward[n] if state in finals)]
+    last = frozenset(state for state in forward[n] if state in finals)
+    live = [interned.setdefault(last, last) if share else last]
+    pruned: dict[tuple[frozenset[State], frozenset[State]], frozenset[State]] = {}
     for t in range(n - 1, -1, -1):
-        later = live[-1]
-        live.append(
-            frozenset(
-                state for state in forward[t] if not later.isdisjoint(after[state])
+        layer, later = forward[t], live[-1]
+        kept = pruned.get((layer, later)) if share else None
+        if kept is None:
+            kept = frozenset(
+                state for state in layer if not later.isdisjoint(after[state])
             )
-        )
+            if share:
+                kept = pruned[layer, later] = interned.setdefault(kept, kept)
+        live.append(kept)
     live.reverse()
     return forward, live
 
@@ -193,6 +267,13 @@ class CompiledDAG:
         (the ``live`` half of :func:`unroll_layers`, which
         :func:`~repro.core.plan.lower_plan` computes for its stats);
         when omitted they are computed from the source.
+
+    Layers that are the same frozenset (:func:`unroll_layers` interns
+    equal layers under the exact-type rule) share one sorted state tuple,
+    one index map and one ``final_indices`` tuple; ``_twin[t]`` is the
+    first layer whose objects layer ``t`` holds.  Layer pairs with the
+    same twins share one CSR block.  Count rows stay per layer, and no
+    shared object is mutated in place.
     """
 
     __slots__ = (
@@ -203,6 +284,7 @@ class CompiledDAG:
         "_symbol_index",
         "_states",
         "_index",
+        "_twin",
         "_edge_start",
         "_edge_symbol",
         "_edge_dst",
@@ -226,6 +308,7 @@ class CompiledDAG:
     _symbol_index: dict[Symbol, int]
     _states: list[tuple[State, ...]]
     _index: list[dict[State, int]]
+    _twin: list[int]
     _edge_start: list[_IntArray]
     _edge_symbol: list[_IntArray]
     _edge_dst: list[_IntArray]
@@ -259,20 +342,18 @@ class CompiledDAG:
             _, layers = unroll_layers(nfa, n, trimmed)
         self.symbols = tuple(sorted(nfa.alphabet, key=repr))
         self._symbol_index = {s: i for i, s in enumerate(self.symbols)}
-        self._states = [tuple(sorted(layer, key=repr)) for layer in layers]
-        self._index = [
-            {state: i for i, state in enumerate(states)} for states in self._states
-        ]
+        self._states = []
+        self._index = []
+        self._twin = []
         self._edge_start = []
         self._edge_symbol = []
         self._edge_dst = []
-        for t in range(n):
-            self._append_edge_layer(t)
+        self._layer_sets = {}
+        self._add_layers(layers)
         self._redge = {}
         self._forward = None
         self._backward = None
         self._cum = {}
-        self._layer_sets = {}
         self._finals_idx = {}
         #: LoweringStats when this kernel came from a plan lowering.
         self.lowering = None
@@ -339,6 +420,44 @@ class CompiledDAG:
             metric_names.ACCEL_SPILLS, labels={"site": site}
         ).inc()
 
+    def _add_layers(self, layers: Iterable[frozenset[State]]) -> None:
+        """Append ``layers`` after the kernel's last layer, each with the
+        CSR block from the layer before it.
+
+        A layer that is the same object as an earlier one of ``layers``,
+        or as the kernel's last layer, takes that layer's state tuple and
+        index map; a layer pair whose twins repeat an earlier pair's
+        takes that pair's CSR block.
+        """
+        states, index, twin = self._states, self._index, self._twin
+        seen: dict[frozenset[State], tuple[frozenset[State], int]] = {}
+        if states:
+            last = self.layer(len(states) - 1)
+            seen[last] = (last, twin[-1])
+        blocks: dict[tuple[int, int], int] = {}
+        for layer in layers:
+            t = len(states)
+            entry = seen.get(layer)
+            if entry is not None and entry[0] is layer:
+                first = entry[1]
+                states.append(states[first])
+                index.append(index[first])
+            else:
+                first = t
+                seen[layer] = (layer, t)
+                ordered = tuple(sorted(layer, key=repr))
+                states.append(ordered)
+                index.append(_index_map(ordered))
+            twin.append(first)
+            if not t:
+                continue
+            block = blocks.setdefault((twin[t - 1], first), t - 1)
+            if block == t - 1:
+                self._append_edge_layer(t - 1)
+            else:
+                for arrays in (self._edge_start, self._edge_symbol, self._edge_dst):
+                    arrays.append(arrays[block])
+
     def _append_edge_layer(self, t: int) -> None:
         """Build the CSR edge block for layer ``t`` → ``t + 1``."""
         index_next = self._index[t + 1]
@@ -391,12 +510,9 @@ class CompiledDAG:
         grown, _ = unroll_layers(
             self.nfa, new_n - self.n, False, first=self.layer(self.n)
         )
-        for t, layer in enumerate(grown[1:], start=self.n):
-            states_next = tuple(sorted(layer, key=repr))
-            self._states.append(states_next)
-            self._index.append({state: i for i, state in enumerate(states_next)})
-            self._append_edge_layer(t)
-            if self._forward is not None:
+        self._add_layers(grown[1:])
+        if self._forward is not None:
+            for t in range(self.n, new_n):
                 row = (
                     self.accel.forward_step_row(self, t, self._forward[t])
                     if self.accel is not None
@@ -477,10 +593,14 @@ class CompiledDAG:
         """Indices of accepting states at layer ``t`` (ascending)."""
         cached = self._finals_idx.get(t)
         if cached is None:
-            finals = self.nfa.finals
-            cached = tuple(
-                i for i, state in enumerate(self._states[t]) if state in finals
-            )
+            twin = self._twin[t]
+            if twin != t:
+                cached = self.final_indices(twin)
+            else:
+                finals = self.nfa.finals
+                cached = tuple(
+                    i for i, state in enumerate(self._states[t]) if state in finals
+                )
             self._finals_idx[t] = cached
         return cached
 
@@ -849,10 +969,11 @@ class CompiledDAG:
 
     def layer(self, t: int) -> frozenset[State]:
         """Live states at layer ``t`` (0 ≤ t ≤ n)."""
-        cached = self._layer_sets.get(t)
+        twin = self._twin[t]
+        cached = self._layer_sets.get(twin)
         if cached is None:
-            cached = frozenset(self._states[t])
-            self._layer_sets[t] = cached
+            cached = frozenset(self._states[twin])
+            self._layer_sets[twin] = cached
         return cached
 
     @property

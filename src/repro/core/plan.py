@@ -123,18 +123,26 @@ class _LazyFinals:
 
     The kernel and the lazy product explorations only ever ask ``state in
     finals``; answering through :meth:`Plan.is_final` keeps composite
-    finals symbolic (no enumeration of accepting product states).
+    finals symbolic (no enumeration of accepting product states).  Each
+    state's answer is memoized, so a view that is kept (as
+    :class:`_MemoSource` keeps one) calls ``is_final`` once per distinct
+    state.
     """
 
-    __slots__ = ("_plan",)
+    __slots__ = ("_plan", "_memo")
 
     _plan: "Plan"
+    _memo: dict[State, bool]
 
     def __init__(self, plan: "Plan") -> None:
         self._plan = plan
+        self._memo = {}
 
     def __contains__(self, state: object) -> bool:
-        return self._plan.is_final(state)
+        answer = self._memo.get(state)
+        if answer is None:
+            answer = self._memo[state] = self._plan.is_final(state)
+        return answer
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
         return f"<LazyFinals of {self._plan.describe()}>"
@@ -725,13 +733,15 @@ class _MemoSource:
     reachable-mode kernel) fall through to the plan and are memoized
     then.  This is what lets one CSR-construction code path serve both
     concrete NFAs and symbolic plans.  :meth:`successors` answers from a
-    per-state symbol index, built once from the memoized block.
+    per-state symbol index, built once from the memoized block, and
+    :attr:`finals` from a per-state memo of :meth:`Plan.is_final`.
     """
 
-    __slots__ = ("plan", "adjacency", "_by_symbol")
+    __slots__ = ("plan", "adjacency", "finals", "_by_symbol")
 
     plan: Plan
     adjacency: _Adjacency
+    finals: _LazyFinals
     _by_symbol: dict[State, dict[Symbol, frozenset[State]]]
 
     has_epsilon = False
@@ -739,15 +749,12 @@ class _MemoSource:
     def __init__(self, plan: Plan, adjacency: _Adjacency) -> None:
         self.plan = plan
         self.adjacency = adjacency
+        self.finals = plan.finals
         self._by_symbol = {}
 
     @property
     def initial(self) -> State:
         return self.plan.initial
-
-    @property
-    def finals(self) -> _LazyFinals:
-        return self.plan.finals
 
     @property
     def alphabet(self) -> frozenset[Symbol]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
@@ -53,6 +54,9 @@ if TYPE_CHECKING:
     from repro.spanners.eva import EVA
 
 FINGERPRINT_VERSION = 1
+
+#: Atom types the canonicalizer memoizes and ranks by value.
+_EXACT_ATOMS = frozenset({int, str})
 
 
 class FingerprintError(ReproError):
@@ -80,8 +84,11 @@ class _Canonicalizer:
         if kind is int or kind is str:
             entry = self._memo.get(value)
             if entry is None:
-                canon = ["a", value]
-                entry = self._memo[value] = (canon, json.dumps(canon, sort_keys=True))
+                # json.dumps(["a", value], sort_keys=True), written out:
+                # JSON writes an int as its repr and a string as its
+                # ASCII-escaped literal.
+                text = str(value) if kind is int else json.dumps(value)
+                entry = self._memo[value] = (["a", value], '["a", ' + text + "]")
             return entry
         canon = self._canon(value)
         return canon, json.dumps(canon, sort_keys=True)
@@ -109,7 +116,20 @@ class _Canonicalizer:
     def sorted_rows(self, rows: Iterable[tuple[Any, ...]]) -> list[list[Any]]:
         """Canonical rows (e.g. ``[source, symbol, target]``), in the order
         of their sort keys ``json.dumps(row, sort_keys=True)``, each built
-        from the cached atom keys instead of serializing the row."""
+        from the cached atom keys instead of serializing the row.
+
+        Rows of one length whose atoms are all exactly ``int`` or ``str``
+        sort by the ranks of their atoms' keys instead.  An atom key is a
+        complete JSON array, so no key is a proper prefix of another, and
+        ``"[k1, k2]"`` sorts as the tuple ``(k1, k2)`` does.
+        """
+        rows = list(rows)
+        if (
+            rows
+            and len(set(map(len, rows))) == 1
+            and _EXACT_ATOMS.issuperset(map(type, chain.from_iterable(rows)))
+        ):
+            return self._ranked_rows(rows)
         atom = self.atom
         keyed = []
         for row in rows:
@@ -122,6 +142,23 @@ class _Canonicalizer:
             keyed.append(("[" + ", ".join(keys) + "]", canons))
         keyed.sort(key=itemgetter(0))
         return [canons for _, canons in keyed]
+
+    def _ranked_rows(self, rows: list[tuple[Any, ...]]) -> list[list[Any]]:
+        """:meth:`sorted_rows` for rows of one length over exact atoms:
+        each row's key is one integer, its atoms' ranks in base
+        ``len(ranks)``."""
+        entries = {value: self.atom(value) for value in dict.fromkeys(chain.from_iterable(rows))}
+        ordered = sorted(entries, key=lambda value: entries[value][1])
+        ranks = dict(zip(ordered, range(len(ordered))))
+        base = len(ranks)
+        keys = [0] * len(rows)
+        for column in zip(*rows):
+            keys = [key * base + rank for key, rank in zip(keys, map(ranks.__getitem__, column))]
+        canon = {value: entry[0] for value, entry in entries.items()}
+        return [
+            list(map(canon.__getitem__, rows[i]))
+            for i in sorted(range(len(rows)), key=keys.__getitem__)
+        ]
 
 
 def _canon_nfa(canon: _Canonicalizer, nfa: NFA) -> list[Any]:

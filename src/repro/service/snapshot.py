@@ -45,14 +45,18 @@ edge block, or a layer holding one state twice is a
 
 The table encoding has fast paths, byte-identical to the codec: a table
 of plain strings and numbers is stored raw, and tuples of ints and
-strings skip the recursive codec.  On restore, a ``json.loads`` object
-hook turns every tagged tuple of scalars (strings, numbers, booleans,
-None) back into its tuple while the header is parsed.  Nested tuples,
-frozensets and ε take the codec both ways.
+strings skip the recursive codec.  On restore, every tagged tuple of
+scalars (strings, numbers, booleans, None) becomes its tuple without the
+codec.  Nested tuples, frozensets and ε take the codec both ways.
 
 Versions 1 and 2 (still written on request, and read) store every layer
 as its own list of encoded labels in the header, under ``states``;
 version 1 also leaves the payload unpadded.
+
+Every version writes each layer and each CSR block in full, so a kernel
+whose equal layers share their objects (see :mod:`repro.core.kernel`)
+encodes to the same bytes as one that does not; the encoder packs each
+shared label-id row and block once, and a restore shares them again.
 
 A restored kernel carries a :class:`_SnapshotSource` in place of its
 automaton: initial state, accepting-state membership and alphabet are
@@ -69,10 +73,10 @@ import mmap
 import os
 import struct
 from array import array
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Container, Iterable
 
 from repro.automata.serialization import _TUPLE_TAG, _decode_atom, _encode_atom
+from repro.core.kernel import _exact_layer, _index_map
 from repro.errors import InvalidAutomatonError, ReproError
 
 if TYPE_CHECKING:
@@ -103,6 +107,9 @@ _LP64 = array("l").itemsize == array("q").itemsize
 
 #: Largest count representable in a packed ``array('q')`` row.
 _INT64_MAX = 2**63 - 1
+
+#: Bytes per payload item (``'q'`` counts and CSR rows, ``'Q'`` label ids).
+_ITEMSIZE = array("q").itemsize
 
 
 class SnapshotError(ReproError):
@@ -178,21 +185,15 @@ class _SnapshotSource:
 #: themselves: the tagged-atom codec maps each of them to its JSON scalar.
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
-#: Item types of a tuple label that the encoder memoizes by value.  Two
-#: equal tuples of these have items of the same types, which is not so
-#: for ``1`` and ``True`` or ``0.0`` and ``-0.0``.
-_EXACT = frozenset({str, int})
 
-
-def _tuple_label(obj: dict[str, Any]) -> Any:
-    """``json.loads`` object hook: a tagged tuple of scalars becomes the
-    tuple while the header is parsed.  Every other object stays as
-    parsed (header fields, or labels left to :func:`_decode_atom`)."""
-    if len(obj) == 1:
-        items = obj.get(_TUPLE_TAG)
+def _decode_label(item: Any) -> Any:
+    """A tagged label → its state: a tuple of scalars directly, anything
+    else through :func:`_decode_atom`."""
+    if type(item) is dict and len(item) == 1:
+        items = item.get(_TUPLE_TAG)
         if type(items) is list and _SCALARS.issuperset(map(type, items)):
             return tuple(items)
-    return obj
+    return _decode_atom(item)
 
 
 def _encode_atoms(values: Iterable[object], memo: dict[Any, Any]) -> list[Any]:
@@ -212,9 +213,9 @@ def _encode_atoms(values: Iterable[object], memo: dict[Any, Any]) -> list[Any]:
         for item in items
     ):
         return ["plain", items]
-    if set(map(type, items)) == {tuple} and _EXACT.issuperset(
-        map(type, chain.from_iterable(items))
-    ):
+    # Not plain, so under the exact-type rule these are tuples of ints
+    # and strings: equal tuples have items of the same types.
+    if _exact_layer(items):
         encoded = []
         for item in items:
             label = memo.get(item)
@@ -225,30 +226,35 @@ def _encode_atoms(values: Iterable[object], memo: dict[Any, Any]) -> list[Any]:
     return ["tagged", [_encode_atom(item) for item in items]]
 
 
-def _label_table(kernel: CompiledDAG) -> tuple[list[Any], list[array[int]]]:
-    """The version-3 label table and every layer's label-id row.
+def _label_table(kernel: CompiledDAG) -> tuple[list[Any], list[bytes]]:
+    """The version-3 label table and every layer's label-id row (packed).
 
     Labels are numbered in order of first appearance, layer by layer.
-    A layer of exact ints and strings, or of tuples of them, shares one
-    entry per distinct label.  Any other layer gets an entry per label:
-    equal labels of other types may encode differently.
+    A layer under the kernel's exact-type rule (exact ints and strings,
+    or tuples of them) shares one entry per distinct label.  Any other
+    layer gets an entry per label: equal labels of other types may
+    encode differently.  A layer that shares its twin's state tuple has
+    its twin's ids, so its row is packed once.
     """
     ids: dict[Any, int] = {}
     labels: list[Any] = []
-    rows = []
+    rows: list[bytes] = []
+    exact: list[bool] = []
     for t in range(kernel.n + 1):
         layer = kernel.layer_states(t)
-        kinds = set(map(type, layer))
-        if _EXACT.issuperset(kinds) or (
-            kinds == {tuple} and _EXACT.issuperset(map(type, chain.from_iterable(layer)))
-        ):
+        twin = kernel._twin[t]
+        shared = twin != t and kernel.layer_states(twin) is layer
+        exact.append(exact[twin] if shared else _exact_layer(layer))
+        if shared and exact[t]:
+            rows.append(rows[twin])
+        elif exact[t]:
             for label in layer:
                 if label not in ids:
                     ids[label] = len(labels)
                     labels.append(label)
-            rows.append(array("Q", map(ids.__getitem__, layer)))
+            rows.append(array("Q", map(ids.__getitem__, layer)).tobytes())
         else:
-            rows.append(array("Q", range(len(labels), len(labels) + len(layer))))
+            rows.append(array("Q", range(len(labels), len(labels) + len(layer))).tobytes())
             labels.extend(layer)
     return labels, rows
 
@@ -257,8 +263,7 @@ def _decode_atoms(encoded: list[Any]) -> tuple[Any, ...]:
     marker, items = encoded
     if marker == "plain":
         return tuple(items)
-    # Tuples of scalars were decoded by _tuple_label during the parse.
-    return tuple(item if type(item) is tuple else _decode_atom(item) for item in items)
+    return tuple(map(_decode_label, items))
 
 
 def _encode_count_row(row: CountRow) -> tuple[dict[str, Any], bytes | None]:
@@ -282,7 +287,7 @@ def _decode_count_row(
         raise SnapshotError("truncated snapshot payload")
     if borrow:
         return payload[offset:end].cast("q"), end
-    row.frombytes(bytes(payload[offset:end]))
+    row.frombytes(payload[offset:end])
     return row, end
 
 
@@ -303,8 +308,8 @@ def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> byt
         if version >= 3:
             labels, rows = _label_table(kernel)
             header["labels"] = _encode_atoms(labels, memo)
-            header["layers"] = [len(row) for row in rows]
-            sections.extend(row.tobytes() for row in rows)
+            header["layers"] = [len(row) // _ITEMSIZE for row in rows]
+            sections.extend(rows)
         else:
             header["states"] = [
                 _encode_atoms(kernel.layer_states(t), memo) for t in range(kernel.n + 1)
@@ -313,17 +318,25 @@ def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> byt
         raise SnapshotError(f"kernel is not snapshot-serializable: {error}") from error
 
     initial_index = kernel.index_of(0, kernel.nfa.initial)
-    finals_idx = [list(kernel.final_indices(t)) for t in range(kernel.n + 1)]
+    finals_idx = [kernel.final_indices(t) for t in range(kernel.n + 1)]
 
+    # A block shared by equal layer pairs is packed once: its candidate
+    # is the first block with the same twins, confirmed by identity.
+    arrays = (kernel._edge_start, kernel._edge_symbol, kernel._edge_dst)
+    firsts: dict[tuple[int, int], int] = {}
+    packed: list[tuple[bytes, ...]] = []
     edges = []
     for t in range(kernel.n):
-        start_row = array("q", kernel._edge_start[t])
-        symbol_row = array("q", kernel._edge_symbol[t])
-        dst_row = array("q", kernel._edge_dst[t])
-        sections.extend((start_row.tobytes(), symbol_row.tobytes(), dst_row.tobytes()))
-        edges.append(
-            {"start": len(start_row), "symbol": len(symbol_row), "dst": len(dst_row)}
-        )
+        first = firsts.setdefault((kernel._twin[t], kernel._twin[t + 1]), t)
+        if first != t and all(part[first] is part[t] for part in arrays):
+            packed.append(packed[first])
+            edges.append(edges[first])
+        else:
+            block = tuple(array("q", part[t]).tobytes() for part in arrays)
+            packed.append(block)
+            start, symbol, dst = (len(row) // _ITEMSIZE for row in block)
+            edges.append({"start": start, "symbol": symbol, "dst": dst})
+        sections.extend(packed[t])
 
     def encode_table(table: list[CountRow] | None) -> list[dict[str, Any]] | None:
         if table is None:
@@ -397,6 +410,13 @@ def kernel_from_bytes(
     copies-on-extend.  Borrowing needs the aligned version-2 layout and
     an LP64 platform; otherwise this silently falls back to the
     copying restore (``_borrow_owner`` stays None).
+
+    The format does not record which layers the kernel shared; a
+    version-3 restore finds them again.  Layers with the same label-id
+    row get one state tuple and one index map, decoded once.  In a
+    copying restore, a CSR block whose layer pair repeats an earlier
+    one takes that block's arrays if its bytes are the same, so no
+    payload is hashed.
     """
     from repro.core.kernel import CompiledDAG
     from repro.core.plan import LoweringStats
@@ -407,10 +427,7 @@ def kernel_from_bytes(
     try:
         (header_len,) = struct.unpack_from("<I", view, len(MAGIC))
         header_start = len(MAGIC) + 4
-        header = json.loads(
-            bytes(view[header_start : header_start + header_len]),
-            object_hook=_tuple_label,
-        )
+        header = json.loads(bytes(view[header_start : header_start + header_len]))
     except (struct.error, ValueError) as error:
         raise SnapshotError(f"corrupt snapshot header: {error}") from error
     version = header.get("version") if isinstance(header, dict) else None
@@ -425,49 +442,68 @@ def kernel_from_bytes(
         offset = header_start + header_len
         if version >= 2:
             offset += (-offset) % _ALIGN
-        itemsize = array("q").itemsize
+        # twin[t]: the first layer with layer t's label-id row, whose
+        # state tuple and index map layer t shares.
+        twin: list[int] = []
         if version >= 3:
             labels = _decode_atoms(header["labels"])
             states = []
-            for size in header["layers"]:
-                end = offset + size * itemsize
+            firsts: dict[bytes, int] = {}
+            for t, size in enumerate(header["layers"]):
+                end = offset + size * _ITEMSIZE
                 if end > len(view):
                     raise SnapshotError("truncated snapshot payload")
+                ids = view[offset:end]
+                offset = end
+                first = firsts.setdefault(ids.tobytes(), t)
+                twin.append(first)
+                if first != t:
+                    states.append(states[first])
+                    continue
                 # Unsigned: an id past the table, whatever its sign bit,
                 # raises IndexError (a corrupt body).
-                ids = view[offset:end].cast("Q")
-                offset = end
-                states.append(tuple(map(labels.__getitem__, ids)))
+                states.append(tuple(map(labels.__getitem__, ids.cast("Q"))))
         else:
             states = [_decode_atoms(layer) for layer in header["states"]]
+            twin.extend(range(len(states)))
 
-        long_matches_q = _LP64
-
-        def read_long_row(count: int) -> "array[int] | memoryview[int]":
-            nonlocal offset, borrowed_any
-            end = offset + count * itemsize
-            if end > len(view):
-                raise SnapshotError("truncated snapshot payload")
-            if borrow:
-                chunk = view[offset:end].cast("q")
-                offset = end
-                borrowed_any = True
-                return chunk
-            payload = bytes(view[offset:end])
-            offset = end
+        def long_row(payload: memoryview) -> array[int]:
             # Snapshots store 'q' (8-byte) rows; on LP64 platforms 'l'
             # has the same layout, so the bytes load directly.
-            row = array("l" if long_matches_q else "q")
+            row = array("l" if _LP64 else "q")
             row.frombytes(payload)
-            return row if long_matches_q else array("l", row)
+            return row if _LP64 else array("l", row)
 
         edge_start: list[array[int] | memoryview[int]] = []
         edge_symbol: list[array[int] | memoryview[int]] = []
         edge_dst: list[array[int] | memoryview[int]] = []
-        for entry in header["edges"]:
-            edge_start.append(read_long_row(entry["start"]))
-            edge_symbol.append(read_long_row(entry["symbol"]))
-            edge_dst.append(read_long_row(entry["dst"]))
+        arrays = (edge_start, edge_symbol, edge_dst)
+        # In a copying restore, a block whose layer pair repeats an
+        # earlier block's takes that block's arrays if the bytes are
+        # equal.  A borrowing restore keeps one view per row.
+        blocks: dict[tuple[int, int], int] = {}
+        for t, entry in enumerate(header["edges"]):
+            start_end = offset + entry["start"] * _ITEMSIZE
+            symbol_end = start_end + entry["symbol"] * _ITEMSIZE
+            end = symbol_end + entry["dst"] * _ITEMSIZE
+            if not offset <= start_end <= symbol_end <= end <= len(view):
+                raise SnapshotError("truncated snapshot payload")
+            spans = ((offset, start_end), (start_end, symbol_end), (symbol_end, end))
+            if borrow:
+                for part, (a, b) in zip(arrays, spans):
+                    part.append(view[a:b].cast("q"))
+                borrowed_any = True
+            else:
+                first = blocks.setdefault((twin[t], twin[t + 1]), t)
+                if first != t and view[offset:end].tobytes() == b"".join(
+                    part[first].tobytes() for part in arrays
+                ):
+                    for part in arrays:
+                        part.append(part[first])
+                else:
+                    for part, (a, b) in zip(arrays, spans):
+                        part.append(long_row(view[a:b]))
+            offset = end
 
         def read_table(entries: list[dict[str, Any]] | None) -> list[CountRow] | None:
             nonlocal offset, borrowed_any
@@ -491,19 +527,28 @@ def kernel_from_bytes(
             # "successfully" and crash later instead of being
             # quarantined by the store.
             raise SnapshotError("snapshot payload size mismatch")
-        index = [dict(zip(layer, range(len(layer)))) for layer in states]
+        index: list[dict[Any, int]] = []
+        for t, layer in enumerate(states):
+            index.append(index[twin[t]] if twin[t] != t else _index_map(layer))
         _check_layers(n, states, index, edge_start, (forward, backward))
-        finals_idx = {t: tuple(row) for t, row in enumerate(header["finals_idx"])}
+        # A layer sharing its twin's states and final indices adds no
+        # final states of its own.
+        finals_rows = header["finals_idx"]
+        finals_idx: dict[int, tuple[int, ...]] = {}
+        finals: set[Any] = set()
+        for t, row in enumerate(finals_rows):
+            if twin[t] != t and row == finals_rows[twin[t]]:
+                finals_idx[t] = finals_idx[twin[t]]
+            else:
+                finals_idx[t] = tuple(row)
+                finals.update(map(states[t].__getitem__, row))
         initial_index = header["initial_index"]
         initial = states[0][initial_index] if initial_index is not None else None
-        finals_union = frozenset(
-            states[t][i] for t, row in finals_idx.items() for i in row
-        )
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as error:
         raise SnapshotError(f"corrupt snapshot body: {error}") from error
 
     source = _SnapshotSource(
-        initial, finals_union, frozenset(symbols), resolver=source_resolver
+        initial, frozenset(finals), frozenset(symbols), resolver=source_resolver
     )
 
     kernel = CompiledDAG.__new__(CompiledDAG)
@@ -514,6 +559,7 @@ def kernel_from_bytes(
     kernel._symbol_index = {s: i for i, s in enumerate(symbols)}
     kernel._states = states
     kernel._index = index
+    kernel._twin = twin
     kernel._edge_start = edge_start
     kernel._edge_symbol = edge_symbol
     kernel._edge_dst = edge_dst
@@ -535,6 +581,8 @@ def kernel_from_bytes(
 def kernel_from_mmap(
     path: str | os.PathLike[str],
     source_resolver: Callable[[], AutomatonSource] | None = None,
+    *,
+    borrow: bool = True,
 ) -> CompiledDAG:
     """Restore a kernel over a read-only memory map of the snapshot file.
 
@@ -543,9 +591,10 @@ def kernel_from_mmap(
     first touch instead of copying the whole payload up front.  The
     mapping stays open for the kernel's lifetime (it is the kernel's
     ``_borrow_owner``); on Linux the file may be unlinked (store
-    eviction) while the kernel keeps using it.  A version-1 snapshot —
-    or a non-LP64 platform — restores by copy and the mapping is closed
-    immediately.
+    eviction) while the kernel keeps using it.  ``borrow=False``, a
+    version-1 snapshot or a non-LP64 platform restore by copy, and the
+    mapping is closed at once: the copy is then read from the page
+    cache without a copy of the whole file first.
     """
     try:
         with open(path, "rb") as handle:
@@ -554,7 +603,7 @@ def kernel_from_mmap(
         # Zero-length file (classic truncation corruption).
         raise SnapshotError(f"cannot map snapshot: {error}") from error
     try:
-        kernel = kernel_from_bytes(mapped, source_resolver=source_resolver, borrow=True)
+        kernel = kernel_from_bytes(mapped, source_resolver=source_resolver, borrow=borrow)
     except SnapshotError:
         try:
             mapped.close()

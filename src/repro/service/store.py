@@ -48,12 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.obs import add_stage
 from repro.obs import names as metric_names
-from repro.service.snapshot import (
-    SnapshotError,
-    kernel_from_bytes,
-    kernel_from_mmap,
-    kernel_to_bytes,
-)
+from repro.service.snapshot import SnapshotError, kernel_from_mmap, kernel_to_bytes
 
 if TYPE_CHECKING:
     from repro.core.kernel import AutomatonSource, CompiledDAG
@@ -156,11 +151,12 @@ class KernelStore:
         used entries after each store.
     mmap:
         When True, :meth:`get` restores kernels as zero-copy views over
-        a memory map of the snapshot file instead of reading and
-        copying it — a warm start pages CSR arrays in lazily.  Safe
-        alongside eviction on POSIX (an unlinked mapping stays valid);
-        old (version-1) snapshots transparently fall back to the
-        copying restore.
+        a memory map of the snapshot file — a warm start pages CSR
+        arrays in lazily.  Safe alongside eviction on POSIX (an
+        unlinked mapping stays valid); old (version-1) snapshots
+        transparently fall back to the copying restore.  When False,
+        :meth:`get` copies the kernel out of the mapping and closes it,
+        so the kernel holds no file open.
     """
 
     root: Path
@@ -223,12 +219,9 @@ class KernelStore:
     ) -> CompiledDAG | None:
         path = self.path_for(fingerprint, n, trimmed)
         try:
-            if self.mmap:
-                kernel = kernel_from_mmap(path, source_resolver=source_resolver)
-            else:
-                kernel = kernel_from_bytes(
-                    path.read_bytes(), source_resolver=source_resolver
-                )
+            kernel = kernel_from_mmap(
+                path, source_resolver=source_resolver, borrow=self.mmap
+            )
         except OSError:
             self.stats.inc("misses")
             return None
