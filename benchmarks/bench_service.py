@@ -120,18 +120,31 @@ def test_warm_store_start_beats_cold(observe):
 
 def test_warm_start_skips_all_preprocessing(observe):
     """Zero lowering work on the warm path: the facade never builds the
-    stripped automaton, the unrolled DAG, or the self-product check."""
+    source plan that the self-product check and the lowering read, their
+    successor memo or the unrolled DAG, lowers nothing, and leaves the
+    stripped automaton it fingerprints without transition indexes."""
     nfa = _instance(SEED + 1)
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
         WitnessSet.from_nfa(nfa, N, store=KernelStore(root)).count()
-        warm_ws = WitnessSet.from_nfa(nfa, N, store=KernelStore(root))
+        # An equal automaton with no index built, as a new process decodes it.
+        fresh = NFA(nfa.states, nfa.alphabet, nfa.transitions, nfa.initial, nfa.finals)
+        warm_ws = WitnessSet.from_nfa(fresh, N, store=KernelStore(root))
         warm_ws.count()
         warm_ws.sample_batch(10, rng=1, use_substreams=True)
         built = set(warm_ws._cache)
-        assert "stripped" not in built and "dag" not in built, (
+        assert not built & {"source", "adjacency", "dag"}, (
             f"warm path built preprocessing artifacts: {sorted(built)}"
         )
+        assert warm_ws._lowering_seconds == 0.0, "warm path lowered a kernel"
+        indexed = []
+        for index_slot in (NFA._delta, NFA._rdelta):
+            try:
+                index_slot.__get__(warm_ws.stripped, NFA)
+                indexed.append(index_slot.__name__)
+            except AttributeError:
+                pass
+        assert not indexed, f"warm path indexed the stripped automaton: {indexed}"
         observe("S1a", f"warm-path artifacts built: {sorted(built)}")
     finally:
         shutil.rmtree(root, ignore_errors=True)

@@ -309,7 +309,9 @@ class WitnessSet:
         reachable fragment (the eager product cost the lazy pipeline
         otherwise avoids); only the ambiguous-instance fallbacks (FPRAS,
         subset counting, polynomial-delay enumeration) ever need it.  On
-        an NFA-backed set it is also the source plan's automaton.
+        an NFA-backed set it is also the source plan's automaton and what
+        :meth:`fingerprint` hashes; the trim builds no transition index of
+        the raw automaton (:meth:`~repro.automata.nfa.NFA.trim`).
         """
         if self.plan is not None:
             return self._cached("stripped", lambda: self.plan.to_nfa().trim())
@@ -320,8 +322,10 @@ class WitnessSet:
         """The one source plan: :attr:`plan`, or else the stripped
         automaton as its :class:`~repro.core.plan.Atom`.
 
-        Built on first use, so a warm restart whose kernels come off the
-        store never strips the automaton.
+        Built on first use, so a warm start whose kernels and certificate
+        come off the store never builds it: the set strips its automaton
+        to fingerprint it, but neither certifies nor lowers it, and the
+        stripped automaton's transition indexes stay unbuilt.
         """
         if self.plan is not None:
             return self.plan
@@ -334,23 +338,28 @@ class WitnessSet:
         return self._cached("adjacency", dict)
 
     def fingerprint(self) -> str:
-        """Stable content fingerprint of the language source.
+        """Stable content fingerprint of what the kernels are built from.
 
-        The canonical SHA-256 of the automaton / plan
-        (:func:`repro.service.fingerprint.fingerprint_source`): identical
-        across processes, platforms and hash seeds, so it addresses
-        kernels in the on-disk :class:`~repro.service.store.KernelStore`
-        and routes requests in the service engine.  Covers the source
-        only — compose with ``n`` for per-length artifacts.  Raises
+        The canonical SHA-256
+        (:func:`repro.service.fingerprint.fingerprint_source`) of the
+        plan, or else of the :attr:`stripped` automaton: every kernel,
+        the ambiguity certificate and the FPRAS read only that, so two
+        automata that trim to the same one share their stored artifacts.
+        Identical across processes, platforms and hash seeds, so it
+        addresses kernels in the on-disk
+        :class:`~repro.service.store.KernelStore` and routes requests in
+        the service engine.  Covers the source only — compose with ``n``
+        for per-length artifacts.  Raises
         :class:`~repro.service.fingerprint.FingerprintError` when states
-        or symbols have no canonical serialization.  The computation's
-        wall time is recorded as the ``fingerprint`` stage.
+        or symbols have no canonical serialization.  The hash's wall
+        time, without the strip, is recorded as the ``fingerprint`` stage.
         """
         from repro.service.fingerprint import fingerprint_source
 
         def build() -> str:
+            source = self.plan if self.plan is not None else self.stripped
             started = time.perf_counter()
-            value = fingerprint_source(self.plan if self.plan is not None else self.nfa)
+            value = fingerprint_source(source)
             add_stage(metric_names.STAGE_FINGERPRINT, time.perf_counter() - started)
             alias = self._alias
             if alias is not None and value != alias.fingerprint:

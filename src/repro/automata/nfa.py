@@ -13,9 +13,11 @@ structure is frozen at construction and all "mutating" operations return
 new automata.  Construction validates the automaton and notes whether it
 has ε-transitions; the forward and backward transition indexes behind
 :meth:`NFA.successors`, :meth:`NFA.out_edges` and their reverses are built
-on the first query that needs them.  An automaton that is only
-fingerprinted, such as one whose kernel a warm store restores, never
-builds them.
+on the first query that needs them.  :meth:`NFA.trim` and
+fingerprinting read the transition set itself, so an automaton that is
+only trimmed or fingerprinted never builds them, such as the ε-free raw
+automaton of a cold build or a stripped automaton whose kernels a warm
+store restores.
 
 Conventions
 -----------
@@ -429,13 +431,43 @@ class NFA:
     def trim(self) -> "NFA":
         """Restrict to useful states (reachable and co-reachable).
 
+        One pass over the transitions lists each state's targets (over
+        any symbol, ε included).  A walk forward from the initial state
+        finds the reachable states and records the edges it crosses; a
+        walk backward from the reachable finals along those edges finds
+        the useful ones, since a path from a reachable state never
+        leaves the reachable states.  Neither walk reads the transition
+        indexes, so trimming builds neither.  An automaton whose states
+        are all useful is returned as it is.
+
         If the initial state itself is useless the result is a canonical
         single-state automaton with the empty language (the initial state
         must exist by definition).
         """
-        useful = self.reachable_states() & self.coreachable_states()
+        targets: dict[State, list[State]] = {state: [] for state in self._states}
+        for source, _, target in self._transitions:
+            targets[source].append(target)
+        reached = {self._initial}
+        sources: dict[State, list[State]] = {state: [] for state in self._states}
+        frontier = [self._initial]
+        while frontier:
+            state = frontier.pop()
+            for target in targets[state]:
+                sources[target].append(state)
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
+        useful = set(self._finals.intersection(reached))
+        frontier = list(useful)
+        while frontier:
+            for source in sources[frontier.pop()]:
+                if source not in useful:
+                    useful.add(source)
+                    frontier.append(source)
         if self._initial not in useful:
             return NFA([self._initial], self._alphabet, [], self._initial, [])
+        if len(useful) == len(self._states):
+            return self
         transitions = [
             (source, symbol, target)
             for source, symbol, target in self._transitions

@@ -103,13 +103,16 @@ SERVICE_OPS = frozenset(
 #: (one request round-trip per page) stays negligible.
 DEFAULT_ENUM_CHUNK = 500
 
-#: Version of the spec → automaton code: :func:`witness_set_from_spec`
-#: and every constructor and compiler it calls.  A store alias (spec key
-#: → fingerprint) records it with ``FINGERPRINT_VERSION``, and a restart
-#: trusts the alias without building the automaton.  Bump it whenever a
-#: spec may build a different automaton or plan, or restarts would
-#: answer from the kernels of the one the old code built.
-SPEC_VERSION = 1
+#: Version of the spec → fingerprint code: :func:`witness_set_from_spec`,
+#: every constructor and compiler it calls, and what
+#: :meth:`~repro.api.WitnessSet.fingerprint` hashes.  A store alias (spec
+#: key → fingerprint) records it with ``FINGERPRINT_VERSION``, and a
+#: restart trusts the alias without building the automaton.  Bump it
+#: whenever a spec may build a different automaton or plan, or its set
+#: may fingerprint another, or restarts would answer from the kernels the
+#: old code stored.  Version 2: automaton-backed sets hash their trimmed
+#: automaton, not the automaton the spec decodes.
+SPEC_VERSION = 2
 
 #: Kinds whose witnesses are the words themselves: on an alias hit their
 #: automaton is built only when a query needs more than stored kernels.

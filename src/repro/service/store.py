@@ -8,10 +8,12 @@ the :class:`~repro.service.engine.Engine` pool — starts from the
 finished artifact:
 
 * **content-addressed**: the key's fingerprint half is the canonical
-  SHA-256 of the automaton / plan (:mod:`repro.service.fingerprint`), so
-  structurally identical instances share an entry no matter who wrote
-  it, and a stale entry for a *different* automaton is impossible by
-  construction;
+  SHA-256 (:mod:`repro.service.fingerprint`) of what every stored
+  artifact is built from: a witness set's plan, or else its ε-free
+  trimmed automaton.  Structurally identical instances share an entry
+  no matter who wrote it, so do automata that differ only in useless
+  states, and a stale entry for a *different* automaton is impossible
+  by construction;
 * **one pointer layer**: an *alias* maps a wire spec's key
   (:func:`repro.service.protocol.spec_key`) to the fingerprint the spec
   built, so a restart finds its kernels without building or

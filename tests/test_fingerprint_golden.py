@@ -191,7 +191,7 @@ def _specs() -> dict:
 #: spec kind → fingerprint of the witness set the spec builds.
 SPEC_GOLDEN = {
     "regex": "7d6b2d2f62160bd4d18afc311d6aade44d37b4af6e668fc9f9cbece9387c40b8",
-    "nfa": "428be1c875f263c0c27a70466a547f17426792969d267e6dede63099c88255b0",
+    "nfa": "b8996eef0fd130ddeaceae9947a5cf85e689d8fbfedc50a550323837a3e73813",
     "intersection": "bfd2fc63d619f64e9256a6064d85c077880f0faeb7e0228886f5bd252f0ef819",
     "dnf": "0b64e97522dfc178aa02512409ec0240479beba1ed7292e9060f709ac5c3adb0",
     "cfg": "a16b392e5ae513d43615db6f727c1db55d6a164a690b0affb54bf90b1c95033f",

@@ -522,20 +522,38 @@ def _restart_spec(kind: str) -> dict:
     }
 
 
+def _fresh(nfa: NFA) -> NFA:
+    """An equal automaton with no transition index built yet, as another
+    process decodes it."""
+    return NFA(nfa.states, nfa.alphabet, nfa.transitions, nfa.initial, nfa.finals)
+
+
+def _assert_no_certificate_or_lowering(ws: WitnessSet) -> None:
+    """What a warm start skips.  The certificate walk and the lowering
+    both read the source plan and its successor memo, and a lowering
+    adds its wall time; the stripped automaton, which the set hashes for
+    its fingerprint, never gets its transition indexes built."""
+    assert "source" not in ws._cache and "adjacency" not in ws._cache
+    assert ws._lowering_seconds == 0.0
+    for index_slot in (NFA._delta, NFA._rdelta):
+        with pytest.raises(AttributeError):
+            index_slot.__get__(ws.stripped, NFA)
+
+
 class TestWitnessSetStoreWiring:
     def test_warm_start_hits_store(self, store):
         nfa = random_ufa(30, rng=SEED, completeness=0.9, ensure_nonempty_length=16)
         cold = WitnessSet.from_nfa(nfa, 16, store=store)
         count = cold.count()
         samples = cold.sample_batch(5, rng=3, use_substreams=True)
-        warm = WitnessSet.from_nfa(nfa, 16, store=store)
+        warm = WitnessSet.from_nfa(_fresh(nfa), 16, store=store)
         assert warm.count() == count
         assert warm.sample_batch(5, rng=3, use_substreams=True) == samples
         assert store.stats.hits >= 1
-        # The warm set never unrolled or lowered anything: its kernel
-        # came from the snapshot, so the dag/stripped artifacts were
-        # never built.
-        assert "dag" not in warm._cache and "stripped" not in warm._cache
+        # The warm set never unrolled, certified or lowered anything: its
+        # kernel came from the snapshot and its certificate from the meta.
+        assert "dag" not in warm._cache
+        _assert_no_certificate_or_lowering(warm)
 
     @pytest.mark.parametrize("kind", ["regex", "nfa", "intersection"])
     def test_warm_restart_does_no_automaton_work(self, tmp_path, kind, monkeypatch):
@@ -708,6 +726,50 @@ class TestWitnessSetStoreWiring:
         assert not list(root.glob(f"*/{bogus}*"))
         assert store.get_alias(spec_key(spec), version) == right.fingerprint()
 
+    def test_alias_of_spec_version_1_is_a_miss(self, tmp_path):
+        """Spec version 1 aliased a spec key to the fingerprint of the
+        automaton the spec decodes; since version 2 a set fingerprints
+        its trimmed automaton.  A version-1 alias to the raw fingerprint
+        is a miss: the set builds its automaton, answers as a cold build
+        does, and rewrites the alias under the current version, with
+        nothing counted corrupt."""
+        from repro.service.fingerprint import FINGERPRINT_VERSION
+        from repro.service.protocol import SPEC_VERSION
+
+        spec = _restart_spec("nfa")
+        document = spec["nfa"]
+        # A dead state the initial state reaches, and an unreachable one.
+        document["states"] += [1000, 1001]
+        zero, one = document["alphabet"]
+        document["transitions"] += [
+            [document["initial"], zero, 1000],
+            [1000, one, 1000],
+            [1001, zero, document["initial"]],
+        ]
+        cold = witness_set_from_spec(spec)
+        answers = (cold.count(), cold.sample_batch(20, rng=5, use_substreams=True))
+        raw = fingerprint_source(cold.nfa)
+        assert raw != cold.fingerprint()
+
+        # What version 1 left: the kernel and certificate under the raw
+        # fingerprint, and the spec key aliased to it.
+        root = tmp_path / "kernels"
+        old = KernelStore(root)
+        old.put(raw, 12, True, cold.kernel)
+        old.put_meta(raw, {"unambiguous": cold.is_unambiguous})
+        old.put_alias(spec_key(spec), "1.1", raw)
+
+        store = KernelStore(root)
+        ws = witness_set_from_spec(spec, store=store)
+        assert ws._pending is None  # built from the spec, as on a cold start
+        assert (ws.count(), ws.sample_batch(20, rng=5, use_substreams=True)) == answers
+        assert ws.fingerprint() == cold.fingerprint()
+        assert store.stats.alias_misses == 1 and store.stats.alias_hits == 0
+        assert store.stats.corrupt == 0 and store.stats.hits == 0
+        version = f"{FINGERPRINT_VERSION}.{SPEC_VERSION}"
+        assert version == "1.2"
+        assert store.get_alias(spec_key(spec), version) == cold.fingerprint()
+
     @pytest.mark.parametrize("kind", ["regex", "nfa", "intersection"])
     def test_seeded_outputs_match_across_restarts_and_snapshot_versions(
         self, tmp_path, kind
@@ -747,18 +809,18 @@ class TestWitnessSetStoreWiring:
         drawn = cold.sample_batch(20, rng=5, use_substreams=True)
 
         store = KernelStore(root, mmap=True)
-        warm = WitnessSet.from_nfa(nfa, 12, store=store, kernel_backend="numpy")
+        warm = WitnessSet.from_nfa(_fresh(nfa), 12, store=store, kernel_backend="numpy")
         assert warm.sample_batch(20, rng=5, use_substreams=True) == drawn
         assert store.stats.hits == 1 and store.stats.misses == 0
-        assert "stripped" not in warm.stats.misses
+        _assert_no_certificate_or_lowering(warm)
         assert warm.kernel.kernel_backend == warm.describe()["kernel_backend"]
 
     def test_ambiguity_certificate_persisted(self, store):
         nfa = random_ufa(20, rng=SEED, completeness=0.9, ensure_nonempty_length=10)
         assert WitnessSet.from_nfa(nfa, 10, store=store).is_unambiguous
-        warm = WitnessSet.from_nfa(nfa, 10, store=store)
+        warm = WitnessSet.from_nfa(_fresh(nfa), 10, store=store)
         assert warm.is_unambiguous
-        assert "stripped" not in warm._cache  # certificate came from meta
+        _assert_no_certificate_or_lowering(warm)  # certificate came from meta
 
     def test_plan_backed_sets_round_trip(self, store):
         # An unambiguous product, so count/sample run on the kernel
