@@ -187,6 +187,18 @@ def unroll_layers(
     ``True``) a union keeps depends on the order it meets them, and an
     interned layer may iterate in another order than the one it replaced.
     """
+    forward, live, _ = _unroll(source, n, trimmed, first)
+    return forward, live
+
+
+def _unroll(
+    source: AutomatonSource,
+    n: int,
+    trimmed: bool,
+    first: frozenset[State] | None,
+) -> tuple[list[frozenset[State]], list[frozenset[State]], bool]:
+    """:func:`unroll_layers`, and whether layer 0 and every successor
+    set passed the exact-type rule (the layers were shared)."""
     if n < 0:
         raise ValueError("word length must be ≥ 0")
     out_edges = source.out_edges
@@ -225,7 +237,7 @@ def unroll_layers(
         forward = reach(False)
         assert forward is not None  # only a sharing pass gives up
     if not trimmed:
-        return forward, forward
+        return forward, forward, share
     finals = source.finals
     # Built back to front, then reversed into layer order.
     last = frozenset(state for state in forward[n] if state in finals)
@@ -242,7 +254,7 @@ def unroll_layers(
                 kept = pruned[layer, later] = interned.setdefault(kept, kept)
         live.append(kept)
     live.reverse()
-    return forward, live
+    return forward, live, share
 
 
 class CompiledDAG:
@@ -490,9 +502,12 @@ class CompiledDAG:
         Appends layers ``n+1 .. new_n`` (and their edge blocks and —
         when already built — forward count rows) without recompiling the
         prefix, so a length sweep costs the same as one compilation at
-        the final length.  Trimmed kernels cannot be extended: Lemma 15
-        pruning depends on the final layer, so extension would invalidate
-        every earlier layer.
+        the final length.  A source that reaches equal states of other
+        types (outside the exact-type rule) steps the forward pass again
+        from layer 0, keeping the prefix's arrays, so that the new layers
+        equal a fresh compilation's.  Trimmed kernels cannot be extended:
+        Lemma 15 pruning depends on the final layer, so extension would
+        invalidate every earlier layer.
         """
         if self.trimmed:
             raise InvalidAutomatonError(
@@ -507,9 +522,15 @@ class CompiledDAG:
             # resize away from) memory the store still owns, so the
             # kernel first copies itself onto owned arrays.
             self._materialize_owned()
-        grown, _ = unroll_layers(
-            self.nfa, new_n - self.n, False, first=self.layer(self.n)
-        )
+        grown, _, exact = _unroll(self.nfa, new_n - self.n, False, self.layer(self.n))
+        if not exact:
+            # Which of two equal states of other types a layer keeps
+            # depends on the order its union meets them, and layer n,
+            # rebuilt from its sorted tuple, may iterate in another order
+            # than the unrolling's.  Unrolling again from layer 0 gives
+            # the layers a kernel compiled at new_n has.
+            grown, _, _ = _unroll(self.nfa, new_n, False, None)
+            grown = grown[self.n :]
         self._add_layers(grown[1:])
         if self._forward is not None:
             for t in range(self.n, new_n):

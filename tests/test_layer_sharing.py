@@ -302,6 +302,24 @@ class TestAgainstReference:
         kernel.extend_to(n + extra)
         check_kernel(kernel, tmp_path)
 
+    def test_extend_to_keeps_the_unrolling_order(self, tmp_path):
+        """Layer 1 holds ``(1, 2)`` and ``(False, 2)``, whose successor
+        sets hold ``(0, 2)`` and ``(False, 2)``: layer 2 keeps the one the
+        unrolling's union meets first, which a frozenset rebuilt from
+        layer 1's sorted tuple does not reproduce."""
+        states = [(v, 2) for v in range(4)]
+        transitions = [
+            ((0, 2), "a", (1, 2)),
+            ((0, 2), "a", (False, 2)),
+            ((0, 2), "b", (3, 2)),
+            ((1, 2), "a", (0, 2)),
+        ]
+        nfa = NFA(states, "ab", transitions, (0, 2), [(0, 2)])
+        kernel = compile_nfa(nfa, 1, trimmed=False)
+        kernel.extend_to(2)
+        assert repr(kernel.layer_states(2)) == repr(compile_nfa(nfa, 2, False).layer_states(2))
+        check_kernel(kernel, tmp_path)
+
     def test_extend_to_on_a_restored_kernel(self, tmp_path):
         source = Atom(compile_regex("(aab|b)*"))
         kernel = lower_plan(source, 30, trimmed=False)
