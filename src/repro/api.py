@@ -8,8 +8,8 @@ algorithms or the FPRAS/PLVUG of RelationNL.  :class:`WitnessSet` is that
 pipeline as a single query object:
 
 * uniform constructors ``from_nfa / from_regex / from_dnf / from_obdd /
-  from_rpq / from_spanner / from_cfg / from_plan / from_intersection``
-  replace the per-domain ad-hoc entrypoints;
+  from_rpq / from_spanner / from_cfg / from_plan / from_intersection /
+  up_to`` replace the per-domain ad-hoc entrypoints;
 * composite sources (RPQ graph products, spanner document products,
   pattern intersections) are *plan-backed*: compiled to the symbolic
   plan IR of :mod:`repro.core.plan` and lowered on the fly into the
@@ -76,6 +76,7 @@ from repro.core.kernel import CompiledDAG
 from repro.core.plan import Atom, Plan, Product, as_plan, lower_plan
 from repro.core.plvug import DEFAULT_ATTEMPTS_PER_CALL
 from repro.core.relations import AutomatonBackedRelation, CompiledInstance
+from repro.core.spectrum import UpToRelation
 from repro.errors import (
     EmptyWitnessSetError,
     GenerationFailedError,
@@ -587,6 +588,8 @@ class WitnessSet:
         ``max_length > n``) — one compilation for the whole sweep.
         """
         bound = self.n if max_length is None else max_length
+        if bound < 0:
+            raise ValueError("max_length must be ≥ 0")
         if bound > self.n:
             # Extending the kernel needs the source: build it (checking
             # an alias fingerprint) before any stored fact is read.
@@ -895,6 +898,18 @@ class WitnessSet:
         """Wrap a raw automaton: witnesses are ``L_n(nfa)`` verbatim."""
         kwargs.setdefault("source", "nfa")
         return cls(nfa, n, **kwargs)
+
+    @classmethod
+    def up_to(cls, nfa: NFA, n: int, **kwargs) -> "WitnessSet":
+        """The accepted words of length *at most* ``n``, as one witness set.
+
+        The words of ``pad_automaton(nfa)`` of length exactly ``n``, with
+        the pad block stripped on the way out (the §2.1 padding, see
+        :class:`~repro.core.spectrum.UpToRelation`), so every query,
+        backend and the kernel store apply unchanged.  Enumeration
+        follows the padded words' kernel order, not shortest first.
+        """
+        return cls.from_compiled(UpToRelation(), (nfa, n), **kwargs)
 
     @classmethod
     def from_plan(cls, plan, n: int, **kwargs) -> "WitnessSet":

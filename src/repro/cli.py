@@ -208,7 +208,7 @@ def _command_inspect(args) -> int:
             print(f"lowering      : explored {lowering['explored_states']} of "
                   f"{lowering['nominal_states']} nominal product states "
                   f"({lowering['kernel_vertices']} kernel vertices)")
-    if args.spectrum:
+    if args.spectrum is not None:
         for length, count in ws.spectrum(args.spectrum).items():
             print(f"|L_{length:<3}|       : {count}")
     return 0
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inspect = commands.add_parser("inspect", help="automaton facts")
     _add_input_arguments(inspect)
-    inspect.add_argument("--spectrum", type=int, default=None, metavar="N",
+    inspect.add_argument("--spectrum", type=_nonnegative, default=None, metavar="N",
                          help="print |L_0..N|")
     inspect.set_defaults(run=_command_inspect, needs_length=False)
 

@@ -89,7 +89,7 @@ from repro.core.transducers import (
     outputs_brute_force,
 )
 from repro.core.classes import SpanLFunction, TransducerRelation
-from repro.core.spectrum import SpectrumSolver, pad_automaton, strip_padding
+from repro.core.spectrum import pad_automaton
 from repro.core.almost_uniform import AlmostUniformGenerator, total_variation_from_uniform
 
 __all__ = [
@@ -155,9 +155,7 @@ __all__ = [
     "outputs_brute_force",
     "TransducerRelation",
     "SpanLFunction",
-    "SpectrumSolver",
     "pad_automaton",
-    "strip_padding",
     "AlmostUniformGenerator",
     "total_variation_from_uniform",
 ]

@@ -588,9 +588,7 @@ class FprasState:
         ``|L_t(N)| = |⋃_{f ∈ F} U(s_t^f)|`` is one more ≺-ordered union
         estimate over the accepting states of layer ``t``.  One
         preprocessing pass therefore yields the whole count spectrum
-        ``t = 0..n`` — the quantity the ≤-n semantics of
-        :mod:`repro.core.spectrum` consumes — instead of ``n`` separate
-        FPRAS runs.
+        ``t = 0..n`` instead of ``n`` separate FPRAS runs.
         """
         if not 0 <= t <= self.n:
             raise ValueError(f"length {t} outside 0..{self.n}")

@@ -1,39 +1,27 @@
-"""Length-spectrum semantics: witnesses of length *at most* n.
+"""Witnesses of length *at most* n, by padding.
 
 Section 4.2 defines RPQ witnesses as paths of length *exactly* n, noting
 that users "usually want all paths of at most certain length".  The
-equal-length convention is what the MEM-NFA machinery needs; this module
-provides the bridge both ways:
+paper's §2.1 padding turns the one into the other:
 
 * :func:`pad_automaton` — an automaton whose length-``n`` words are the
-  padded forms ``w·⋄^{n-|w|}`` of all accepted words with ``|w| ≤ n``
-  (the paper's §2.1 padding made concrete).  Counts and the uniform
-  distribution over the ≤-n language transfer bijectively.
-* :class:`SpectrumSolver` — count / sample / enumerate over the ≤-n
-  witness set without materializing the padding at the API surface:
-  results are unpadded words.  Counting sums the exact per-length DP for
-  unambiguous automata and dispatches per-length FPRAS calls otherwise;
-  sampling picks a length with probability proportional to its (estimated)
-  count, then samples within it — the standard stratified scheme, exactly
-  uniform in the unambiguous case.
+  padded forms ``w·⋄^{n-|w|}`` of all accepted words with ``|w| ≤ n``.
+* :class:`UpToRelation` — that padded automaton at length ``n`` as a
+  relation whose witnesses are the unpadded words: the witness set
+  behind ``WitnessSet.up_to(nfa, n)``.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterator
-
 from repro.automata.nfa import NFA, Word
-from repro.automata.unambiguous import is_unambiguous
-from repro.core.enumeration import enumerate_words_nfa, enumerate_words_ufa
-from repro.core.exact import count_words_exact
-from repro.core.exact_sampler import ExactUniformSampler
-from repro.core.fpras import FprasParameters, FprasState
-from repro.core.kernel import compile_nfa
-from repro.errors import EmptyWitnessSetError
-from repro.utils.rng import make_rng
+from repro.core.relations import (
+    AutomatonBackedRelation,
+    CompiledInstance,
+    PaddedWitness,
+)
 
 PAD = ("pad", "⋄")
+_PADDING = PaddedWitness(PAD)
 
 
 def pad_automaton(nfa: NFA, pad_symbol=PAD) -> NFA:
@@ -67,150 +55,26 @@ def pad_automaton(nfa: NFA, pad_symbol=PAD) -> NFA:
     )
 
 
-def strip_padding(w: Word, pad_symbol=PAD) -> Word:
-    out = list(w)
-    while out and out[-1] == pad_symbol:
-        out.pop()
-    return tuple(out)
+class UpToRelation(AutomatonBackedRelation):
+    """``(nfa, n) ↦ L_{≤n}(nfa)``, the accepted words of length at most ``n``.
 
+    Compiles to :func:`pad_automaton` at length ``n``; a witness is a
+    padded word with its pad block stripped.  A word longer than ``n``
+    encodes unchanged, and one holding the pad symbol to a word longer
+    than ``n``, so neither is ever a member.
+    """
 
-class SpectrumSolver:
-    """ENUM/COUNT/GEN over ``L_{≤n}(nfa) = ⋃_{ℓ ≤ n} L_ℓ(nfa)``."""
+    name = "up_to"
 
-    def __init__(
-        self,
-        nfa: NFA,
-        max_length: int,
-        delta: float = 0.1,
-        rng: random.Random | int | None = None,
-        params: FprasParameters | None = None,
-        kernel_backend: str | None = None,
-    ):
-        if max_length < 0:
-            raise ValueError("max_length must be ≥ 0")
-        self.nfa = nfa.without_epsilon().trim()
-        self.max_length = max_length
-        self.rng = make_rng(rng)
-        self.delta = delta
-        self.params = params
-        self.unambiguous = is_unambiguous(self.nfa)
-        self._samplers: dict[int, ExactUniformSampler] = {}
-        if self.unambiguous:
-            # One reachable-mode kernel answers every length ℓ ≤ n from
-            # its per-layer forward counts — a linear sweep instead of
-            # one unrolling per length, and extend() grows it in place.
-            # kernel_backend selects the execution backend for the sweep
-            # (None → $REPRO_KERNEL_BACKEND); counts are identical
-            # either way.
-            self._kernel = compile_nfa(
-                self.nfa, max_length, trimmed=False
-            ).set_kernel_backend(kernel_backend)
-            self._counts = dict(enumerate(self._kernel.spectrum_counts()))
-        else:
-            self._kernel = None
-            self._counts = None
+    def compile(self, instance: tuple[NFA, int]) -> CompiledInstance:
+        nfa, n = instance
+        return CompiledInstance(pad_automaton(nfa), n)
 
-    def extend(self, max_length: int) -> "SpectrumSolver":
-        """Grow the solver to a larger ``max_length`` without recompiling.
+    def decode_witness(self, instance: tuple[NFA, int], w: Word) -> Word:
+        return _PADDING.strip(w)
 
-        The unambiguous route extends the compiled kernel incrementally
-        (:meth:`~repro.core.kernel.CompiledDAG.extend_to`), so a sweep
-        ``n = 1, 2, …, N`` performed by repeated extension does linear
-        total work; the new lengths' counts are read off the appended
-        forward rows.
-        """
-        if max_length <= self.max_length:
-            return self
-        self.max_length = max_length
-        if self._kernel is not None:
-            self._kernel.extend_to(max_length)
-            self._counts = dict(enumerate(self._kernel.spectrum_counts()))
-        return self
-
-    # ------------------------------------------------------------------
-
-    def count(self) -> int | float:
-        """|L_{≤n}| — exact for unambiguous automata, FPRAS sum otherwise.
-
-        The per-length FPRAS errors are each ≤ δ relative, so the sum is
-        within δ of the true total (relative error is preserved under
-        summation of nonnegative estimates).
-        """
-        if self._counts is not None:
-            return sum(self._counts.values())
-        total = 0.0
-        for length in range(self.max_length + 1):
-            total += FprasState(
-                self.nfa, length, delta=self.delta, rng=self.rng, params=self.params
-            ).count_estimate
-        return total
-
-    def count_exact(self) -> int:
-        """Exact |L_{≤n}| regardless of ambiguity (may be exponential)."""
-        return sum(
-            count_words_exact(self.nfa, length) for length in range(self.max_length + 1)
-        )
-
-    def enumerate(self) -> Iterator[Word]:
-        """All witnesses of length ≤ n, shortest first, duplicate-free."""
-        for length in range(self.max_length + 1):
-            if self.unambiguous:
-                yield from enumerate_words_ufa(self.nfa, length, check=False)
-            else:
-                yield from enumerate_words_nfa(self.nfa, length)
-
-    def sample(self) -> Word:
-        """One uniform witness of ``L_{≤n}`` (exact in the UFA case).
-
-        Stratified: pick a length ∝ its count, then sample within.  For
-        ambiguous automata the within-length draw is the PLVUG, so the
-        result is uniform conditioned on the (FPRAS-weighted) length
-        choice — almost uniform with the per-length estimate error.
-        """
-        if self._counts is not None:
-            total = sum(self._counts.values())
-            if total == 0:
-                raise EmptyWitnessSetError(
-                    f"no witnesses of length ≤ {self.max_length}"
-                )
-            pick = self.rng.randrange(total)
-            accumulated = 0
-            for length, weight in self._counts.items():
-                accumulated += weight
-                if pick < accumulated:
-                    if length == 0:
-                        return ()
-                    sampler = self._samplers.get(length)
-                    if sampler is None:
-                        sampler = ExactUniformSampler(self.nfa, length, check=False)
-                        self._samplers[length] = sampler
-                    return sampler.sample(self.rng)
-            raise AssertionError("length stratification exhausted")
-        # Ambiguous route: estimate per-length weights once, then sample.
-        from repro.core.plvug import LasVegasUniformGenerator
-
-        weights = []
-        for length in range(self.max_length + 1):
-            weights.append(
-                FprasState(
-                    self.nfa, length, delta=self.delta, rng=self.rng, params=self.params
-                ).count_estimate
-            )
-        total = sum(weights)
-        if total <= 0:
-            raise EmptyWitnessSetError(f"no witnesses of length ≤ {self.max_length}")
-        pick = self.rng.random() * total
-        accumulated = 0.0
-        for length, weight in enumerate(weights):
-            accumulated += weight
-            if pick < accumulated:
-                if length == 0:
-                    return ()
-                generator = LasVegasUniformGenerator(
-                    self.nfa, length, delta=self.delta, rng=self.rng, params=self.params
-                )
-                drawn = generator.generate()
-                if drawn is None:
-                    raise EmptyWitnessSetError("length stratum turned out empty")
-                return drawn
-        raise AssertionError("length stratification exhausted")
+    def encode_witness(self, instance: tuple[NFA, int], witness: Word) -> Word:
+        n = instance[1]
+        if PAD in witness:
+            return witness + (PAD,) * (n + 1)
+        return witness if len(witness) > n else _PADDING.pad(witness, n)

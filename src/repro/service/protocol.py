@@ -506,7 +506,7 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
         with obs.stage(metric_names.STAGE_SERIALIZATION):
             return [render_witness(w) for w in witnesses]
     if op == "spectrum":
-        spectrum = ws.spectrum(request.get("max_length"))
+        spectrum = ws.spectrum(_positive_int_or_none(request, "max_length"))
         return [[length, count] for length, count in sorted(spectrum.items())]
     if op == "enumerate":
         return _enumerate_page(ws, request)

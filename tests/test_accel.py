@@ -28,7 +28,6 @@ from repro.automata.random_gen import random_ufa
 from repro.core import accel
 from repro.core.fpras import FprasParameters, FprasState
 from repro.core.kernel import CompiledDAG, compile_nfa
-from repro.core.spectrum import SpectrumSolver
 from repro.errors import UnknownBackendError
 from repro.obs.names import KERNEL_BACKEND_SELECTED
 from repro.service.snapshot import (
@@ -200,15 +199,15 @@ def test_step_indices_and_predecessor_groups_identical():
 
 
 def test_spectrum_solver_backend_identical():
+    import repro
+
     nfa = ufa(25, n=20, seed=11)
-    pure = SpectrumSolver(nfa, 20, kernel_backend="pure")
-    fast = SpectrumSolver(nfa, 20, kernel_backend="numpy")
-    assert pure.count() == fast.count()
-    assert pure._counts == fast._counts
-    pure.extend(30)
-    fast.extend(30)
-    assert pure._counts == fast._counts
-    assert pure.count() == fast.count()
+    pure = repro.WitnessSet(nfa, 20, kernel_backend="pure")
+    fast = repro.WitnessSet(nfa, 20, kernel_backend="numpy")
+    assert pure.spectrum(20) == fast.spectrum(20)
+    # Past n, the reachable kernel grows by extend_to on each backend.
+    assert pure.spectrum(30) == fast.spectrum(30)
+    assert pure.reachable_kernel.n == fast.reachable_kernel.n == 30
 
 
 def test_extend_to_forward_rows_identical():
@@ -253,7 +252,7 @@ def test_witness_set_backend_selection_and_describe():
 def test_backend_counter_counts_each_kernel_once(monkeypatch, tmp_path):
     """``repro_kernel_backend_total`` counts each kernel once, under the
     backend it runs on: a facade-built kernel, a store-restored kernel
-    and the spectrum solver's kernel all settle on NumPy here, while the
+    and an at-most-n set's kernel all settle on NumPy here, while the
     environment default is pure."""
     import repro
     from repro import obs
@@ -286,7 +285,8 @@ def test_backend_counter_counts_each_kernel_once(monkeypatch, tmp_path):
         assert selections() == {"pure": 0, "numpy": 1}
 
         obs.reset_metrics()
-        SpectrumSolver(nfa, 12, kernel_backend="numpy")
+        # The facade lowers lazily: one query builds the kernel.
+        repro.WitnessSet.up_to(nfa, 12, kernel_backend="numpy", store=False).count()
         assert selections() == {"pure": 0, "numpy": 1}
     finally:
         obs.set_enabled(was_enabled)

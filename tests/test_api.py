@@ -90,6 +90,8 @@ class TestRegexFacade:
         ws = WitnessSet.from_regex("(ab|ba)*", 6, alphabet="ab")
         spectrum = ws.spectrum()
         assert spectrum == {0: 1, 1: 0, 2: 2, 3: 0, 4: 4, 5: 0, 6: 8}
+        with pytest.raises(ValueError):
+            ws.spectrum(-1)
 
     def test_contains(self):
         ws = WitnessSet.from_regex("(ab)*", 4, alphabet="ab")

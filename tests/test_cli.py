@@ -79,6 +79,12 @@ class TestSampleEnumInspect:
         assert "unambiguous   : True" in out
         assert "RelationUL" in out
         assert "|L_4  |       : 4" in out.replace("  |", "  |")  # spectrum rows present
+        code, out, _ = run_cli(
+            capsys, "inspect", "--regex", "(ab|ba)*", "--alphabet", "ab", "--spectrum", "0"
+        )
+        assert code == 0 and "|L_0  |       : 1" in out
+        with pytest.raises(SystemExit):
+            main(["inspect", "--regex", "(ab|ba)*", "--alphabet", "ab", "--spectrum", "-3"])
 
     def test_inspect_ambiguous_class(self, capsys):
         code, out, _ = run_cli(

@@ -1039,6 +1039,14 @@ class TestEngine:
         assert responses[0]["error_type"] == "ProtocolError"
         assert responses[1]["ok"] and responses[1]["result"] == solo
 
+    @pytest.mark.parametrize("max_length", [-3, True, 4.5, "x"])
+    def test_bad_spectrum_bound_is_a_protocol_error(self, max_length):
+        request = {"id": 1, "op": "spectrum", "spec": SPEC, "max_length": max_length}
+        with Engine(workers=0) as engine:
+            response = engine.execute([request])[0]
+        assert not response["ok"] and response["error_type"] == "ProtocolError"
+        assert "max_length" in response["error"]
+
     def test_shared_store_across_workers(self, tmp_path):
         root = tmp_path / "kernels"
         requests = [{"id": 1, "op": "count", "spec": SPEC}]
