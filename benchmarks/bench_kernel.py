@@ -8,7 +8,7 @@ Claims measured (and asserted, so regressions fail the suite):
   sampler re-walked ``ordered_successors`` per step).
 * K1b: ``sample_batch(1000)`` beats 1000 single ``sample()`` calls on
   the same prebuilt sampler — the batched layer-by-layer pass amortizes
-  the per-vertex lookups.
+  the per-layer lookups.
 * K1c: the kernel path agrees exactly with the seed path (counts and
   distributions are the same chain) across the application reductions —
   DNF, RPQ and CFG witness sets give identical exact counts through the
@@ -182,7 +182,7 @@ def test_count_sample_kernel_beats_seed_dict_path(observe):
 
 def test_sample_batch_beats_single_draws(observe):
     sampler = ExactUniformSampler(_instance(), N, check=False)
-    sampler.sample_batch(8, make_rng(0))  # warm the per-vertex weight caches
+    sampler.sample_batch(8, make_rng(0))  # warm up the walk
 
     generator = make_rng(11)
     started = time.perf_counter()
@@ -249,7 +249,6 @@ def _reset_kernel_caches(kernel) -> None:
     """Drop every derived table so the next workload is a cold build."""
     kernel._forward = None
     kernel._backward = None
-    kernel._cum.clear()
     kernel._redge.clear()
     kernel._accel_state.clear()
 

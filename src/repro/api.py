@@ -719,13 +719,14 @@ class WitnessSet:
         seed: int | None = None,
         use_substreams: bool = False,
     ) -> list:
-        """``k`` uniform witnesses drawn in one table-guided kernel pass.
+        """``k`` uniform witnesses drawn in one kernel pass.
 
-        Same distribution as :meth:`sample` with ``k`` (each draw walks
-        the identical chain), but the unambiguous route groups the
-        in-flight samples by vertex per layer so the per-vertex weight
-        lookups are paid once per layer instead of once per draw —
-        the bulk-generation API.  Ambiguous sources fall back to ``k``
+        On the unambiguous route each draw is one ``randrange`` rank,
+        unranked through the backward table, and all ``k`` draws walk
+        the layers together, so each layer's arrays are looked up once
+        per batch — the bulk-generation API.  The ranks are the shared
+        stream's next ``k`` calls, so ``sample_batch(k, seed=s)`` equals
+        ``sample(k, seed=s)``.  Ambiguous sources fall back to ``k``
         independent Las Vegas draws.
 
         With ``use_substreams=True``, draw ``i`` consumes the ``i``-th

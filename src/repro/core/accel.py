@@ -19,10 +19,10 @@ Design contract (what makes the backend safe to switch on):
   for vectorization to pay.
 * **Bit-identical results.**  Count tables are built with the same
   value semantics (rows pack to ``array('q')`` exactly when the pure
-  packer would) and sampling consumes the *same* ``randrange`` draws in
-  the *same* order as the pure ``sample_batch`` — per-draw RNG
-  substream semantics survive acceleration, so seeded outputs are
-  byte-identical across backends.
+  packer would), and sampling unranks the *same* ranks the pure
+  ``sample_batch`` draws (one ``randrange`` per draw, made by the
+  kernel before either walk) — per-draw RNG substream semantics survive
+  acceleration, so seeded outputs are byte-identical across backends.
 * **Overflow safety.**  Packed ``int64`` rows vectorize; a conservative
   float64 pre-sum guard (``2**62``) hands any layer that could reach
   the int64 range back to the exact bignum path, and spilled rows are
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import UnknownBackendError
 
@@ -111,7 +111,7 @@ class NumpyAccel:
     """Vectorized kernel sweeps over zero-copy views of the CSR arrays.
 
     Stateless apart from the NumPy module handle: per-kernel caches
-    (array views, per-layer cumulative weights, reverse orderings) live
+    (array views, per-edge sources, reverse orderings) live
     in the kernel's own ``_accel_state`` dict so they follow the
     kernel's lifetime and are dropped by ``extend_to`` /
     ``set_kernel_backend``.
@@ -180,16 +180,16 @@ class NumpyAccel:
 
         One ``np.add.reduceat`` pass; exact in two's complement because
         the caller guarantees every true block total stays below the
-        int64 range.  ``reduceat`` yields ``weights[i]`` (not 0) for an
-        empty block, and rejects indices at ``len(weights)``, so empty
-        blocks are clipped first and zeroed after.
+        int64 range.  ``reduceat`` rejects indices at ``len(weights)``,
+        where the empty blocks of a layer's last vertices start, so the
+        pass runs over ``weights`` with one zero appended; it ends each
+        block at the next start.  An empty block yields the entry at its
+        start (not 0), so those are zeroed after.
         """
         np = _numpy()
-        if len(weights) == 0:
-            return np.zeros(len(lengths), dtype=np.int64)
-        clipped = np.minimum(start[:-1], len(weights) - 1)
+        padded = np.concatenate((weights, np.zeros(1, dtype=np.int64)))
         with np.errstate(over="ignore"):
-            sums = np.add.reduceat(weights, clipped)
+            sums = np.add.reduceat(padded, start[:-1])
         return np.where(lengths > 0, sums, 0)
 
     def backward_table(self, kernel: CompiledDAG) -> list[CountRow] | None:
@@ -300,25 +300,17 @@ class NumpyAccel:
     # Batched sampling
     # ------------------------------------------------------------------
 
-    def sample_batch(
-        self,
-        kernel: CompiledDAG,
-        k: int,
-        randranges: Sequence[Callable[[int], int]],
-    ) -> list[Word] | None:
-        """``k`` table-guided draws, byte-identical to the pure pass.
+    def sample_batch(self, kernel: CompiledDAG, ranks: list[int]) -> list[Word] | None:
+        """The pure ``sample_batch`` walk over the same ``ranks``, vectorized.
 
-        The RNG draws cannot be vectorized without changing their
-        results, so they stay Python calls — made in exactly the order
-        the pure ``sample_batch`` makes them (samples grouped by current
-        vertex in first-occurrence order, members in sample order).
-        Everything around the draws vectorizes: per-layer cumulative
-        weights are built compactly over the *visited* vertex blocks
-        only (one ``cumsum``, exact by the wraparound trick since each
-        visited block's true total is a packed ``backward`` count
-        ``< 2**63``), and edge selection is a batched binary search over
-        all ``k`` samples at once — work proportional to the samples'
-        out-edges, not the layer's.
+        Per layer, the backward weights of the *visited* vertex blocks
+        are laid out compactly and summed per block (one ``cumsum``,
+        exact by the wraparound trick since each visited block's true
+        total is a packed ``backward`` count ``< 2**63``).  A batched
+        ``bisect_right`` of every rank in its block picks the edge the
+        pure scan stops at (skipping weight-0 edges), and the rank then
+        drops by the edge's exclusive prefix — work proportional to the
+        draws' out-edges, not the layer's.
 
         Returns ``None`` (pure path) when NumPy is absent or any
         backward row spilled to bignums.
@@ -327,42 +319,20 @@ class NumpyAccel:
         if np is None:
             return None
         backward = kernel.backward_counts()
-        for row in backward:
-            if isinstance(row, list):
-                return None
-        n = kernel.n
+        if any(isinstance(row, list) for row in backward):
+            return None
+        k = len(ranks)
         symbols = kernel.symbols
-        if n == 0:
-            return [() for _ in range(k)]
         states = np.full(k, kernel._index[0][kernel.nfa.initial], dtype=np.int64)
-        sample_ids = np.arange(k, dtype=np.int64)
-        picked = np.empty((k, n), dtype=np.int64)
-        for t in range(n):
+        left = np.array(ranks, dtype=np.int64)
+        picked = np.empty((k, kernel.n), dtype=np.int64)
+        for t in range(kernel.n):
             start, symbol, dst = self._edges(kernel, t)
             nxt = self._row_view(backward[t + 1])
-            if nxt is None:  # pragma: no cover - rows were checked above
-                return None
-            totals = self._row_view(backward[t])[states].tolist()
-            # The pure pass draws grouped by current vertex (groups in
-            # first-occurrence order, members in sample order); with a
-            # shared generator that order is observable through the
-            # stream, so reproduce it exactly before drawing.
-            unique, first_at, inverse = np.unique(
-                states, return_index=True, return_inverse=True
-            )
-            rank = np.empty(len(unique), dtype=np.int64)
-            rank[np.argsort(first_at, kind="stable")] = np.arange(
-                len(unique), dtype=np.int64
-            )
-            order = np.lexsort((sample_ids, rank[inverse])).tolist()
-            picks_list = [0] * k
-            for j in order:
-                picks_list[j] = randranges[j](totals[j])
-            picks = np.array(picks_list, dtype=np.int64)
-            # Compact cumulative weights over the visited blocks only:
+            unique, inverse = np.unique(states, return_inverse=True)
             # positions[cstart[u]:cstart[u+1]] are the flat edge indices
-            # of the u-th visited vertex, and lcum over that slice equals
-            # the pure ``_cum_weights`` list for it.
+            # of the u-th visited vertex; lcum over that slice is its
+            # running (inclusive) weight.
             ulo = start[unique]
             lengths = start[unique + 1] - ulo
             cstart = np.concatenate(
@@ -371,27 +341,27 @@ class NumpyAccel:
             positions = np.arange(int(cstart[-1]), dtype=np.int64) + np.repeat(
                 ulo - cstart[:-1], lengths
             )
+            weights = nxt[dst[positions]]
             with np.errstate(over="ignore"):
-                cum = np.cumsum(nxt[dst[positions]])
+                cum = np.cumsum(weights)
                 ext = np.concatenate((np.zeros(1, dtype=np.int64), cum))
                 lcum = cum - np.repeat(ext[cstart[:-1]], lengths)
-            # Batched bisect_right over each sample's compact block.
-            lo = cstart[:-1][inverse].copy()
-            hi = cstart[1:][inverse].copy()
+            # Batched bisect_right of each rank over its compact block.
+            lo = cstart[:-1][inverse]
+            hi = cstart[1:][inverse]
             while True:
                 active = lo < hi
                 if not bool(active.any()):
                     break
                 mid = np.where(active, (lo + hi) >> 1, 0)
-                go_right = active & (lcum[mid] <= picks)
+                go_right = active & (lcum[mid] <= left)
                 lo = np.where(go_right, mid + 1, lo)
                 hi = np.where(active & ~go_right, mid, hi)
+            left -= lcum[lo] - weights[lo]
             chosen = positions[lo]
             picked[:, t] = symbol[chosen]
             states = dst[chosen]
-        return [
-            tuple(symbols[i] for i in row) for row in picked.tolist()
-        ]
+        return [tuple(symbols[i] for i in row) for row in picked.tolist()]
 
     # ------------------------------------------------------------------
     # FPRAS prefix-set bookkeeping

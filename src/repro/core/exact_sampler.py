@@ -13,8 +13,9 @@ Two implementations:
   same chain, but instead of rebuilding ψ-automata it walks the unrolled
   DAG with a precomputed *backward run-count table* (``#completions`` per
   vertex).  One table build is O(n·|δ|), then every sample costs
-  O(n·deg) bignum work.  Sampling uses ``Random.randrange`` over exact
-  integer cumulative sums — no floating point, so the distribution is
+  O(n·deg) bignum work: one ``Random.randrange(total)`` rank, unranked
+  layer by layer by subtracting the completions of the edges it passes
+  (the recursive method).  No floating point, so the distribution is
   *exactly* uniform, matching the paper's claim (not merely almost
   uniform).
 * :func:`sample_word_ufa_via_psi` — the letter-for-letter Section 5.3.3
@@ -44,11 +45,11 @@ class ExactUniformSampler:
 
     Compiles the pruned unrolling into the integer-indexed
     :class:`~repro.core.kernel.CompiledDAG` once (edge arrays plus the
-    backward count table); every :meth:`sample` is then an O(n·log deg)
-    table-guided walk, and :meth:`sample_batch` draws many witnesses in a
-    single layer-by-layer pass.  Amortizes the Section 5.3.3
-    preprocessing across many draws, which is how the uniform-generation
-    experiments (E7) use it.  The :class:`repro.api.WitnessSet` facade
+    backward count table); every :meth:`sample` then unranks one
+    ``randrange`` rank in an O(n·deg) table-guided walk, and
+    :meth:`sample_batch` draws many witnesses in a single layer-by-layer
+    pass.  Amortizes the Section 5.3.3 preprocessing across many draws,
+    which is how the uniform-generation experiments (E7) use it.  The :class:`repro.api.WitnessSet` facade
     draws on its own cached kernel with the same two kernel calls.
     """
 
@@ -77,13 +78,12 @@ class ExactUniformSampler:
     def sample_batch(self, count: int, rng=None) -> list[Word]:
         """``count`` independent uniform witnesses in one table-guided pass.
 
-        Same distribution as ``count`` calls to :meth:`sample` (each
-        draw walks the identical Section 5.3.3 chain) but the per-layer
-        grouping resolves each vertex's weights once per layer, not once
-        per draw.  ``rng`` may also be a sequence of ``count`` per-draw
-        generators (deterministic substreams — see
-        :meth:`CompiledDAG.sample_batch`).  Raises
-        :class:`EmptyWitnessSetError` when ``W = ∅``.
+        The same words as ``count`` calls to :meth:`sample` on one
+        generator (one rank per draw, in order), with each layer's
+        arrays looked up once per batch, not once per draw.  ``rng``
+        may also be a sequence of ``count`` per-draw generators
+        (deterministic substreams — see :meth:`CompiledDAG.sample_batch`).
+        Raises :class:`EmptyWitnessSetError` when ``W = ∅``.
         """
         if isinstance(rng, (list, tuple)):
             return self.kernel.sample_batch(count, rng)

@@ -61,7 +61,6 @@ carry their :class:`~repro.core.plan.LoweringStats` in
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from itertools import chain
 from random import Random
 from typing import (
@@ -303,7 +302,6 @@ class CompiledDAG:
         "_redge",
         "_forward",
         "_backward",
-        "_cum",
         "_layer_sets",
         "_finals_idx",
         "lowering",
@@ -327,7 +325,6 @@ class CompiledDAG:
     _redge: dict[int, tuple[_IntArray, _IntArray, _IntArray]]
     _forward: list[CountRow] | None
     _backward: list[CountRow] | None
-    _cum: dict[tuple[int, int], list[int]]
     _layer_sets: dict[int, frozenset[State]]
     _finals_idx: dict[int, tuple[int, ...]]
     lowering: LoweringStats | None
@@ -365,7 +362,6 @@ class CompiledDAG:
         self._redge = {}
         self._forward = None
         self._backward = None
-        self._cum = {}
         self._finals_idx = {}
         #: LoweringStats when this kernel came from a plan lowering.
         self.lowering = None
@@ -545,12 +541,9 @@ class CompiledDAG:
                     row = _pack_counts(self._forward_step(t, self._forward[t]))
                 self._forward.append(row)
         self.n = new_n
-        # Backward counts, cumulative-weight caches and final-layer
-        # adapters depend on n; drop them (forward rows stay valid).
-        # Accel caches go wholesale: their per-layer cumulative weights
-        # derive from the backward table being dropped.
+        # Backward counts and final-layer adapters depend on n; drop
+        # them (forward rows stay valid), and the accel caches with them.
         self._backward = None
-        self._cum.clear()
         self._finals_idx.clear()
         self._accel_state = {}
         return self
@@ -823,106 +816,82 @@ class CompiledDAG:
         ]
 
     # ------------------------------------------------------------------
-    # Uniform run sampling (table-guided walks)
+    # Uniform run sampling (unranking through the backward table)
     # ------------------------------------------------------------------
-
-    def _cum_weights(self, t: int, i: int) -> list[int]:
-        """Cumulative backward weights over vertex ``(t, i)``'s edge block."""
-        key = (t, i)
-        cached = self._cum.get(key)
-        if cached is None:
-            start, end = self.out_edge_range(t, i)
-            nxt = self.backward_counts()[t + 1]
-            edge_dst = self._edge_dst[t]
-            cached = []
-            running = 0  # exact bignum accumulation; never packed
-            for e in range(start, end):
-                running += nxt[edge_dst[e]]
-                cached.append(running)
-            self._cum[key] = cached
-        return cached
 
     def sample_word(self, generator: Random) -> Word:
         """One exactly-uniform accepting *run*'s word (uniform over words
-        iff the automaton is unambiguous — the Section 5.3.3 chain)."""
-        if self.total_runs == 0:
-            raise EmptyWitnessSetError(f"the automaton accepts no word of length {self.n}")
-        backward = self.backward_counts()
-        symbols = self.symbols
-        state = self._index[0][self.nfa.initial]
-        out: list[Symbol] = []
-        for t in range(self.n):
-            cum = self._cum_weights(t, state)
-            pick = generator.randrange(backward[t][state])
-            e = self._edge_start[t][state] + bisect_right(cum, pick)
-            out.append(symbols[self._edge_symbol[t][e]])
-            state = self._edge_dst[t][e]
-        return tuple(out)
+        iff the automaton is unambiguous — the Section 5.3.3 chain).
+        One ``randrange(total_runs)`` call; see :meth:`sample_batch`."""
+        return self.sample_batch(1, generator)[0]
 
     def sample_batch(self, k: int, generator: Random | Sequence[Random]) -> list[Word]:
-        """``k`` independent uniform draws in one table-guided pass.
+        """``k`` independent uniform draws, each the unranking of one rank.
 
-        Walks all ``k`` samples layer by layer, grouping the in-flight
-        samples by current vertex so each vertex's cumulative-weight
-        block and edge offsets are resolved once per layer instead of
-        once per sample — same chain, same distribution, much less
-        interpreter overhead than ``k`` independent :meth:`sample_word`
-        walks.
+        Draw ``d`` takes a rank ``r < total_runs`` with one ``randrange``
+        call and returns run number ``r`` of Algorithm 1's order (the
+        recursive method on the Section 5.3.3 chain): at each vertex it
+        scans the edge block, subtracting ``backward[t + 1][dst]`` until
+        the rank falls inside an edge, and follows that edge.  Every run
+        has one rank, so the draw is exactly uniform over runs; edges of
+        weight 0 (reachable-mode kernels) are skipped by the scan.  All
+        ``k`` draws walk layer by layer, so each layer's arrays are
+        looked up once per batch.
 
-        ``generator`` may be one shared ``Random`` (the classic batched
-        draw) or a sequence of ``k`` per-sample generators (deterministic
-        substreams, see :func:`repro.utils.rng.spawn_seq`).  With
-        per-sample streams, draw ``i`` consumes only ``generator[i]``, so
-        its result depends solely on its own stream and not on which
-        other draws share the pass — what makes coalesced service
-        batches byte-identical to serving each request alone.
+        ``generator`` may be one shared ``Random`` — the ranks are then
+        its next ``k`` ``randrange(total_runs)`` calls, in draw order,
+        so ``k`` :meth:`sample_word` calls draw the same words — or a
+        sequence of ``k`` per-sample generators (deterministic
+        substreams, see :func:`repro.utils.rng.spawn_seq`) that each
+        make one call.  Draw ``i`` then depends solely on its own stream
+        and not on which other draws share the pass — what makes
+        coalesced service batches byte-identical to serving each request
+        alone.  The NumPy backend walks the same ranks.
         """
         if k < 0:
             raise ValueError("sample count must be ≥ 0")
         if k == 0:
             return []
-        if self.total_runs == 0:
+        total = self.total_runs
+        if total == 0:
             raise EmptyWitnessSetError(f"the automaton accepts no word of length {self.n}")
-        randranges: list[Callable[[int], int]]
         if isinstance(generator, Random):
-            randranges = [generator.randrange] * k
+            ranks = [generator.randrange(total) for _ in range(k)]
         else:
             if len(generator) != k:
                 raise ValueError(
                     f"need one generator per draw: got {len(generator)} for k={k}"
                 )
-            randranges = [g.randrange for g in generator]
+            ranks = [g.randrange(total) for g in generator]
         if self.accel is not None:
-            # Consumes the randrange draws in exactly the pure order, so
-            # a None fallback (spilled rows) happens before any draw.
-            accelerated = self.accel.sample_batch(self, k, randranges)
+            accelerated = self.accel.sample_batch(self, ranks)
             if accelerated is not None:
                 return accelerated
             self._note_spill("sample_batch")
         backward = self.backward_counts()
         symbols = self.symbols
         states = [self._index[0][self.nfa.initial]] * k
-        words: list[list[Symbol]] = [[] for _ in range(k)]
+        columns: list[list[Symbol]] = []
         for t in range(self.n):
-            groups: dict[int, list[int]] = {}
-            for sample_id, i in enumerate(states):
-                group = groups.get(i)
-                if group is None:
-                    groups[i] = [sample_id]
-                else:
-                    group.append(sample_id)
             starts = self._edge_start[t]
             edge_symbol = self._edge_symbol[t]
             edge_dst = self._edge_dst[t]
-            for i, members in groups.items():
-                base = starts[i]
-                cum = self._cum_weights(t, i)
-                total = backward[t][i]
-                for sample_id in members:
-                    e = base + bisect_right(cum, randranges[sample_id](total))
-                    words[sample_id].append(symbols[edge_symbol[e]])
-                    states[sample_id] = edge_dst[e]
-        return [tuple(w) for w in words]
+            weights = backward[t + 1]
+            column: list[Symbol] = []
+            for d, rank in enumerate(ranks):
+                e = starts[states[d]]
+                j = edge_dst[e]
+                weight = weights[j]
+                while rank >= weight:
+                    rank -= weight
+                    e += 1
+                    j = edge_dst[e]
+                    weight = weights[j]
+                ranks[d] = rank
+                states[d] = j
+                column.append(symbols[edge_symbol[e]])
+            columns.append(column)
+        return list(zip(*columns)) if columns else [() for _ in range(k)]
 
     # ------------------------------------------------------------------
     # Snapshots (the service layer's persistence format)

@@ -51,7 +51,9 @@ on ``(spec, seed, k)`` — never on which worker serves it, nor on which
 other requests were coalesced into the same kernel pass.  An ambiguous
 spec's draws also walk the resident set's FPRAS sketch, which every
 worker builds from the same :data:`RESIDENT_SEED`; a ``count`` without
-a ``seed`` is answered as with ``"seed": RESIDENT_SEED``.
+a ``seed`` is answered as with ``"seed": RESIDENT_SEED``.  A ``seed``
+must be an integer ≥ 0: anything else (a string, a float, a list,
+``true``, a negative number) is answered with a ``ProtocolError``.
 """
 
 from __future__ import annotations
@@ -321,8 +323,8 @@ def draw_samples_coalesced(
     Each request's streams are derived from its own seed exactly as
     :func:`draw_samples` derives them, and each draw consumes only its
     own stream — so the split results are byte-identical to serving the
-    requests separately, while the kernel walk (the per-layer grouping
-    and weight lookups) is paid once for the whole batch.
+    requests separately, while the kernel walk (one unranking pass,
+    layer by layer) is paid once for the whole batch.
     """
     streams: list[Any] = []
     slices: list[tuple[int, int]] = []
@@ -483,6 +485,7 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
     if op == "count":
         backend = request.get("backend") or "exact"
         options = dict(request.get("options") or {})
+        seed = _positive_int_or_none(request, "seed")
         from repro import backends as _backends
 
         if _backends.get(backend).exact:
@@ -491,7 +494,6 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
         # draws on the resident set's own stream: that stream seeds the
         # sketch Las Vegas draws walk, which then does not depend on
         # which requests ran first.
-        seed = request.get("seed")
         return ws.count(
             backend,
             delta=request.get("delta"),
@@ -502,7 +504,7 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
         k = request.get("k", 1)
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ProtocolError("sample requests need an integer k ≥ 0")
-        witnesses = draw_samples(ws, k, request.get("seed"))
+        witnesses = draw_samples(ws, k, _positive_int_or_none(request, "seed"))
         with obs.stage(metric_names.STAGE_SERIALIZATION):
             return [render_witness(w) for w in witnesses]
     if op == "spectrum":
@@ -666,7 +668,7 @@ def _respond_coalesced(
                 batches = draw_samples_coalesced(
                     ws,
                     [
-                        (request.get("k", 1), request.get("seed"))
+                        (request.get("k", 1), _positive_int_or_none(request, "seed"))
                         for _, request in indexed
                     ],
                 )

@@ -566,7 +566,6 @@ def kernel_from_bytes(
     kernel._redge = {}
     kernel._forward = forward
     kernel._backward = backward
-    kernel._cum = {}
     kernel._layer_sets = {}
     kernel._finals_idx = finals_idx
     lowering = header.get("lowering")

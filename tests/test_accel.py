@@ -3,11 +3,11 @@ snapshot tier (ISSUE 8).
 
 The NumPy backend's contract is *bit-identity*: every count, sample,
 spectrum and FPRAS estimate must equal the canonical pure-Python path's
-output exactly — same values, same container packing, same RNG stream
-consumption.  These tests run both backends side by side on the same
-seeded inputs and compare; when NumPy is not installed they still run,
-because ``resolve("numpy")`` then degrades to the pure path and equality
-holds trivially (the CI matrix covers both legs).
+output exactly — same values, same container packing, the same ranks
+(one ``randrange`` per draw).  These tests run both backends side by
+side on the same seeded inputs and compare; when NumPy is not installed
+they still run, because ``resolve("numpy")`` then degrades to the pure
+path and equality holds trivially (the CI matrix covers both legs).
 
 The mmap tier's contract: a zero-copy restored kernel answers every
 query identically to a full-deserialize restore, never mutates the
@@ -22,6 +22,7 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.automata.nfa import NFA
 from repro.automata.random_gen import random_ufa
@@ -40,6 +41,7 @@ from repro.service.snapshot import (
 )
 from repro.service.store import KernelStore
 from repro.utils.rng import make_rng, substreams
+from test_trim import automata
 
 LP64 = array("l").itemsize == 8
 
@@ -56,6 +58,18 @@ def spill_nfa():
         transitions={("s", "a", "s"), ("s", "b", "s")},
         initial="s",
         finals={"s"},
+    )
+
+
+def dead_end_nfa():
+    """A layer's last states have no out-edges: the NumPy backward sweep
+    once ended the layer's last nonempty block one edge short."""
+    return NFA(
+        states={0, 1, 2},
+        alphabet={"a", "b"},
+        transitions={(0, "a", 2), (0, "b", 1), (2, "a", 0), (2, "b", 1)},
+        initial=0,
+        finals={1},
     )
 
 
@@ -129,12 +143,36 @@ def test_kernel_backend_property_and_env(monkeypatch):
 
 @pytest.mark.parametrize("trimmed", [True, False])
 def test_count_tables_bit_identical(trimmed):
-    pure, fast = both_backends(ufa(), 30, trimmed)
+    for nfa, n in ((ufa(), 30), (dead_end_nfa(), 3), (dead_end_nfa(), 5)):
+        pure, fast = both_backends(nfa, n, trimmed)
+        rows_equal(pure.forward_counts(), fast.forward_counts())
+        rows_equal(pure.backward_counts(), fast.backward_counts())
+        assert pure.total_runs == fast.total_runs
+        if not trimmed:
+            assert pure.spectrum_counts() == fast.spectrum_counts()
+    assert fast.total_runs == 1  # aaaab, the one word of length 5
+
+
+@pytest.mark.skipif(accel.resolve("numpy") is None, reason="NumPy backend unavailable")
+@settings(max_examples=300, deadline=None)
+@given(automata(), st.integers(0, 6), st.booleans(), st.booleans())
+def test_count_tables_match_pure_on_dead_ends(nfa, n, trimmed, sink):
+    """Pure against NumPy forward and backward tables on automata with
+    dead ends.  With ``sink``, every state also steps on ``a`` to a dead
+    end that sorts last in its layer, so a reachable layer's last block
+    is always empty."""
+    source = nfa.without_epsilon()
+    if sink:
+        source = NFA(
+            states=source.states | {99},
+            alphabet=source.alphabet,
+            transitions=source.transitions | {(s, "a", 99) for s in source.states},
+            initial=source.initial,
+            finals=source.finals,
+        )
+    pure, fast = both_backends(source, n, trimmed)
     rows_equal(pure.forward_counts(), fast.forward_counts())
     rows_equal(pure.backward_counts(), fast.backward_counts())
-    assert pure.total_runs == fast.total_runs
-    if not trimmed:
-        assert pure.spectrum_counts() == fast.spectrum_counts()
 
 
 def test_count_tables_spill_identical():
@@ -151,8 +189,8 @@ def test_sample_batch_byte_identical_shared_generator():
     assert pure.sample_batch(500, random.Random(42)) == fast.sample_batch(
         500, random.Random(42)
     )
-    # The draws consume the shared stream identically: the generators
-    # end in the same state.
+    # The draws consume the shared stream identically (one randrange
+    # per draw): the generators end in the same state.
     g1, g2 = random.Random(7), random.Random(7)
     pure.sample_batch(50, g1)
     fast.sample_batch(50, g2)

@@ -1039,6 +1039,37 @@ class TestEngine:
         assert responses[0]["error_type"] == "ProtocolError"
         assert responses[1]["ok"] and responses[1]["result"] == solo
 
+    @pytest.mark.parametrize("seed", ["x", 4.5, [1], True, -7])
+    def test_bad_seed_is_a_protocol_error(self, seed):
+        """A seed that is not an integer ≥ 0 is refused, never coerced:
+        ``true`` is not seed 1, and -7 is not seed 7."""
+        requests = [
+            {"id": 1, "op": "sample", "spec": SPEC, "k": 2, "seed": seed},
+            {"id": 2, "op": "sample_batch", "spec": SPEC2, "k": 3, "seed": seed},
+            {"id": 3, "op": "count", "spec": SPEC, "backend": "fpras", "seed": seed},
+            {"id": 4, "op": "count", "spec": SPEC2, "seed": seed},
+        ]
+        with Engine(workers=0) as engine:
+            responses = engine.execute(requests)
+        for response in responses:
+            assert not response["ok"] and response["error_type"] == "ProtocolError"
+            assert "seed" in response["error"]
+
+    def test_bad_seed_never_steals_sibling_witnesses(self):
+        good = [
+            {"id": 2, "op": "sample", "spec": SPEC, "k": 2, "seed": 5},
+            {"id": 3, "op": "sample_batch", "spec": SPEC, "k": 4, "seed": 6},
+        ]
+        with Engine(workers=0) as engine:
+            solo = [engine.execute([dict(request)])[0]["result"] for request in good]
+            responses = engine.execute(
+                [{"id": 1, "op": "sample", "spec": SPEC, "k": 2, "seed": -5}]
+                + [dict(request) for request in good]
+            )
+        assert not responses[0]["ok"]
+        assert responses[0]["error_type"] == "ProtocolError"
+        assert [response["result"] for response in responses[1:]] == solo
+
     @pytest.mark.parametrize("max_length", [-3, True, 4.5, "x"])
     def test_bad_spectrum_bound_is_a_protocol_error(self, max_length):
         request = {"id": 1, "op": "spectrum", "spec": SPEC, "max_length": max_length}
