@@ -65,11 +65,7 @@ from repro import backends as _backends
 from repro.automata.nfa import NFA, Word
 from repro.automata.regex import compile_regex
 from repro.automata.unambiguous import is_unambiguous
-from repro.core.enumeration import (
-    algorithm1_page,
-    enumerate_words_dag,
-    enumerate_words_nfa,
-)
+from repro.core.enumeration import enumerate_words_dag, enumerate_words_nfa
 from repro.core.exact import count_words_exact, length_spectrum
 from repro.core.fpras import FprasParameters, FprasState
 from repro.core.kernel import CompiledDAG
@@ -627,38 +623,39 @@ class WitnessSet:
         for w in self.words(limit=limit):
             yield self.decode(w)
 
-    def enumerate_page(self, count: int, cursor=None) -> tuple[list, object]:
+    def enumerate_page(self, count: int, cursor=None) -> tuple[list, int | None]:
         """One resumable page: up to ``count`` decoded witnesses plus the
         cursor for the next page (``None`` when exhausted).
 
         This is the service layer's streamed-enumeration primitive: a
         client pages through a huge witness set chunk by chunk without
-        the server ever materializing it.  Unambiguous sources resume in
-        O(n) from an Algorithm 1 decision-point cursor
-        (:func:`repro.core.enumeration.algorithm1_page`); ambiguous
-        sources fall back to an integer offset cursor over the
-        polynomial-delay flashlight enumeration (resuming re-walks the
-        skipped prefix).  Cursors are opaque JSON-able values — pass
-        them back verbatim; a corrupt or stale cursor raises
-        ``ValueError`` rather than returning a wrong page.  Page
-        boundaries never change the output: concatenating pages of any
-        sizes equals :meth:`enumerate`.
+        the server ever materializing it.  A cursor is the offset of the
+        next witness in :meth:`enumerate`'s order: ``None`` (meaning 0)
+        or any integer ``0 ≤ r ≤ |W|``, so pages have random access.
+        The page at ``r`` holds witnesses ``r, r + 1, …``, and the next
+        cursor is ``r + count``, or ``None`` when no witness follows.
+        Unambiguous sources resume in O(n) by unranking ``r`` through
+        the backward table (:func:`repro.core.enumeration.
+        enumerate_words_dag`); ambiguous sources re-walk the skipped
+        prefix of the polynomial-delay flashlight enumeration.  Any
+        other cursor raises ``ValueError`` rather than returning a wrong
+        page.  Page boundaries never change the output: concatenating
+        pages of any sizes equals :meth:`enumerate`.
         """
         if count < 0:
             raise ValueError("page size must be ≥ 0")
+        offset = 0 if cursor is None else cursor
+        invalid = ValueError("invalid enumeration cursor")
+        if not isinstance(offset, int) or isinstance(offset, bool) or offset < 0:
+            raise invalid
         if self.is_unambiguous:
-            words, next_cursor = algorithm1_page(self.kernel, cursor, count)
-            return [self.decode(w) for w in words], next_cursor
-        if cursor is None:
-            offset = 0
-        elif isinstance(cursor, int) and not isinstance(cursor, bool) and cursor >= 0:
-            offset = cursor
+            if offset and offset > self.kernel.total_runs:
+                raise invalid
+            iterator = enumerate_words_dag(self.kernel, offset)
         else:
-            raise ValueError("invalid enumeration cursor")
-        iterator = self.words()
-        skipped = sum(1 for _ in itertools.islice(iterator, offset))
-        if skipped < offset:
-            raise ValueError("invalid enumeration cursor")
+            iterator = self.words()
+            if sum(1 for _ in itertools.islice(iterator, offset)) < offset:
+                raise invalid
         page = [self.decode(w) for w in itertools.islice(iterator, count)]
         if len(page) < count or next(iterator, None) is None:
             return page, None
@@ -703,13 +700,7 @@ class WitnessSet:
         if k is None:
             w = self._sample_word_or_none(generator)
             return None if w is None else self.decode(w)
-        if k < 0:
-            raise ValueError("sample count must be ≥ 0")
-        if not self.nonempty:
-            raise EmptyWitnessSetError(f"no witnesses of length {self.n}")
-        # Nonempty, so each draw yields a word (the NL path retries its
-        # own rejection budget internally and raises on exhaustion).
-        return [self.decode(self._sample_word_or_none(generator)) for _ in range(k)]
+        return self.sample_batch(k, generator)
 
     def sample_batch(
         self,

@@ -51,7 +51,6 @@ from repro.core.exact import (
     run_count_by_word,
 )
 from repro.core.enumeration import (
-    algorithm1_page,
     enumerate_words,
     enumerate_words_dag,
     enumerate_words_nfa,
@@ -121,7 +120,6 @@ __all__ = [
     "length_spectrum",
     "run_count_by_word",
     "enumerate_words",
-    "algorithm1_page",
     "enumerate_words_ufa",
     "enumerate_words_nfa",
     "enumerate_words_dag",

@@ -5,11 +5,13 @@ Two enumerators, matching the two halves of the paper:
 * :func:`enumerate_words_ufa` — Algorithm 1 (Section 5.3.1).  After the
   polynomial preprocessing (building the Lemma 15 pruned DAG), outputs
   arrive with delay ``O(|y|)`` independent of the input size: the
-  traversal keeps a list of *decision points* (vertices where more than
-  one outgoing edge exists) and replays the stored prefix to emit the
-  next word, exactly as in the paper's pseudo-code.  Correct (duplicate-
-  free) only on unambiguous automata, because distinct DAG paths must
-  denote distinct words.
+  traversal keeps the current path and, for the next word, advances the
+  deepest layer whose vertex has a next edge and re-walks only the
+  layers below it.  It can start at any word's offset by unranking that
+  offset through the backward count table, so a page of words resumes
+  in O(n) from an integer cursor.  Correct (duplicate-free) only on
+  unambiguous automata, because distinct DAG paths must denote distinct
+  words.
 
 * :func:`enumerate_words_nfa` — polynomial delay for arbitrary NFAs
   (Theorem 2; the paper derives it from self-reducibility + the
@@ -27,7 +29,6 @@ delay guarantees are measured (not just asserted) in benchmarks E1/E2.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator
 
 from repro.automata.nfa import NFA, State, Symbol, Word
@@ -57,44 +58,46 @@ def enumerate_words_ufa(nfa: NFA, n: int, check: bool = True) -> Iterator[Word]:
         prepared = require_unambiguous(nfa, context="constant-delay enumeration")
     else:
         prepared = nfa.without_epsilon()
-    return _algorithm1(compile_nfa(prepared, n, trimmed=True), [])
+    return _algorithm1(compile_nfa(prepared, n, trimmed=True), 0)
 
 
-def enumerate_words_dag(dag: CompiledDAG) -> Iterator[Word]:
-    """Algorithm 1 over an already-built Lemma-15 pruned kernel.
+def enumerate_words_dag(dag: CompiledDAG, offset: int = 0) -> Iterator[Word]:
+    """Algorithm 1 over an already-built Lemma-15 pruned kernel, from word
+    number ``offset`` of its order on (nothing when ``offset ≥ |W|``).
 
     Lets callers that cache the unrolling (the :class:`repro.api.
-    WitnessSet` facade, the samplers) enumerate without re-unrolling.
-    The kernel must come from the trimmed unrolling of an unambiguous
-    ε-free automaton, or the enumeration may repeat words.
+    WitnessSet` facade, the samplers) enumerate without re-unrolling,
+    and page through the words at any integer offset.  The kernel must
+    come from the trimmed unrolling of an unambiguous ε-free automaton,
+    or the enumeration may repeat words.
     """
-    return _algorithm1(dag, [])
+    if offset < 0:
+        raise ValueError("enumeration offset must be ≥ 0")
+    return _algorithm1(dag, offset)
 
 
-def _algorithm1(kernel: CompiledDAG, decisions: list[list[int]]) -> Iterator[Word]:
+def _algorithm1(kernel: CompiledDAG, offset: int) -> Iterator[Word]:
     """The paper's Algorithm 1 on a Lemma-15-pruned compiled kernel.
 
-    ``decisions`` is the paper's ``list`` structure (append / pop /
-    last): the ``[layer, state_idx, edge_index]`` decision points of the
-    current path, only vertices with ≥ 2 live successors recorded.  An
-    empty list starts from the first word; a cursor checked by
-    :func:`_validated_cursor` resumes mid-way.  The list is advanced in
-    place.
+    The walk keeps the current path: per layer, the flat index of its
+    edge, the end of that vertex's CSR block, and the edge's symbol.
+    After a word is yielded (Step 4), the deepest layer whose edge has a
+    successor in its block advances to it (Steps 5–8), and the layers
+    below re-walk from there; when no layer can advance the enumeration
+    is complete (Step 6: STOP).  The CSR blocks already hold each
+    vertex's successors in the fixed total order Algorithm 1 requires,
+    and every edge lies on an accepting path (Lemma 15 pruning), so a
+    word costs O(n) at worst — the paper's constant delay — and only its
+    changed suffix beyond copying it out.
 
-    Each output is produced by replaying the stored decisions from the
-    start vertex (Step 3).  Before the word is yielded (Step 4), the
-    list already moves on to the next word's path: exhausted decision
-    points are dropped (Steps 5–7) and the deepest remaining one is
-    advanced (Step 8).  So right after a yield, ``decisions`` describes
-    the next word, and an empty list means the enumeration is complete
-    (Step 6: STOP).
-
-    The kernel's CSR blocks already hold each vertex's successors in the
-    fixed total order Algorithm 1 requires, so the walk is pure integer
-    indexing; every visited edge lies on an accepting path (Lemma 15
-    pruning), so the work per output is O(n) — the paper's constant
-    delay.  For n = 0 (the k = 0 corner case of Section 5.2) the only
-    word is the empty one, which pruning has already decided.
+    A layer re-walks to its vertex's first edge, except while ``offset``
+    is positive: the first walk then unranks ``offset`` through the
+    backward table, as :meth:`CompiledDAG.sample_batch` does for one
+    draw, subtracting ``backward[t + 1][dst]`` until the rank falls
+    inside an edge.  Rank 0 below a vertex is its first-edge path, so
+    ``offset = 0`` reads no count table.  For n = 0 (the k = 0 corner
+    case of Section 5.2) the only word is the empty one, which pruning
+    has already decided.
     """
     if kernel.is_empty:
         return
@@ -103,135 +106,44 @@ def _algorithm1(kernel: CompiledDAG, decisions: list[list[int]]) -> Iterator[Wor
     edge_start = kernel._edge_start
     edge_symbol = kernel._edge_symbol
     edge_dst = kernel._edge_dst
-    start_index = kernel.index_of(0, kernel.nfa.initial)
-    if start_index is None:  # pragma: no cover - is_empty ruled this out
-        return
-
-    while True:
-        # Step 3: walk from the start, replaying stored decisions and taking
-        # the first edge everywhere else; record new decision points.
-        word_out: list[Symbol] = []
-        state = start_index
-        replay = 0
-        for t in range(n):
-            starts = edge_start[t]
-            base = starts[state]
-            degree = starts[state + 1] - base
-            if replay < len(decisions) and decisions[replay][0] == t:
-                index = decisions[replay][2]
-                replay += 1
-            else:
-                index = 0
-                if degree > 1:
-                    decisions.append([t, state, 0])
-                    replay = len(decisions)
-            word_out.append(symbols[edge_symbol[t][base + index]])
-            state = edge_dst[t][base + index]
-
-        # Steps 5–7: drop exhausted decision points; Step 8: advance the
-        # deepest remaining one.
-        while decisions:
-            t, vertex, index = decisions[-1]
-            starts = edge_start[t]
-            if index + 1 < starts[vertex + 1] - starts[vertex]:
-                decisions[-1][2] += 1
-                break
-            decisions.pop()
-        yield tuple(word_out)  # Step 4
-        if not decisions:
-            return  # Step 6: STOP
-
-
-def algorithm1_page(
-    kernel: CompiledDAG, cursor: list[object] | None, count: int
-) -> tuple[list[Word], list[list[int]] | None]:
-    """One resumable *page* of Algorithm 1: up to ``count`` words plus the
-    cursor for the next page.
-
-    The cursor is the paper's decision-point list itself — the
-    ``[layer, state_index, edge_index]`` triples describing the path of
-    the *next* word to emit — so resuming costs one O(n) replay, never a
-    re-walk of the ``offset`` words already served.  ``cursor=None``
-    starts from the beginning; a returned cursor of ``None`` means the
-    enumeration is exhausted.  Cursors are plain JSON-able integer lists
-    (the service's paging protocol ships them to clients verbatim), and a
-    malformed or stale cursor raises ``ValueError`` instead of yielding
-    wrong words: every replayed triple is checked against the kernel's
-    actual layers, states and degrees.
-
-    Page boundaries are invisible in the output: concatenating pages of
-    any sizes reproduces :func:`enumerate_words_dag` exactly.
-    """
-    if count < 0:
-        raise ValueError("page size must be ≥ 0")
-    if kernel.is_empty:
-        return [], None
-    decisions = _validated_cursor(kernel, cursor)
-    words = list(islice(_algorithm1(kernel, decisions), count))
-    return words, None if words and not decisions else decisions
-
-
-def _validated_cursor(
-    kernel: CompiledDAG, cursor: list[object] | None
-) -> list[list[int]]:
-    """The cursor as a fresh mutable decisions list, or ``ValueError``.
-
-    Replays the cursor's path through the kernel, checking that each
-    triple names a real decision point (layers strictly increasing,
-    state index matching the replayed walk, edge index within degree and
-    on a vertex with ≥ 2 successors) *and* that no branching vertex
-    along the replayed prefix is missing its triple — Algorithm 1
-    records every decision point it passes, so a gap means the cursor
-    was not produced by this enumeration and replaying it would emit
-    wrong (or endlessly repeating) words.  A client can never crash the
-    kernel walk, or silently receive the wrong page, with a corrupt or
-    stale cursor.
-    """
-    if cursor is None:
-        return []
-    bad = ValueError("invalid enumeration cursor")
-    if not isinstance(cursor, list):
-        raise bad
-    decisions: list[list[int]] = []
-    for entry in cursor:
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 3
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in entry)
-        ):
-            raise bad
-        decisions.append(list(entry))
     state = kernel.index_of(0, kernel.nfa.initial)
-    if state is None:  # pragma: no cover - callers check is_empty first
-        raise bad
-    replay = 0
-    for t in range(kernel.n):
-        starts = kernel._edge_start[t]
-        if not 0 <= state < len(starts) - 1:  # pragma: no cover - defensive
-            raise bad
-        base = starts[state]
-        degree = starts[state + 1] - base
-        if replay < len(decisions):
-            if decisions[replay][0] == t:
-                entry = decisions[replay]
-                if entry[1] != state or not 0 <= entry[2] < degree or degree < 2:
-                    raise bad
-                index = entry[2]
-                replay += 1
-            else:
-                # Still replaying recorded decisions: every branching
-                # vertex up to the last triple must have its own triple.
-                if degree > 1:
-                    raise bad
-                index = 0
-        else:
-            # Past the recorded prefix: fresh branching is fine (the
-            # walk discovers new decision points here, as in the paper).
-            index = 0
-        state = kernel._edge_dst[t][base + index]
-    if replay != len(decisions):
-        raise bad
-    return decisions
+    if state is None:  # pragma: no cover - is_empty ruled this out
+        return
+    backward = kernel.backward_counts() if offset else []
+    if offset and offset >= backward[0][state]:
+        return
+    edge = [0] * n
+    end = [0] * n
+    word: list[Symbol] = [None] * n
+    depth = 0
+    while True:
+        # Step 3: re-walk the layers below the one that advanced.
+        for t in range(depth, n):
+            starts = edge_start[t]
+            e = starts[state]
+            if offset:
+                weights = backward[t + 1]
+                weight = weights[edge_dst[t][e]]
+                while offset >= weight:
+                    offset -= weight
+                    e += 1
+                    weight = weights[edge_dst[t][e]]
+            edge[t] = e
+            end[t] = starts[state + 1]
+            word[t] = symbols[edge_symbol[t][e]]
+            state = edge_dst[t][e]
+        yield tuple(word)  # Step 4
+        # Steps 5–8: the deepest layer with a next edge advances to it.
+        depth = n - 1
+        while depth >= 0 and edge[depth] + 1 == end[depth]:
+            depth -= 1
+        if depth < 0:
+            return  # Step 6: STOP
+        e = edge[depth] + 1
+        edge[depth] = e
+        word[depth] = symbols[edge_symbol[depth][e]]
+        state = edge_dst[depth][e]
+        depth += 1
 
 
 def enumerate_words_nfa(nfa: NFA, n: int) -> Iterator[Word]:
@@ -289,5 +201,4 @@ __all__ = [
     "enumerate_words_ufa",
     "enumerate_words_dag",
     "enumerate_words_nfa",
-    "algorithm1_page",
 ]

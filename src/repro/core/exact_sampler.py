@@ -90,8 +90,7 @@ class ExactUniformSampler:
         return self.kernel.sample_batch(count, make_rng(rng))
 
     def sample_many(self, count: int, rng: random.Random | int | None = None) -> list[Word]:
-        generator = make_rng(rng)
-        return [self.sample(generator) for _ in range(count)]
+        return self.sample_batch(count, rng)
 
 
 def sample_word_ufa(

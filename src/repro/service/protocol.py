@@ -36,13 +36,15 @@ plus the connection-level ``ping`` / ``stats`` / ``shutdown``.
 ``enumerate`` is **paged**: one request answers one page —
 ``{"items": [...], "cursor": ..., "done": bool}`` with at most
 ``chunk_size`` (default :data:`DEFAULT_ENUM_CHUNK`) witnesses — and the
-returned cursor resumes exactly where the page stopped (in O(n) for
-unambiguous sources, via the Algorithm 1 decision-point list), so a
-client walks a witness set of any size without the server ever
-materializing it.  ``limit`` bounds the *total* items from the given
-cursor onward.  The async TCP server turns one client request with
-``"stream": true`` into a sequence of chunked response lines driven by
-this same paging (see :mod:`repro.service.server`).
+returned cursor resumes exactly where the page stopped, so a client
+walks a witness set of any size without the server ever materializing
+it.  A cursor is the offset of the next witness, a JSON integer in
+``[0, |W|]`` that may exceed 2⁵³ (pass it back verbatim); unambiguous
+sources resume at it in O(n) by unranking, and any other cursor is
+answered with a ``ProtocolError``.  ``limit`` bounds the *total* items
+from the given cursor onward.  The async TCP server turns one client
+request with ``"stream": true`` into a sequence of chunked response
+lines driven by this same paging (see :mod:`repro.service.server`).
 
 Reproducibility contract: every ``sample`` / ``sample_batch`` draw uses
 deterministic per-draw substreams of the request seed
@@ -58,6 +60,7 @@ must be an integer ≥ 0: anything else (a string, a float, a list,
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -66,7 +69,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro import obs
-from repro.automata.nfa import word_str
 from repro.errors import ReproError
 from repro.obs import names as metric_names
 from repro.utils.rng import make_rng, substreams
@@ -285,14 +287,14 @@ def render_witness(witness: object) -> str:
     RPQ paths print their label word and hops, words their symbols,
     and any other decoded witness its ``str``.
     """
+    if isinstance(witness, tuple):
+        return "".join(map(str, witness))
     from repro.graphdb.rpq import Path
 
     if isinstance(witness, Path):
         labels = "".join(map(str, witness.label_word))
         hops = " → ".join(map(str, witness.vertices()))
         return f"{labels}  ({hops})"
-    if isinstance(witness, tuple):
-        return word_str(tuple(str(symbol) for symbol in witness))
     return str(witness)
 
 
@@ -329,8 +331,6 @@ def draw_samples_coalesced(
     streams: list[Any] = []
     slices: list[tuple[int, int]] = []
     for k, seed in requests:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ProtocolError("sample requests need an integer k ≥ 0")
         start = len(streams)
         streams.extend(substreams(make_rng(seed), k))
         slices.append((start, start + k))
@@ -345,6 +345,14 @@ def _positive_int_or_none(request: dict[str, Any], field: str) -> int | None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ProtocolError(f"{field} must be an integer ≥ 0")
     return value
+
+
+def _sample_args(request: dict[str, Any]) -> tuple[int, int | None]:
+    """A sample request's ``(k, seed)``, or ``ProtocolError``."""
+    k = request.get("k", 1)
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ProtocolError("sample requests need an integer k ≥ 0")
+    return k, _positive_int_or_none(request, "seed")
 
 
 def _enumerate_page(ws: WitnessSet, request: dict[str, Any]) -> dict[str, Any]:
@@ -501,10 +509,7 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
             **options,
         )
     if op in SAMPLE_OPS:
-        k = request.get("k", 1)
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise ProtocolError("sample requests need an integer k ≥ 0")
-        witnesses = draw_samples(ws, k, _positive_int_or_none(request, "seed"))
+        witnesses = draw_samples(ws, *_sample_args(request))
         with obs.stage(metric_names.STAGE_SERIALIZATION):
             return [render_witness(w) for w in witnesses]
     if op == "spectrum":
@@ -539,17 +544,14 @@ def execute_group(
     responses: dict[int, dict[str, Any]] = {}
     sampleable: list[tuple[int, dict[str, Any]]] = []
     for position, request in enumerate(requests):
-        k = request.get("k", 1)
-        if (
-            request.get("op") in SAMPLE_OPS
-            and isinstance(k, int)
-            and not isinstance(k, bool)
-            and k >= 0
-        ):
-            sampleable.append((position, request))
-            continue
-        # Non-sample ops and invalid-k sample requests (which must get
-        # their own validation error, never a sibling's witnesses).
+        if request.get("op") in SAMPLE_OPS:
+            with contextlib.suppress(ProtocolError):
+                _sample_args(request)
+                sampleable.append((position, request))
+                continue
+        # Non-sample ops and sample requests with a bad k or seed (which
+        # must get their own validation error, never a sibling's
+        # witnesses).
         responses[position] = _respond(cache, key, request, worker)
     if sampleable:
         # Denominator of the coalescing ratio: every sampleable request,
@@ -666,11 +668,7 @@ def _respond_coalesced(
             ws = cache.get(key, first["spec"])
             with span.stage(metric_names.STAGE_EXECUTION):
                 batches = draw_samples_coalesced(
-                    ws,
-                    [
-                        (request.get("k", 1), _positive_int_or_none(request, "seed"))
-                        for _, request in indexed
-                    ],
+                    ws, [_sample_args(request) for _, request in indexed]
                 )
             with span.stage(metric_names.STAGE_SERIALIZATION):
                 rendered = [
@@ -694,8 +692,8 @@ def _respond_coalesced(
             _attach_timing(request, response, span)
             out[position] = response
     except Exception:
-        # Fall back to independent execution so one odd request (bad k,
-        # empty set, ...) gets its own error and the others still answer.
+        # Fall back to independent execution so a failing pass (an empty
+        # set, ...) gives each request its own answer or error.
         for position, request in indexed:
             out[position] = _respond(cache, key, request, worker)
     return out

@@ -54,10 +54,11 @@ Streamed enumeration: a client request ``{"op": "enumerate", "stream":
 true, ...}`` is answered with a *sequence* of chunked response lines
 ``{"id": ..., "ok": true, "chunk": [...], "cursor": ..., "done":
 false}`` ending with a ``"done": true`` line.  Each chunk is one paged
-engine round (the affinity worker resumes from the cursor in O(n)), so
-other clients' batches interleave with a long-running stream, the
-witness set is never materialized, and the per-chunk ``cursor`` lets a
-disconnected client resume exactly where it stopped.
+engine round (the affinity worker resumes at the cursor, the next
+witness's offset, in O(n) by unranking), so other clients' batches
+interleave with a long-running stream, the witness set is never
+materialized, and the per-chunk ``cursor`` lets a disconnected client
+resume exactly where it stopped.
 
 Control ops: ``ping`` answers ``"pong"``; ``stats`` reports server
 counters, the aggregated engine summary, and the pool-wide merged

@@ -5,10 +5,10 @@ products, RPQs, spanners, incremental extension — must keep producing
 the same kernels.  This module pins the SHA-256 of the snapshot bytes
 (:func:`~repro.service.snapshot.kernel_to_bytes`) for the trimmed kernel
 (with its backward table) and the reachable kernel (with its forward
-table) of each instance, plus the words of the polynomial-delay
-enumerator and the answers of the existence test.  A change to layer
-contents, state order, edge order, count rows or lowering stats shows up
-as a digest mismatch.  The version-2 digests were recorded before the
+table) of each instance, the first words each instance enumerates, the
+words of the polynomial-delay enumerator and the answers of the
+existence test.  A change to layer contents, state order, edge order,
+count rows or lowering stats shows up as a digest mismatch.  The version-2 digests were recorded before the
 version-3 label table existed: they pin the kernels themselves, and a
 kernel restored from its version-3 snapshot must re-encode to them.
 Everything runs under the pure backend and, when NumPy is importable,
@@ -208,6 +208,24 @@ def test_polynomial_delay_enumeration_matches_golden(backend):
         _digest(repr(words).encode())
         == "655e19a014e38988ab9914db36af7a126b3c955e0cc606aa1fae7bfb2dc3f0b9"
     )
+
+
+#: name → SHA-256 of ``repr(list(ws.words(limit=1000)))``: Algorithm 1's
+#: order on the unambiguous instances, the flashlight's on the others.
+WORD_DIGESTS = {
+    "k1": "98a94cddbe81b6ddbe3220d434543079fce9655c12a9575dd568718e2c7e4d27",
+    "spill": "21f3e305f1f3efe931686b978ebefb0a2f698a4faa80e83607bdbf979b0798a7",
+    "epsilon": "72ef92f7fe1ee870671e68ac6675009a7e2bd042a8cf8bdfbbede922ca75c55f",
+    "intersection": "123988cb2abdaa3c07ca79289db1bdd685d0e149d1788d207afd950588ab1a8c",
+    "rpq": "349068d8fb25b9135a95cb842f17fe8e4950442fbcd85da78a9efce5ccef017a",
+    "spanner": "300543ff2f98f535d53c6e8fa28718989711ebeed348a6e7a86750a6269295fb",
+}
+
+
+def test_constant_delay_enumeration_matches_golden(backend):
+    for name, ws in _instances(backend).items():
+        words = list(ws.words(limit=1000))
+        assert _digest(repr(words).encode()) == WORD_DIGESTS[name], name
 
 
 def test_existence_matches_golden(backend):

@@ -1069,6 +1069,9 @@ class TestEngine:
         assert not responses[0]["ok"]
         assert responses[0]["error_type"] == "ProtocolError"
         assert [response["result"] for response in responses[1:]] == solo
+        # The bad seed is split off before coalescing, so the good
+        # siblings still share one kernel pass.
+        assert [response.get("coalesced") for response in responses[1:]] == [2, 2]
 
     @pytest.mark.parametrize("max_length", [-3, True, 4.5, "x"])
     def test_bad_spectrum_bound_is_a_protocol_error(self, max_length):
@@ -1680,31 +1683,36 @@ class TestAsyncServe:
             bogus = client.request("enumerate", SPEC, cursor=[[0, 0, 99]])
             assert not bogus["ok"] and bogus["error_type"] == "ProtocolError"
 
-    def test_gapped_cursor_is_rejected_not_mispaged(self):
-        """A cursor missing a decision triple at a branching vertex must
-        raise, never replay wrong words (or loop forever server-side)."""
-        from repro.core.enumeration import algorithm1_page
-
-        ws = witness_set_from_spec(
-            {"kind": "regex", "pattern": "(a|b)(a|b)", "alphabet": "ab", "n": 2}
-        )
-        with pytest.raises(ValueError):
-            algorithm1_page(ws.kernel, [[1, 0, 1]], 10)
+    def test_out_of_range_cursor_is_rejected_not_mispaged(self):
+        """A cursor past the last witness's offset must raise, never page
+        wrong words (or walk off the kernel's edge blocks server-side)."""
+        spec = {"kind": "regex", "pattern": "(a|b)(a|b)", "alphabet": "ab", "n": 2}
+        ws = witness_set_from_spec(spec)
+        assert ws.is_unambiguous and ws.count() == 4
+        assert ws.enumerate_page(10, 4) == ([], None)
+        with pytest.raises(ValueError, match="invalid enumeration cursor"):
+            ws.enumerate_page(10, 5)
         with Engine(workers=0) as engine:
             response = engine.execute(
-                [
-                    {
-                        "id": 1,
-                        "op": "enumerate",
-                        "spec": {
-                            "kind": "regex",
-                            "pattern": "(a|b)(a|b)",
-                            "alphabet": "ab",
-                            "n": 2,
-                        },
-                        "cursor": [[1, 0, 1]],
-                    }
-                ]
+                [{"id": 1, "op": "enumerate", "spec": spec, "cursor": 5}]
+            )[0]
+        assert not response["ok"] and response["error_type"] == "ProtocolError"
+
+    @pytest.mark.parametrize("cursor", ["past_end", -1, True, 1.0, "7", [[0, 0, 1]]])
+    @pytest.mark.parametrize("pattern", ["(a|b)*", "(a|b)*a(a|b)*"])
+    def test_bad_cursor_is_rejected(self, pattern, cursor):
+        """Only None or an integer offset in [0, |W|] is a cursor, on both
+        routes; the old decision-list format is rejected too."""
+        spec = {"kind": "regex", "pattern": pattern, "alphabet": "ab", "n": 3}
+        ws = witness_set_from_spec(spec)
+        assert ws.is_unambiguous == (pattern == "(a|b)*") and ws.count() > 0
+        if cursor == "past_end":
+            cursor = ws.count() + 1
+        with pytest.raises(ValueError, match="invalid enumeration cursor"):
+            ws.enumerate_page(2, cursor)
+        with Engine(workers=0) as engine:
+            response = engine.execute(
+                [{"id": 1, "op": "enumerate", "spec": spec, "cursor": cursor}]
             )[0]
         assert not response["ok"] and response["error_type"] == "ProtocolError"
 
