@@ -433,33 +433,29 @@ class WitnessSet:
         :meth:`describe`.  With a kernel store attached, a snapshot of
         the same instance (any process) is restored instead of lowering.
         """
-        return self._cached("kernel", lambda: self._load_or_build_kernel(trimmed=True))
+        return self._cached(
+            "kernel", lambda: self._load_or_build_kernel(trimmed=True, n=self.n)
+        )
 
     @property
     def reachable_kernel(self) -> CompiledDAG:
-        """The reachable-mode kernel (FPRAS sketches and length spectra).
+        """The reachable-mode kernel at length ``n`` (FPRAS sketches and
+        length spectra up to ``n``).
 
         Kept separate from :attr:`kernel` because Lemma 15 pruning is
         relative to length ``n`` while the FPRAS's prefix sets and the
-        spectrum's per-length finals need every reachable vertex.
-        Supports in-place :meth:`~repro.core.kernel.CompiledDAG.
-        extend_to` for spectra beyond ``n`` (plan-backed kernels extend
-        by exploring further plan layers on demand; snapshot-restored
-        kernels resolve their source lazily for the same purpose).
+        spectrum's per-length finals need every reachable vertex.  Every
+        FPRAS sketch shares it, and it never changes: a spectrum past
+        ``n`` reads a reachable kernel of its own length instead.
         """
         return self._cached(
-            "reachable_kernel", lambda: self._load_or_build_kernel(trimmed=False)
+            "reachable_kernel",
+            lambda: self._load_or_build_kernel(trimmed=False, n=self.n),
         )
 
-    def _source_resolver(self):
-        """Zero-argument resolver a snapshot-restored kernel uses to reach
-        the original transitions (only if it is later extended)."""
-        from repro.core.plan import _MemoSource
-
-        return lambda: _MemoSource(self._source, self._adjacency)
-
-    def _load_or_build_kernel(self, trimmed: bool) -> CompiledDAG:
-        """Restore the kernel from the store, or build it and persist it.
+    def _load_or_build_kernel(self, trimmed: bool, n: int) -> CompiledDAG:
+        """Restore the kernel at length ``n`` from the store, or build it
+        and persist it.
 
         Snapshots are stored *with* the run-count table the mode's
         queries need (backward for the trimmed count/sample kernel,
@@ -468,9 +464,7 @@ class WitnessSet:
         """
         store, fp = self._store_key()
         if store is not None:
-            restored = store.get(
-                fp, self.n, trimmed, source_resolver=self._source_resolver()
-            )
+            restored = store.get(fp, n, trimmed)
             if restored is not None:
                 restored.accel = self._accel
                 return restored
@@ -479,7 +473,7 @@ class WitnessSet:
         # per-stage histogram, the per-request trace, and describe().
         started = time.perf_counter()
         kernel = lower_plan(
-            self._source, self.n, trimmed=trimmed, adjacency=self._adjacency
+            self._source, n, trimmed=trimmed, adjacency=self._adjacency
         )
         elapsed = time.perf_counter() - started
         self._lowering_seconds += elapsed
@@ -491,7 +485,7 @@ class WitnessSet:
             else:
                 kernel.forward_counts()
             self._check_alias()
-            store.put(self.fingerprint(), self.n, trimmed, kernel)
+            store.put(self.fingerprint(), n, trimmed, kernel)
         return kernel
 
     def fpras_state(
@@ -579,21 +573,22 @@ class WitnessSet:
     def spectrum(self, max_length: int | None = None) -> dict[int, int]:
         """Exact ``{ℓ: |L_ℓ(N)|}`` for ``ℓ = 0..max_length`` (default n).
 
-        The unambiguous route reads every length off the shared
-        reachable kernel's forward table (extending it in place when
-        ``max_length > n``) — one compilation for the whole sweep.
+        The unambiguous route reads every length off one reachable
+        kernel's forward table — one compilation for the whole sweep:
+        the shared :attr:`reachable_kernel` when ``max_length ≤ n``, else
+        a reachable kernel at ``max_length``, restored from the store or
+        lowered over the set's shared successor memo (and persisted).
         """
         bound = self.n if max_length is None else max_length
         if bound < 0:
             raise ValueError("max_length must be ≥ 0")
-        if bound > self.n:
-            # Extending the kernel needs the source: build it (checking
-            # an alias fingerprint) before any stored fact is read.
-            self._source
         if self.is_unambiguous:
             def build():
-                kernel = self.reachable_kernel
-                kernel.extend_to(bound)
+                kernel = (
+                    self.reachable_kernel
+                    if bound <= self.n
+                    else self._load_or_build_kernel(trimmed=False, n=bound)
+                )
                 spectrum = kernel.spectrum_counts()
                 return {length: spectrum[length] for length in range(bound + 1)}
 

@@ -621,11 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--backend", default=None)
     query.add_argument("--approx", action="store_true")
     query.add_argument("--delta", type=float, default=0.1)
-    query.add_argument("--seed", type=int, default=None)
+    query.add_argument("--seed", type=_nonnegative, default=None)
     query.add_argument("--count", type=_nonnegative, default=1)
     query.add_argument("--batch", type=_nonnegative, default=None, metavar="K")
-    query.add_argument("--limit", type=int, default=None)
-    query.add_argument("--max-length", type=int, default=None)
+    query.add_argument("--limit", type=_nonnegative, default=None)
+    query.add_argument("--max-length", type=_nonnegative, default=None)
     query.add_argument("--enumerate", action="store_true",
                        help="stream witnesses (chunked constant-delay "
                             "enumeration; same as the enum op)")

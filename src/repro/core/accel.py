@@ -1,11 +1,10 @@
 """The NumPy-accelerated kernel execution backend (optional).
 
 The :class:`~repro.core.kernel.CompiledDAG` hot loops — count-table
-sweeps, :meth:`~repro.core.kernel.CompiledDAG.extend_to` forward rows,
-batched sampling and the FPRAS's prefix-set bookkeeping — are pure
-Python over ``array('q')`` rows.  This module provides the same sweeps
-as vectorized NumPy passes over zero-copy views of the kernel's CSR
-arrays, selected per kernel via ``kernel_backend=`` on the facade, the
+sweeps, batched sampling and the FPRAS's prefix-set bookkeeping — are
+pure Python over ``array('q')`` rows.  This module provides the same
+sweeps as vectorized NumPy passes over zero-copy views of the kernel's
+CSR arrays, selected per kernel via ``kernel_backend=`` on the facade, the
 ``$REPRO_KERNEL_BACKEND`` environment switch, or
 :meth:`CompiledDAG.set_kernel_backend`.
 
@@ -113,8 +112,7 @@ class NumpyAccel:
     Stateless apart from the NumPy module handle: per-kernel caches
     (array views, per-edge sources, reverse orderings) live
     in the kernel's own ``_accel_state`` dict so they follow the
-    kernel's lifetime and are dropped by ``extend_to`` /
-    ``set_kernel_backend``.
+    kernel's lifetime and are dropped by ``set_kernel_backend``.
     """
 
     name = "numpy"

@@ -29,11 +29,6 @@ All computation streams over integer arrays.  Set-based views
 correspondence with the paper's ``s_t^j`` vertices direct: ``s_t^j`` is
 live ⟺ ``j in kernel.layer(t)``.
 
-Reachable-mode kernels additionally support *incremental length
-extension* (:meth:`CompiledDAG.extend_to`): appending layers to an
-existing compilation instead of recompiling from scratch, which turns
-length-spectrum sweeps from quadratic into linear total work.
-
 Every layer applies the same transition relation, so the layers turn
 periodic after a short transient.  :func:`unroll_layers` steps each
 distinct layer once and interns equal layers to one frozenset; the
@@ -44,9 +39,12 @@ block.  Layers are shared only under the *exact-type rule*
 states that are exactly ``int`` or ``str``, or only tuples of them.
 ``1`` and ``True``, or ``(1, 2)`` and ``(True, 2)``, are equal without
 being interchangeable, so a source that reaches such states is lowered
-unshared.  Nothing mutates a shared block in place:
-:meth:`CompiledDAG.extend_to` appends, and copying a borrowed kernel
-onto owned arrays replaces list entries.
+unshared.
+
+A kernel is a value: it is built once at its length, by the lowering or
+by a snapshot restore, and never changed after, so a shared block is
+never written.  A query at another length (a spectrum past ``n``) reads
+a kernel lowered at that length.
 
 The kernel is *source-generic*: construction only reads the NFA
 interface (``initial`` / ``finals`` membership / ``out_edges`` /
@@ -66,7 +64,6 @@ from random import Random
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Callable,
     Collection,
     Container,
     Iterable,
@@ -103,12 +100,11 @@ CountRow: TypeAlias = "array[int] | list[int] | memoryview[int]"
 _IntArray: TypeAlias = "array[int] | memoryview[int]"
 
 
-class AutomatonSource(Protocol):
-    """The read interface kernel compilation needs from its source.
+class KernelSource(Protocol):
+    """What a built kernel still reads from its source (:attr:`CompiledDAG.nfa`).
 
-    Satisfied by :class:`~repro.automata.nfa.NFA`, by the memoized
-    symbolic source :func:`repro.core.plan.lower_plan` builds, and by
-    the snapshot stand-in a restored kernel carries.
+    Satisfied by every :class:`AutomatonSource` and by the snapshot
+    stand-in a restored kernel carries.
     """
 
     @property
@@ -119,6 +115,14 @@ class AutomatonSource(Protocol):
 
     @property
     def alphabet(self) -> AbstractSet[Symbol]: ...
+
+
+class AutomatonSource(KernelSource, Protocol):
+    """The read interface kernel compilation needs from its source.
+
+    Satisfied by :class:`~repro.automata.nfa.NFA` and by the memoized
+    symbolic source :func:`repro.core.plan.lower_plan` builds.
+    """
 
     @property
     def has_epsilon(self) -> bool: ...
@@ -160,19 +164,16 @@ def _pack_counts(counts: list[int]) -> CountRow:
 
 
 def unroll_layers(
-    source: AutomatonSource,
-    n: int,
-    trimmed: bool,
-    first: frozenset[State] | None = None,
+    source: AutomatonSource, n: int, trimmed: bool
 ) -> tuple[list[frozenset[State]], list[frozenset[State]]]:
     """The live layers of ``source`` unrolled ``n`` times (Section 6.2).
 
     Returns ``(forward, live)``.  ``forward[t]`` holds the states reached
-    from layer 0 in exactly ``t`` steps; layer 0 is ``first``, by default
-    ``{source.initial}``.  ``live`` is ``forward`` itself (the reachable
-    view of Algorithm 5, step 3) or, when ``trimmed``, its Lemma 15
-    pruning: a state stays live at layer ``t`` iff it also reaches a
-    final state in the remaining ``n - t`` steps.
+    from ``{source.initial}`` in exactly ``t`` steps.  ``live`` is
+    ``forward`` itself (the reachable view of Algorithm 5, step 3) or,
+    when ``trimmed``, its Lemma 15 pruning: a state stays live at layer
+    ``t`` iff it also reaches a final state in the remaining ``n - t``
+    steps.
 
     A state's successors do not depend on its layer, so each state's
     successor set is computed once per call and shared by every layer
@@ -186,23 +187,11 @@ def unroll_layers(
     ``True``) a union keeps depends on the order it meets them, and an
     interned layer may iterate in another order than the one it replaced.
     """
-    forward, live, _ = _unroll(source, n, trimmed, first)
-    return forward, live
-
-
-def _unroll(
-    source: AutomatonSource,
-    n: int,
-    trimmed: bool,
-    first: frozenset[State] | None,
-) -> tuple[list[frozenset[State]], list[frozenset[State]], bool]:
-    """:func:`unroll_layers`, and whether layer 0 and every successor
-    set passed the exact-type rule (the layers were shared)."""
     if n < 0:
         raise ValueError("word length must be ≥ 0")
     out_edges = source.out_edges
     after: dict[State, frozenset[State]] = {}
-    start = frozenset({source.initial}) if first is None else first
+    start = frozenset({source.initial})
     interned: dict[frozenset[State], frozenset[State]] = {}
 
     def reach(share: bool) -> list[frozenset[State]] | None:
@@ -236,7 +225,7 @@ def _unroll(
         forward = reach(False)
         assert forward is not None  # only a sharing pass gives up
     if not trimmed:
-        return forward, forward, share
+        return forward, forward
     finals = source.finals
     # Built back to front, then reversed into layer order.
     last = frozenset(state for state in forward[n] if state in finals)
@@ -253,7 +242,7 @@ def _unroll(
                 kept = pruned[layer, later] = interned.setdefault(kept, kept)
         live.append(kept)
     live.reverse()
-    return forward, live, share
+    return forward, live
 
 
 class CompiledDAG:
@@ -265,14 +254,15 @@ class CompiledDAG:
         The underlying ε-free automaton — or any source exposing the
         same read interface (``initial``, ``finals`` membership,
         ``out_edges``, ``alphabet``, ``has_epsilon``), e.g. the memoized
-        plan source :func:`repro.core.plan.lower_plan` builds.
+        plan source :func:`repro.core.plan.lower_plan` builds.  The
+        CSR blocks read its edges once, here; the kernel keeps it as
+        :attr:`nfa` for its initial state, finals and alphabet.
     n:
         The word length (number of symbol layers).
     trimmed:
         ``True`` for the Lemma 15 pruning (every vertex lies on a
         start→final path — the enumeration/sampling view), ``False`` for
-        reachable-only vertices (the FPRAS / spectrum view, which also
-        supports :meth:`extend_to`).
+        reachable-only vertices (the FPRAS / spectrum view).
     layers:
         Optional precomputed live-state sets, one frozenset per layer
         (the ``live`` half of :func:`unroll_layers`, which
@@ -283,8 +273,9 @@ class CompiledDAG:
     equal layers under the exact-type rule) share one sorted state tuple,
     one index map and one ``final_indices`` tuple; ``_twin[t]`` is the
     first layer whose objects layer ``t`` holds.  Layer pairs with the
-    same twins share one CSR block.  Count rows stay per layer, and no
-    shared object is mutated in place.
+    same twins share one CSR block.  Count rows stay per layer.  A
+    kernel never changes its length or layers after construction, so no
+    shared object is mutated.
     """
 
     __slots__ = (
@@ -311,7 +302,7 @@ class CompiledDAG:
         "_borrow_owner",
     )
 
-    nfa: AutomatonSource
+    nfa: KernelSource
     n: int
     trimmed: bool
     symbols: tuple[Symbol, ...]
@@ -358,7 +349,7 @@ class CompiledDAG:
         self._edge_symbol = []
         self._edge_dst = []
         self._layer_sets = {}
-        self._add_layers(layers)
+        self._add_layers(layers, nfa)
         self._redge = {}
         self._forward = None
         self._backward = None
@@ -428,20 +419,18 @@ class CompiledDAG:
             metric_names.ACCEL_SPILLS, labels={"site": site}
         ).inc()
 
-    def _add_layers(self, layers: Iterable[frozenset[State]]) -> None:
-        """Append ``layers`` after the kernel's last layer, each with the
-        CSR block from the layer before it.
+    def _add_layers(
+        self, layers: Iterable[frozenset[State]], source: AutomatonSource
+    ) -> None:
+        """Lay out ``layers``, each with the CSR block from the layer
+        before it, read from ``source``'s edges.
 
-        A layer that is the same object as an earlier one of ``layers``,
-        or as the kernel's last layer, takes that layer's state tuple and
-        index map; a layer pair whose twins repeat an earlier pair's
-        takes that pair's CSR block.
+        A layer that is the same object as an earlier one takes that
+        layer's state tuple and index map; a layer pair whose twins
+        repeat an earlier pair's takes that pair's CSR block.
         """
         states, index, twin = self._states, self._index, self._twin
         seen: dict[frozenset[State], tuple[frozenset[State], int]] = {}
-        if states:
-            last = self.layer(len(states) - 1)
-            seen[last] = (last, twin[-1])
         blocks: dict[tuple[int, int], int] = {}
         for layer in layers:
             t = len(states)
@@ -461,19 +450,19 @@ class CompiledDAG:
                 continue
             block = blocks.setdefault((twin[t - 1], first), t - 1)
             if block == t - 1:
-                self._append_edge_layer(t - 1)
+                self._append_edge_layer(t - 1, source)
             else:
                 for arrays in (self._edge_start, self._edge_symbol, self._edge_dst):
                     arrays.append(arrays[block])
 
-    def _append_edge_layer(self, t: int) -> None:
+    def _append_edge_layer(self, t: int, source: AutomatonSource) -> None:
         """Build the CSR edge block for layer ``t`` → ``t + 1``."""
         index_next = self._index[t + 1]
         symbol_index = self._symbol_index
         offsets = array("l", [0])
         edge_symbol = array("l")
         edge_dst = array("l")
-        out_edges = self.nfa.out_edges
+        out_edges = source.out_edges
         for state in self._states[t]:
             edges = []
             for symbol, target in out_edges(state):
@@ -491,88 +480,6 @@ class CompiledDAG:
         self._edge_start.append(offsets)
         self._edge_symbol.append(edge_symbol)
         self._edge_dst.append(edge_dst)
-
-    def extend_to(self, new_n: int) -> "CompiledDAG":
-        """Extend a reachable-mode compilation to length ``new_n`` in place.
-
-        Appends layers ``n+1 .. new_n`` (and their edge blocks and —
-        when already built — forward count rows) without recompiling the
-        prefix, so a length sweep costs the same as one compilation at
-        the final length.  A source that reaches equal states of other
-        types (outside the exact-type rule) steps the forward pass again
-        from layer 0, keeping the prefix's arrays, so that the new layers
-        equal a fresh compilation's.  Trimmed kernels cannot be extended:
-        Lemma 15 pruning depends on the final layer, so extension would
-        invalidate every earlier layer.
-        """
-        if self.trimmed:
-            raise InvalidAutomatonError(
-                "incremental extension requires a reachable-mode kernel "
-                "(trimmed pruning depends on the final layer)"
-            )
-        if new_n <= self.n:
-            return self
-        if self._borrow_owner is not None:
-            # An mmap-restored kernel borrows its arrays from the
-            # snapshot buffer; appending layers must never mutate (or
-            # resize away from) memory the store still owns, so the
-            # kernel first copies itself onto owned arrays.
-            self._materialize_owned()
-        grown, _, exact = _unroll(self.nfa, new_n - self.n, False, self.layer(self.n))
-        if not exact:
-            # Which of two equal states of other types a layer keeps
-            # depends on the order its union meets them, and layer n,
-            # rebuilt from its sorted tuple, may iterate in another order
-            # than the unrolling's.  Unrolling again from layer 0 gives
-            # the layers a kernel compiled at new_n has.
-            grown, _, _ = _unroll(self.nfa, new_n, False, None)
-            grown = grown[self.n :]
-        self._add_layers(grown[1:])
-        if self._forward is not None:
-            for t in range(self.n, new_n):
-                row = (
-                    self.accel.forward_step_row(self, t, self._forward[t])
-                    if self.accel is not None
-                    else None
-                )
-                if row is None:
-                    if self.accel is not None:
-                        self._note_spill("forward_step_row")
-                    row = _pack_counts(self._forward_step(t, self._forward[t]))
-                self._forward.append(row)
-        self.n = new_n
-        # Backward counts and final-layer adapters depend on n; drop
-        # them (forward rows stay valid), and the accel caches with them.
-        self._backward = None
-        self._finals_idx.clear()
-        self._accel_state = {}
-        return self
-
-    def _materialize_owned(self) -> None:
-        """Copy every borrowed (snapshot-backed) buffer into owned arrays.
-
-        After this the kernel holds no reference into its snapshot
-        buffer: edge blocks become fresh ``array('l')`` and count rows
-        fresh ``array('q')`` (byte-identical contents — the borrow mode
-        only engages on LP64), so in-place mutation is safe and the
-        buffer can be unmapped.
-        """
-        for blocks in (self._edge_start, self._edge_symbol, self._edge_dst):
-            for t, block in enumerate(blocks):
-                if isinstance(block, memoryview):
-                    fresh = array("l")
-                    fresh.frombytes(block.tobytes())
-                    blocks[t] = fresh
-        for table in (self._forward, self._backward):
-            if table is None:
-                continue
-            for t, row in enumerate(table):
-                if isinstance(row, memoryview):
-                    owned = array("q")
-                    owned.frombytes(row.tobytes())
-                    table[t] = owned
-        self._accel_state = {}
-        self._borrow_owner = None
 
     # ------------------------------------------------------------------
     # Integer-level structure
@@ -911,42 +818,27 @@ class CompiledDAG:
         return kernel_to_bytes(self)
 
     @classmethod
-    def from_bytes(
-        cls,
-        data: bytes,
-        source_resolver: Callable[[], AutomatonSource] | None = None,
-    ) -> "CompiledDAG":
-        """Restore a kernel from :meth:`to_bytes` output.
-
-        ``source_resolver`` optionally supplies a zero-argument callable
-        returning the original automaton/plan source; it is only invoked
-        if the restored kernel is asked to :meth:`extend_to` a greater
-        length (the one operation that needs transitions beyond the
-        snapshot).
-        """
+    def from_bytes(cls, data: bytes) -> "CompiledDAG":
+        """Restore a kernel from :meth:`to_bytes` output."""
         from repro.service.snapshot import kernel_from_bytes
 
-        return kernel_from_bytes(data, source_resolver=source_resolver)
+        return kernel_from_bytes(data)
 
     @classmethod
-    def from_mmap(
-        cls,
-        path: str | os.PathLike[str],
-        source_resolver: Callable[[], AutomatonSource] | None = None,
-    ) -> "CompiledDAG":
+    def from_mmap(cls, path: str | os.PathLike[str]) -> "CompiledDAG":
         """Restore a kernel that *borrows* its arrays from an mmap of ``path``.
 
         Instead of copying the snapshot into fresh arrays, the CSR
         blocks and packed count rows become int64 memoryviews over the
         mapped file, so a warm start pages data in lazily on first
-        touch.  :meth:`extend_to` copies-on-extend before mutating.
-        Requires a version ≥ 2 snapshot and an LP64 platform; otherwise
-        this quietly degrades to a full-copy restore (and the mapping is
-        closed).  See :func:`repro.service.snapshot.kernel_from_mmap`.
+        touch.  Requires a version ≥ 2 snapshot and an LP64 platform;
+        otherwise this quietly degrades to a full-copy restore (and the
+        mapping is closed).  See
+        :func:`repro.service.snapshot.kernel_from_mmap`.
         """
         from repro.service.snapshot import kernel_from_mmap
 
-        return kernel_from_mmap(path, source_resolver=source_resolver)
+        return kernel_from_mmap(path)
 
     # ------------------------------------------------------------------
     # Set-based views (the paper-facing s_t^j API)
@@ -1048,7 +940,7 @@ def compile_nfa(nfa: NFA, n: int, trimmed: bool = True) -> CompiledDAG:
 
     ``trimmed=True`` gives the Lemma 15 pruning (count / sample /
     enumerate); ``trimmed=False`` the reachable-only FPRAS / spectrum
-    view, which supports :meth:`CompiledDAG.extend_to`.
+    view.
     """
     from repro.core.plan import lower_plan
 
@@ -1086,6 +978,7 @@ __all__ = [
     "AutomatonSource",
     "CompiledDAG",
     "CountRow",
+    "KernelSource",
     "compile_nfa",
     "kernel_matches_nfa",
     "unroll_layers",

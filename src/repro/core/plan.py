@@ -729,12 +729,13 @@ class _MemoSource:
     interface the kernel consumes.
 
     Every successor block computed during exploration is served from the
-    memo; states first touched later (``CompiledDAG.extend_to`` growing a
-    reachable-mode kernel) fall through to the plan and are memoized
-    then.  This is what lets one CSR-construction code path serve both
-    concrete NFAs and symbolic plans.  :meth:`successors` answers from a
-    per-state symbol index, built once from the memoized block, and
-    :attr:`finals` from a per-state memo of :meth:`Plan.is_final`.
+    memo; states that a later, longer lowering over the same shared memo
+    meets first (a spectrum past ``n``) fall through to the plan and are
+    memoized then.  This is what lets one CSR-construction code path
+    serve both concrete NFAs and symbolic plans.  :meth:`successors`
+    answers from a per-state symbol index, built once from the memoized
+    block, and :attr:`finals` from a per-state memo of
+    :meth:`Plan.is_final`.
     """
 
     __slots__ = ("plan", "adjacency", "finals", "_by_symbol")

@@ -18,12 +18,14 @@ nested lists and serialized: sets and rows are joined from the texts of
 their atoms.
 
 Each distinct state or symbol is canonicalized once per call: a
-per-call memo holds two texts of every atom whose type is exactly
-``int`` or ``str``, its compact text and its sort key.  Other atoms are
+per-call memo holds two texts, the compact text and the sort key, of
+every *exact* atom: one whose type is exactly ``int`` or ``str``, or a
+tuple of exact atoms (product and ``dnf`` states).  Two exact atoms are
+equal only when their canonical forms are.  Other atoms are
 canonicalized at each occurrence and never memoized, because some of
 them are equal in Python but not canonically (``1``, ``True`` and
-``1.0``; ``0.0`` and ``-0.0``; tuples and frozensets holding them), so
-a memo keyed by value would hand one the other's texts.
+``1.0``; ``0.0`` and ``-0.0``; ``(1, 2)`` and ``(True, 2)``;
+frozensets), so a memo keyed by value would hand one the other's texts.
 
 Sort keys order sets and transition lists.  A key is the
 ``json.dumps(item, sort_keys=True)`` text (default separators,
@@ -86,6 +88,13 @@ def _array(*items: str) -> str:
     return "[" + ",".join(items) + "]"
 
 
+def _exact(value: Any) -> bool:
+    """Is ``value`` exactly an ``int`` or ``str``, or a tuple of such
+    values (recursively)?"""
+    kind = type(value)
+    return kind is int or kind is str or (kind is tuple and all(map(_exact, value)))
+
+
 def _canon(value: Any) -> Any:
     """An atom's tagged form, as nested lists."""
     if value is EPSILON:
@@ -108,17 +117,17 @@ class _Canonicalizer:
     """Canonical texts and sort keys of one source's atoms.
 
     :meth:`atom` returns an atom's text in the hashed JSON and its sort
-    key.  An atom whose type is exactly ``int`` or ``str`` is
-    canonicalized once and memoized by value; every other atom is
-    canonicalized at each occurrence, because values such as ``1``,
-    ``True`` and ``1.0`` (or ``0.0`` and ``-0.0``, or tuples holding
-    them) are equal in Python yet have different canonical forms.
+    key.  An exact atom (:func:`_exact`) is canonicalized once and
+    memoized by value; every other atom is canonicalized at each
+    occurrence, because values such as ``1``, ``True`` and ``1.0`` (or
+    ``0.0`` and ``-0.0``, or tuples holding them) are equal in Python
+    yet have different canonical forms.
     """
 
     __slots__ = ("_memo",)
 
     def __init__(self) -> None:
-        self._memo: dict[int | str, tuple[str, str]] = {}
+        self._memo: dict[Any, tuple[str, str]] = {}
 
     def atom(self, value: Any) -> tuple[str, str]:
         kind = type(value)
@@ -134,6 +143,12 @@ class _Canonicalizer:
                 else:
                     text, key = encode_basestring(value), encode_basestring_ascii(value)
                 entry = self._memo[value] = ('["a",' + text + "]", '["a", ' + key + "]")
+            return entry
+        if kind is tuple and _exact(value):
+            entry = self._memo.get(value)
+            if entry is None:
+                canon = _canon(value)
+                entry = self._memo[value] = (_text(canon), _key(canon))
             return entry
         canon = _canon(value)
         return _text(canon), _key(canon)

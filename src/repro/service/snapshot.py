@@ -60,10 +60,9 @@ shared label-id row and block once, and a restore shares them again.
 
 A restored kernel carries a :class:`_SnapshotSource` in place of its
 automaton: initial state, accepting-state membership and alphabet are
-answered from the snapshot itself; only
-:meth:`~repro.core.kernel.CompiledDAG.extend_to` — the one operation
-needing transitions beyond the recorded layers — requires the original
-source, which callers may supply lazily via ``source_resolver``.
+answered from the snapshot itself, which is all a built kernel reads of
+its source.  A kernel is never extended past its length, so a restore
+never needs the automaton's transitions.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import mmap
 import os
 import struct
 from array import array
-from typing import TYPE_CHECKING, Any, Callable, Container, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 from repro.automata.serialization import _TUPLE_TAG, _decode_atom, _encode_atom
 from repro.core.kernel import _exact_layer, _index_map
@@ -81,7 +80,7 @@ from repro.errors import InvalidAutomatonError, ReproError
 
 if TYPE_CHECKING:
     from repro.automata.nfa import State, Symbol
-    from repro.core.kernel import AutomatonSource, CompiledDAG, CountRow
+    from repro.core.kernel import CompiledDAG, CountRow
 
 MAGIC = b"RPROKRN1"
 
@@ -99,10 +98,10 @@ _VERSIONS = (1, 2, 3)
 #: their start (and hence, all of them) to this boundary.
 _ALIGN = 8
 
-#: Buffer borrowing assumes ``array('l')`` is 8 bytes (LP64): a
-#: materializing copy-on-extend moves borrowed edge bytes into ``'l'``
-#: arrays verbatim.  Elsewhere the borrow mode quietly degrades to a
-#: full-copy restore.
+#: Buffer borrowing assumes ``array('l')`` is 8 bytes (LP64): borrowed
+#: edge blocks are int64 views where a lowered kernel holds ``'l'``
+#: arrays.  Elsewhere the borrow mode quietly degrades to a full-copy
+#: restore.
 _LP64 = array("l").itemsize == array("q").itemsize
 
 #: Largest count representable in a packed ``array('q')`` row.
@@ -117,68 +116,14 @@ class SnapshotError(ReproError):
     snapshot-serializable)."""
 
 
-class _SnapshotSource:
-    """The automaton stand-in a restored kernel carries.
-
-    Serves the queries a finished kernel still makes against its source
-    (initial state, accepting membership, alphabet) from snapshot data.
-    Transition queries (``out_edges``, needed only by ``extend_to``)
-    delegate to the lazily resolved original source when a resolver was
-    supplied, and fail with a clear error otherwise.
-    """
-
-    __slots__ = ("initial", "_finals", "_alphabet", "_resolver", "_resolved")
+class _SnapshotSource(NamedTuple):
+    """The automaton stand-in a restored kernel carries: what a built
+    kernel still reads of its source (initial state, accepting
+    membership, alphabet), answered from snapshot data."""
 
     initial: State
-    _finals: frozenset[State]
-    _alphabet: frozenset[Symbol]
-    _resolver: Callable[[], AutomatonSource] | None
-    _resolved: AutomatonSource | None
-
-    has_epsilon = False
-
-    def __init__(
-        self,
-        initial: State,
-        finals: frozenset[State],
-        alphabet: frozenset[Symbol],
-        resolver: Callable[[], AutomatonSource] | None = None,
-    ) -> None:
-        self.initial = initial
-        self._finals = finals
-        self._alphabet = alphabet
-        self._resolver = resolver
-        self._resolved = None
-
-    def _resolve(self) -> AutomatonSource:
-        if self._resolved is None:
-            if self._resolver is None:
-                raise InvalidAutomatonError(
-                    "this kernel was restored from a snapshot without its "
-                    "source automaton; extending it requires from_bytes("
-                    "..., source_resolver=...)"
-                )
-            self._resolved = self._resolver()
-        return self._resolved
-
-    @property
-    def finals(self) -> Container[State]:
-        if self._resolved is not None:
-            return self._resolved.finals
-        return self._finals
-
-    @property
-    def alphabet(self) -> frozenset[Symbol]:
-        return self._alphabet
-
-    def out_edges(self, state: State) -> Iterable[tuple[Symbol, State]]:
-        return self._resolve().out_edges(state)
-
-    def successors(self, state: State, symbol: Symbol) -> frozenset[State]:
-        return frozenset(t for s, t in self.out_edges(state) if s == symbol)
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"<SnapshotSource resolved={self._resolved is not None}>"
+    finals: frozenset[State]
+    alphabet: frozenset[Symbol]
 
 
 #: Item types of a tuple label that the decoder's fast path reads as
@@ -395,10 +340,7 @@ def _check_layers(
 
 
 def kernel_from_bytes(
-    data: bytes | bytearray | memoryview | mmap.mmap,
-    source_resolver: Callable[[], AutomatonSource] | None = None,
-    *,
-    borrow: bool = False,
+    data: bytes | bytearray | memoryview | mmap.mmap, *, borrow: bool = False
 ) -> CompiledDAG:
     """Restore a :class:`~repro.core.kernel.CompiledDAG` from snapshot
     bytes (inverse of :func:`kernel_to_bytes`).
@@ -406,10 +348,10 @@ def kernel_from_bytes(
     With ``borrow=True`` the restored kernel *borrows* its CSR edge
     blocks and packed count rows as int64 memoryviews over ``data``
     instead of copying them out — the caller keeps ``data`` (typically
-    an mmap) alive; the kernel records it in ``_borrow_owner`` and
-    copies-on-extend.  Borrowing needs the aligned version-2 layout and
-    an LP64 platform; otherwise this silently falls back to the
-    copying restore (``_borrow_owner`` stays None).
+    an mmap) alive; the kernel records it in ``_borrow_owner``.
+    Borrowing needs the aligned version-2 layout and an LP64 platform;
+    otherwise this silently falls back to the copying restore
+    (``_borrow_owner`` stays None).
 
     The format does not record which layers the kernel shared; a
     version-3 restore finds them again.  Layers with the same label-id
@@ -547,9 +489,7 @@ def kernel_from_bytes(
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as error:
         raise SnapshotError(f"corrupt snapshot body: {error}") from error
 
-    source = _SnapshotSource(
-        initial, frozenset(finals), frozenset(symbols), resolver=source_resolver
-    )
+    source = _SnapshotSource(initial, frozenset(finals), frozenset(symbols))
 
     kernel = CompiledDAG.__new__(CompiledDAG)
     kernel.nfa = source
@@ -578,10 +518,7 @@ def kernel_from_bytes(
 
 
 def kernel_from_mmap(
-    path: str | os.PathLike[str],
-    source_resolver: Callable[[], AutomatonSource] | None = None,
-    *,
-    borrow: bool = True,
+    path: str | os.PathLike[str], *, borrow: bool = True
 ) -> CompiledDAG:
     """Restore a kernel over a read-only memory map of the snapshot file.
 
@@ -602,7 +539,7 @@ def kernel_from_mmap(
         # Zero-length file (classic truncation corruption).
         raise SnapshotError(f"cannot map snapshot: {error}") from error
     try:
-        kernel = kernel_from_bytes(mapped, source_resolver=source_resolver, borrow=borrow)
+        kernel = kernel_from_bytes(mapped, borrow=borrow)
     except SnapshotError:
         try:
             mapped.close()

@@ -46,14 +46,14 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.obs import add_stage
 from repro.obs import names as metric_names
 from repro.service.snapshot import SnapshotError, kernel_from_mmap, kernel_to_bytes
 
 if TYPE_CHECKING:
-    from repro.core.kernel import AutomatonSource, CompiledDAG
+    from repro.core.kernel import CompiledDAG
 
 #: Default size bound: plenty for thousands of mid-size kernels.
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
@@ -194,13 +194,7 @@ class KernelStore:
     # Get / put
     # ------------------------------------------------------------------
 
-    def get(
-        self,
-        fingerprint: str,
-        n: int,
-        trimmed: bool,
-        source_resolver: Callable[[], AutomatonSource] | None = None,
-    ) -> CompiledDAG | None:
+    def get(self, fingerprint: str, n: int, trimmed: bool) -> CompiledDAG | None:
         """The stored kernel, or ``None`` on miss / corrupt entry.
 
         A hit bumps the entry's mtime (the LRU clock).  A corrupt entry
@@ -208,22 +202,14 @@ class KernelStore:
         """
         started = time.perf_counter()
         try:
-            return self._get(fingerprint, n, trimmed, source_resolver)
+            return self._get(fingerprint, n, trimmed)
         finally:
             add_stage(metric_names.STAGE_STORE_FETCH, time.perf_counter() - started)
 
-    def _get(
-        self,
-        fingerprint: str,
-        n: int,
-        trimmed: bool,
-        source_resolver: Callable[[], AutomatonSource] | None = None,
-    ) -> CompiledDAG | None:
+    def _get(self, fingerprint: str, n: int, trimmed: bool) -> CompiledDAG | None:
         path = self.path_for(fingerprint, n, trimmed)
         try:
-            kernel = kernel_from_mmap(
-                path, source_resolver=source_resolver, borrow=self.mmap
-            )
+            kernel = kernel_from_mmap(path, borrow=self.mmap)
         except OSError:
             self.stats.inc("misses")
             return None

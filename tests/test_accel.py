@@ -10,9 +10,8 @@ they still run, because ``resolve("numpy")`` then degrades to the pure
 path and equality holds trivially (the CI matrix covers both legs).
 
 The mmap tier's contract: a zero-copy restored kernel answers every
-query identically to a full-deserialize restore, never mutates the
-borrowed buffer (copy-on-extend), and survives store eviction of its
-backing file on POSIX.
+query identically to a full-deserialize restore and survives store
+eviction of its backing file on POSIX.
 """
 
 from __future__ import annotations
@@ -243,20 +242,8 @@ def test_spectrum_solver_backend_identical():
     pure = repro.WitnessSet(nfa, 20, kernel_backend="pure")
     fast = repro.WitnessSet(nfa, 20, kernel_backend="numpy")
     assert pure.spectrum(20) == fast.spectrum(20)
-    # Past n, the reachable kernel grows by extend_to on each backend.
+    # Past n, each backend reads a reachable kernel lowered at 30.
     assert pure.spectrum(30) == fast.spectrum(30)
-    assert pure.reachable_kernel.n == fast.reachable_kernel.n == 30
-
-
-def test_extend_to_forward_rows_identical():
-    nfa = ufa()
-    pure, fast = both_backends(nfa, 10, False)
-    pure.forward_counts()
-    fast.forward_counts()
-    pure.extend_to(25)
-    fast.extend_to(25)
-    rows_equal(pure.forward_counts(), fast.forward_counts())
-    assert pure.spectrum_counts() == fast.spectrum_counts()
 
 
 def test_fpras_estimates_bit_identical():
@@ -388,27 +375,6 @@ def test_from_mmap_borrows_and_answers_identically(tmp_path):
         30, random.Random(5)
     )
     assert mapped.spectrum_counts() == kernel.spectrum_counts()
-
-
-@pytest.mark.skipif(not LP64, reason="borrow mode requires LP64")
-def test_mmap_extend_copies_instead_of_mutating_borrowed_buffers(tmp_path):
-    # Satellite regression: extend_to on an mmap-backed kernel must
-    # copy-on-extend, never write through the borrowed buffers.
-    nfa, kernel = built_kernel()
-    path = tmp_path / "kernel.kern"
-    snapshot = kernel_to_bytes(kernel)
-    path.write_bytes(snapshot)
-    mapped = CompiledDAG.from_mmap(
-        path, source_resolver=lambda: nfa.without_epsilon()
-    )
-    mapped.forward_counts()
-    mapped.extend_to(26)
-    assert mapped._borrow_owner is None  # ownership was taken
-    assert mapped.n == 26
-    reference = compile_nfa(nfa, 26, trimmed=False)
-    assert mapped.spectrum_counts() == reference.spectrum_counts()
-    # The snapshot bytes on disk are untouched.
-    assert path.read_bytes() == snapshot
 
 
 def test_mmap_v1_snapshot_degrades_to_copy(tmp_path):

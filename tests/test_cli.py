@@ -429,6 +429,19 @@ class TestServeAndQuery:
         err = capsys.readouterr().err
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("flag", ["--max-length", "--limit", "--seed"])
+    def test_query_refuses_a_negative_value(self, capsys, monkeypatch, flag):
+        """A negative ``--max-length``, ``--limit`` or ``--seed`` is a
+        usage error (exit 2) before any connection is made."""
+        from repro.service import client
+
+        monkeypatch.setattr(client, "ServiceClient", None)  # a connection would raise
+        argv = ["query", "spectrum", "--port", "1", "--regex", "(ab|ba)*", "--alphabet", "ab"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "-n", "4", flag, "-1"])
+        assert excinfo.value.code == 2
+        assert "must be ≥ 0" in capsys.readouterr().err
+
 
 class TestServeStdio:
     """``repro serve`` without ``--port``: stdin and stdout are the

@@ -7,8 +7,12 @@ as nested lists, sort every set and row list by its items'
 ``json.dumps(item, sort_keys=True)`` keys, and hash one compact
 ``json.dumps`` of the whole structure.  Both must give the same digest
 for automata whose atoms are equal in Python but not canonically (``1``,
-``True`` and ``1.0``; ``0.0`` and ``-0.0``), non-ASCII strings, tuples,
-frozensets, and for every plan node.
+``True`` and ``1.0``; ``0.0`` and ``-0.0``; ``(1, 2)``, ``(True, 2)``
+and ``(1.0, 2)``), non-ASCII strings, nested tuples, frozensets, and for
+every plan node.  Exact atoms, ints and strings and tuples of them, are
+canonicalized once and memoized by value; the tuples of other types
+beside them check that the memo never hands an equal atom another's
+texts.
 
 ``_Canonicalizer.sorted_rows`` sorts rows of one length whose atoms are
 all exactly ``int`` or ``str`` by the ranks of their atoms' sort keys,
@@ -174,9 +178,14 @@ scalar_atoms = st.one_of(
     st.none(),
 )
 
+#: Tuples equal in Python but not canonically, flat and nested.
+EQUAL_TUPLES = [(1, 2), (True, 2), (1.0, 2), ((1, 2), "a"), ((True, 2), "a"), ((1.0, 2), "a")]
+
 any_atoms = st.one_of(
     scalar_atoms,
     st.tuples(scalar_atoms, scalar_atoms),
+    st.tuples(exact_atoms, st.tuples(exact_atoms, exact_atoms)),
+    st.sampled_from(EQUAL_TUPLES),
     st.frozensets(exact_atoms, max_size=2),
     st.frozensets(scalar_atoms, max_size=3),
 )

@@ -1,6 +1,6 @@
 """The array-backed :class:`CompiledDAG` kernel: structure, tables,
-sampling, extension — and the backend agreement matrix across every
-application domain (the acceptance bar for the kernel refactor)."""
+sampling — and the backend agreement matrix across every application
+domain (the acceptance bar for the kernel refactor)."""
 
 from __future__ import annotations
 
@@ -175,30 +175,6 @@ class TestCountTables:
         assert length_spectrum(even_zeros_dfa, []) == {}
 
 
-class TestIncrementalExtension:
-    def test_extension_matches_fresh_compile(self, rng):
-        for _ in range(3):
-            nfa = random_nfa(6, density=1.6, rng=rng).without_epsilon()
-            grown = compile_nfa(nfa, 3, trimmed=False)
-            grown.forward_counts()  # force rows so extension appends to them
-            grown.extend_to(7)
-            fresh = compile_nfa(nfa, 7, trimmed=False)
-            assert grown.n == 7
-            assert grown.layers == fresh.layers
-            assert grown.spectrum_counts() == fresh.spectrum_counts()
-            assert grown.total_runs == fresh.total_runs
-            assert grown.edge_count() == fresh.edge_count()
-
-    def test_extension_is_noop_backwards(self, even_zeros_dfa):
-        kernel = compile_nfa(even_zeros_dfa, 5, trimmed=False)
-        assert kernel.extend_to(3) is kernel
-        assert kernel.n == 5
-
-    def test_trimmed_kernels_refuse_extension(self, even_zeros_dfa):
-        with pytest.raises(InvalidAutomatonError):
-            compile_nfa(even_zeros_dfa, 4, trimmed=True).extend_to(6)
-
-
 class TestKernelSampling:
     def test_samples_are_witnesses(self, even_zeros_dfa, rng):
         kernel = compile_nfa(even_zeros_dfa, 6)
@@ -339,7 +315,7 @@ class TestBackendAgreementMatrix:
 
     def test_spectrum_extension_does_not_corrupt_counts(self, even_zeros_dfa):
         ws = WitnessSet.from_nfa(even_zeros_dfa, 9)
-        assert ws.spectrum(15)[15] == 2**14  # extends reachable_kernel in place
+        assert ws.spectrum(15)[15] == 2**14  # a reachable kernel at 15
         assert ws.count() == 2**8            # trimmed kernel untouched
         assert ws.count(backend="fpras", rng=0) >= 0  # FPRAS still valid at n=9
 

@@ -13,8 +13,7 @@ with a kernel lowered from the reference layers, which shares nothing,
 and copy and mmap restores must equal the lowered kernel.
 
 The work-counter tests gate the work itself, not wall time: how many
-CSR blocks a lowering builds and how many index maps a restore builds,
-and that extending a kernel never touches an earlier layer's arrays.
+CSR blocks a lowering builds and how many index maps a restore builds.
 """
 
 from __future__ import annotations
@@ -50,13 +49,13 @@ SETTINGS = settings(
 # ----------------------------------------------------------------------
 
 
-def reference_layers(source, n, trimmed, first=None):
+def reference_layers(source, n, trimmed):
     """The live layers, one fresh frozenset per layer and no memo of
     layers: the unrolling every kernel was built from before layers were
     shared (its union order decides which of two equal states of
     different types a layer keeps)."""
     after = {}
-    forward = [frozenset({source.initial}) if first is None else first]
+    forward = [frozenset({source.initial})]
     for _ in range(n):
         reached = set()
         for state in forward[-1]:
@@ -287,52 +286,6 @@ class TestAgainstReference:
         plan = Product(as_plan(pattern), as_plan("(a|b|c)*(ab|ba)(a|b|c)*"))
         check_kernel(lower_plan(plan, 40, trimmed=True), tmp_path)
 
-    @SETTINGS
-    @given(nfa=random_nfas(), n=st.integers(0, 15), extra=st.integers(1, 25))
-    def test_extend_to(self, nfa, n, extra, tmp_path):
-        kernel = compile_nfa(nfa, n, trimmed=False)
-        kernel.forward_counts()
-        kernel.extend_to(n + extra)
-        check_kernel(kernel, tmp_path)
-
-    @SETTINGS
-    @given(nfa=mixed_type_nfas(), n=st.integers(0, 8), extra=st.integers(1, 8))
-    def test_extend_to_equal_states_of_other_types(self, nfa, n, extra, tmp_path):
-        kernel = compile_nfa(nfa, n, trimmed=False)
-        kernel.extend_to(n + extra)
-        check_kernel(kernel, tmp_path)
-
-    def test_extend_to_keeps_the_unrolling_order(self, tmp_path):
-        """Layer 1 holds ``(1, 2)`` and ``(False, 2)``, whose successor
-        sets hold ``(0, 2)`` and ``(False, 2)``: layer 2 keeps the one the
-        unrolling's union meets first, which a frozenset rebuilt from
-        layer 1's sorted tuple does not reproduce."""
-        states = [(v, 2) for v in range(4)]
-        transitions = [
-            ((0, 2), "a", (1, 2)),
-            ((0, 2), "a", (False, 2)),
-            ((0, 2), "b", (3, 2)),
-            ((1, 2), "a", (0, 2)),
-        ]
-        nfa = NFA(states, "ab", transitions, (0, 2), [(0, 2)])
-        kernel = compile_nfa(nfa, 1, trimmed=False)
-        kernel.extend_to(2)
-        assert repr(kernel.layer_states(2)) == repr(compile_nfa(nfa, 2, False).layer_states(2))
-        check_kernel(kernel, tmp_path)
-
-    def test_extend_to_on_a_restored_kernel(self, tmp_path):
-        source = Atom(compile_regex("(aab|b)*"))
-        kernel = lower_plan(source, 30, trimmed=False)
-        kernel.forward_counts()
-        path = tmp_path / "reachable.kern"
-        path.write_bytes(kernel_to_bytes(kernel))
-        for restored in (
-            kernel_from_bytes(path.read_bytes(), source_resolver=lambda: source),
-            kernel_from_mmap(path, source_resolver=lambda: source),
-        ):
-            restored.extend_to(70)
-            check_kernel(restored, tmp_path)
-
     def test_the_typed_label_table_case(self, tmp_path):
         """The snapshot suite's ``(1, 2)`` / ``(True, 2)`` automaton keeps
         the reference's labels at every length."""
@@ -469,27 +422,3 @@ class TestWork:
         path.write_bytes(data)
         for again in (restored, kernel_from_mmap(path)):
             assert kernel_to_bytes(again) == data
-
-    @pytest.mark.parametrize("mode", ["fresh", "mmap"])
-    def test_extend_to_leaves_earlier_layers_byte_identical(self, mode, tmp_path):
-        source = Atom(compile_regex("(ab|ba)*"))
-        kernel = lower_plan(source, 40, trimmed=False)
-        kernel.forward_counts()
-        if mode == "mmap":
-            path = tmp_path / "k.kern"
-            path.write_bytes(kernel_to_bytes(kernel))
-            kernel = kernel_from_mmap(path, source_resolver=lambda: source)
-            assert kernel._borrow_owner is not None
-        arrays = (kernel._edge_start, kernel._edge_symbol, kernel._edge_dst)
-        before = [[bytes(rows[t]) for rows in arrays] for t in range(kernel.n)]
-        objects = [[rows[t] for rows in arrays] for t in range(kernel.n)]
-        states = [kernel.layer_states(t) for t in range(kernel.n + 1)]
-        counts = [bytes(row) for row in kernel.forward_counts()]
-        kernel.extend_to(100)
-        for t in range(40):
-            assert [bytes(rows[t]) for rows in arrays] == before[t]
-            # The arrays held before the extension were not written to.
-            assert [bytes(row) for row in objects[t]] == before[t]
-        assert [kernel.layer_states(t) for t in range(41)] == states
-        assert [bytes(row) for row in kernel.forward_counts()[:41]] == counts
-        assert len({(kernel._twin[t], kernel._twin[t + 1]) for t in range(100)}) <= 5

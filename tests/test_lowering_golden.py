@@ -1,8 +1,8 @@
 """Golden lowering outputs: the snapshot bytes of unrolled kernels.
 
 Every route that builds an unrolled DAG — concrete NFAs, ε-NFAs, plan
-products, RPQs, spanners, incremental extension — must keep producing
-the same kernels.  This module pins the SHA-256 of the snapshot bytes
+products, RPQs, spanners, spectra past ``n`` — must keep producing the
+same kernels.  This module pins the SHA-256 of the snapshot bytes
 (:func:`~repro.service.snapshot.kernel_to_bytes`) for the trimmed kernel
 (with its backward table) and the reachable kernel (with its forward
 table) of each instance, the first words each instance enumerates, the
@@ -148,16 +148,16 @@ KERNEL_DIGESTS_V3 = {
 }
 
 #: name → (version 2, version 3) digests of the reachable kernel + forward
-#: table after ``spectrum(2n)`` (the unambiguous route, which extends the
-#: kernel in place).
+#: table that ``spectrum(2n)`` reads on the unambiguous route: a kernel
+#: lowered at ``2n``.
 EXTENDED_DIGESTS = {
     "spill": (
         "3df4931ecdddf810cd18e675488afe496dd79f498f91a469409cee8c7a4257be",
         "c9953c9043c9d468a77a2c4bc18cc23e2bae58a4180703613400b50f07da4688",
     ),
     "rpq": (
-        "4f77f46a1dc01ee921e7e59c08cac2fb75ec0b0a33c2eaf959e7393347771c38",
-        "702588875c26453cb55ee5211ff8ea15942809fb4e99d3f36df510b30ba7b281",
+        "4b4f946d330f53cc9afd5273226f723acd16081dc8e1fdb608759a9dcc29e5ff",
+        "e2c0f7248b5a2774a76d3b24bef49c5c7b1ea45ef03e6d90fe7a4fea7f933f37",
     ),
 }
 
@@ -190,9 +190,9 @@ def test_extended_kernels_match_golden(backend):
     instances = _instances(backend)
     for name, expected in EXTENDED_DIGESTS.items():
         ws = instances[name]
-        ws.spectrum(2 * ws.n)
-        reachable = ws.reachable_kernel
-        assert reachable.n == 2 * ws.n
+        reachable = ws._load_or_build_kernel(trimmed=False, n=2 * ws.n)
+        counts = reachable.spectrum_counts()
+        assert ws.spectrum(2 * ws.n) == dict(enumerate(counts)), name
         assert (
             _digest(kernel_to_bytes(reachable, version=2)),
             _digest(reachable.to_bytes()),

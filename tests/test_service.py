@@ -20,7 +20,6 @@ from repro.automata.random_gen import random_nfa, random_ufa
 from repro.automata.serialization import nfa_to_json
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.plan import Product, as_plan, lower_plan
-from repro.errors import InvalidAutomatonError
 from repro.service import (
     Engine,
     FingerprintError,
@@ -296,21 +295,6 @@ class TestSnapshotRoundTrip:
         for mutated in (data[:-8], data[:-16], data + b"\x00" * 8):
             with pytest.raises(SnapshotError):
                 kernel_from_bytes(mutated)
-
-    def test_extend_requires_resolver(self):
-        nfa = random_ufa(10, rng=SEED, completeness=0.9, ensure_nonempty_length=8)
-        stripped = nfa.without_epsilon()
-        kernel = compile_nfa(stripped, 4, trimmed=False)
-        blind = kernel_from_bytes(kernel_to_bytes(kernel))
-        with pytest.raises(InvalidAutomatonError):
-            blind.extend_to(6)
-        resolved = kernel_from_bytes(
-            kernel_to_bytes(kernel), source_resolver=lambda: stripped
-        )
-        resolved.extend_to(6)
-        assert resolved.spectrum_counts() == compile_nfa(
-            stripped, 6, trimmed=False
-        ).spectrum_counts()
 
 
 # ----------------------------------------------------------------------
@@ -849,7 +833,7 @@ class TestWitnessSetStoreWiring:
         baseline = WitnessSet.from_nfa(nfa, 6, store=False)
         assert cold.spectrum() == baseline.spectrum()
         warm = WitnessSet.from_nfa(nfa, 6, store=store)
-        # Extending past the snapshot resolves the source lazily.
+        # Past n, the set lowers and stores a reachable kernel at 10.
         assert warm.spectrum(10) == baseline.spectrum(10)
 
 

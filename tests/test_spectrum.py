@@ -1,5 +1,6 @@
-"""Tests for witnesses of length at most n: the §2.1 padding and the
-padded witness set ``WitnessSet.up_to``."""
+"""Tests for witnesses of length at most n (the §2.1 padding and the
+padded witness set ``WitnessSet.up_to``) and for spectra past n, which
+read a reachable kernel lowered at their own length."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_layer_sharing import mixed_type_nfas
 from test_trim import automata
 
 from repro.api import WitnessSet
@@ -16,8 +18,11 @@ from repro.automata.random_gen import random_ufa
 from repro.automata.unambiguous import is_unambiguous
 from repro.core.exact import count_words_exact
 from repro.core.fpras import FprasParameters
+from repro.core.plan import Product
 from repro.core.spectrum import PAD, pad_automaton
 from repro.errors import EmptyWitnessSetError
+from repro.service import KernelStore
+from repro.service.protocol import witness_set_from_spec
 from repro.utils.stats import chi_square_uniformity
 
 FAST = FprasParameters(sample_size=48)
@@ -139,3 +144,81 @@ class TestUpToDifferential:
     def test_random_ufas(self, ufa, n):
         assert is_unambiguous(pad_automaton(ufa))
         assert_up_to_is_the_union(ufa, n)
+
+
+def assert_spectrum_past_n(build, n: int, m: int, counts: list[int]) -> None:
+    """On both kernel backends, ``build(n).spectrum(m)`` after
+    ``spectrum()`` equals ``build(m).spectrum()`` and ``counts[ℓ]`` for
+    every ``ℓ ≤ m``."""
+    expected = dict(enumerate(counts))
+    for backend in ("pure", "numpy"):
+        ws = build(n, kernel_backend=backend)
+        assert ws.spectrum() == {length: counts[length] for length in range(n + 1)}
+        assert ws.spectrum(m) == expected
+        assert build(m, kernel_backend=backend).spectrum() == expected
+
+
+class TestSpectrumPastN:
+    """``spectrum(m)`` for ``m > n`` reads a reachable kernel lowered at
+    ``m`` and leaves the set's own kernels at ``n``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nfa=st.one_of(automata(), mixed_type_nfas()),
+        n=st.integers(0, 10),
+        extra=st.integers(1, 12),
+    )
+    def test_matches_a_set_at_m(self, nfa, n, extra):
+        m = n + extra
+        counts = [count_words_exact(nfa, length) for length in range(m + 1)]
+
+        def build(length, **options):
+            return WitnessSet.from_nfa(nfa, length, store=False, **options)
+
+        assert_spectrum_past_n(build, n, m, counts)
+
+    # A product of two unambiguous automata is unambiguous, so the plan
+    # route lowers both spectra, the longer one over the shared memo.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=st.builds(random_ufa, st.integers(1, 6), rng=st.integers(0, 2**32)),
+        right=st.builds(random_ufa, st.integers(1, 6), rng=st.integers(0, 2**32)),
+        n=st.integers(0, 10),
+        extra=st.integers(1, 12),
+    )
+    def test_plan_matches_a_set_at_m(self, left, right, n, extra):
+        m = n + extra
+        plan = Product(left, right)
+        product = plan.to_nfa()
+        counts = [count_words_exact(product, length) for length in range(m + 1)]
+
+        def build(length, **options):
+            return WitnessSet.from_plan(plan, length, store=False, **options)
+
+        assert_spectrum_past_n(build, n, m, counts)
+
+    def test_reachable_kernel_keeps_its_length(self, even_zeros_dfa):
+        ws = WitnessSet.from_nfa(even_zeros_dfa, 6, store=False)
+        assert ws.spectrum(12)[12] == count_words_exact(even_zeros_dfa, 12)
+        assert ws.reachable_kernel.n == ws.n
+
+    def test_lowering_time_counts_a_spectrum_past_n(self, even_zeros_dfa):
+        ws = WitnessSet.from_nfa(even_zeros_dfa, 6, store=False)
+        ws.spectrum()
+        before = ws.describe()["lowering_seconds"]
+        ws.spectrum(12)
+        assert ws.describe()["lowering_seconds"] > before
+
+    def test_warm_restart_answers_from_the_store(self, tmp_path):
+        """A warm set answers a spectrum past n from the reachable kernel
+        a cold set stored at that length, without building its automaton."""
+        spec = {"kind": "regex", "pattern": "(ab|ba)*(a|b)?", "alphabet": "ab", "n": 12}
+        root = tmp_path / "kernels"
+        cold = witness_set_from_spec(spec, store=KernelStore(root))
+        expected = cold.spectrum(16)
+        store = KernelStore(root, mmap=True)
+        warm = witness_set_from_spec(spec, store=store)
+        assert warm.spectrum(16) == expected
+        assert warm._pending is not None
+        assert store.path_for(cold.fingerprint(), 16, False).exists()
+        assert store.stats.hits == store.stats.mmap_hits == 1
