@@ -5,7 +5,7 @@ Claims measured (and asserted, so regressions fail the suite):
 * K1a: count + sample on a 200-state random NFA at n = 100 is faster
   through the integer-indexed kernel than through the seed
   frozenset/dict walk it replaced (tables built per-state dicts and the
-  sampler re-walked ``ordered_successors`` per step).
+  sampler re-sorted each vertex's successors per step).
 * K1b: ``sample_batch(1000)`` beats 1000 single ``sample()`` calls on
   the same prebuilt sampler — the batched layer-by-layer pass amortizes
   the per-layer lookups.
@@ -88,7 +88,7 @@ class UnrolledDAG:
             if target in later:
                 yield symbol, target
 
-    def ordered_successors(self, t: int, state) -> list:
+    def sorted_successors(self, t: int, state) -> list:
         return sorted(self.successors(t, state), key=lambda edge: (repr(edge[0]), repr(edge[1])))
 
 
@@ -117,7 +117,7 @@ def seed_sample(dag: UnrolledDAG, back: list[dict], generator) -> tuple:
     symbols: list = []
     for t in range(dag.n):
         choices: list[tuple] = []
-        for symbol, target in dag.ordered_successors(t, state):
+        for symbol, target in dag.sorted_successors(t, state):
             weight = back[t + 1].get(target, 0)
             if weight:
                 choices.append((symbol, target, weight))

@@ -62,7 +62,6 @@ from repro.core import (
     DocProduct,
     ExactUniformSampler,
     GraphProduct,
-    Intersect,
     Plan,
     Product,
     Relabel,
@@ -146,7 +145,6 @@ __all__ = [
     "Plan",
     "Atom",
     "Product",
-    "Intersect",
     "Union",
     "Concat",
     "Star",

@@ -578,27 +578,28 @@ class WitnessSet:
         the shared :attr:`reachable_kernel` when ``max_length ≤ n``, else
         a reachable kernel at ``max_length``, restored from the store or
         lowered over the set's shared successor memo (and persisted).
+        The ambiguous route reads every length off one subset-construction
+        pass.  The set keeps only the counts of the longest spectrum it
+        has answered: a bound at or below it is a slice, so it lowers
+        nothing; a sweep of ascending bounds still lowers (and persists)
+        a kernel per new bound past ``n``.
         """
         bound = self.n if max_length is None else max_length
         if bound < 0:
             raise ValueError("max_length must be ≥ 0")
-        if self.is_unambiguous:
-            def build():
-                kernel = (
-                    self.reachable_kernel
-                    if bound <= self.n
-                    else self._load_or_build_kernel(trimmed=False, n=bound)
-                )
-                spectrum = kernel.spectrum_counts()
-                return {length: spectrum[length] for length in range(bound + 1)}
-
-            return self._cached(("spectrum", bound), build)
-        return self._cached(
-            ("spectrum", bound),
-            lambda: length_spectrum(
-                self.stripped, range(bound + 1), exact_nfa=True
-            ),
-        )
+        counts = self._cache.get("spectrum")
+        hit = counts is not None and bound < len(counts)
+        self.stats.record("spectrum", hit=hit)
+        if not hit:
+            if not self.is_unambiguous:
+                spectrum = length_spectrum(self.stripped, range(bound + 1), exact_nfa=True)
+                counts = list(spectrum.values())
+            elif bound <= self.n:
+                counts = self.reachable_kernel.spectrum_counts()
+            else:
+                counts = self._load_or_build_kernel(trimmed=False, n=bound).spectrum_counts()
+            self._cache["spectrum"] = counts
+        return dict(enumerate(counts[: bound + 1]))
 
     # ------------------------------------------------------------------
     # ENUM

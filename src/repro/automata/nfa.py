@@ -128,7 +128,6 @@ class NFA:
         )
         self._transitions = transition_set
         self._validate()
-        self._has_epsilon = any(symbol is EPSILON for _, symbol, _ in transition_set)
         self._hash = None
         # _delta and _rdelta stay unset until the first query needs them.
 
@@ -170,22 +169,29 @@ class NFA:
         return forward, backward
 
     def _validate(self) -> None:
-        if EPSILON in self._alphabet:
+        """Check every reference against the declared sets, and note in
+        the same pass over the transitions whether any is an ε-move."""
+        states, alphabet = self._states, self._alphabet
+        if EPSILON in alphabet:
             raise InvalidAutomatonError("EPSILON cannot be an alphabet symbol")
-        if self._initial not in self._states:
+        if self._initial not in states:
             raise InvalidAutomatonError(f"initial state {self._initial!r} not in states")
-        missing_finals = self._finals - self._states
+        missing_finals = self._finals - states
         if missing_finals:
             raise InvalidAutomatonError(f"final states not in states: {missing_finals!r}")
+        has_epsilon = False
         for source, symbol, target in self._transitions:
-            if source not in self._states:
+            if source not in states:
                 raise InvalidAutomatonError(f"transition source {source!r} not in states")
-            if target not in self._states:
+            if target not in states:
                 raise InvalidAutomatonError(f"transition target {target!r} not in states")
-            if symbol is not EPSILON and symbol not in self._alphabet:
+            if symbol is EPSILON:
+                has_epsilon = True
+            elif symbol not in alphabet:
                 raise InvalidAutomatonError(
                     f"transition symbol {symbol!r} not in alphabet"
                 )
+        self._has_epsilon = has_epsilon
 
     # ------------------------------------------------------------------
     # Basic structure accessors

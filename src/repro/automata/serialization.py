@@ -172,7 +172,7 @@ def unrolled_dag_to_dot(dag: CompiledDAG, name: str = "unroll") -> str:
             )
     for t in range(dag.n):
         for state in sorted(dag.layer(t), key=repr):
-            for symbol, target in dag.ordered_successors(t, state):
+            for symbol, target in dag.successors(t, state):
                 lines.append(
                     f"  {_dot_id(f'{state}@{t}')} -> {_dot_id(f'{target}@{t + 1}')} "
                     f"[label={json.dumps(str(symbol))}];"

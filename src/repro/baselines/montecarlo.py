@@ -37,7 +37,7 @@ class uniform_run_sampler:
     distribution is biased toward high-multiplicity words, which is the
     whole problem.  Walks are table-guided over the compiled kernel
     (pass a cached trimmed ``kernel`` to share preprocessing); the count
-    tables stay inspectable through :attr:`kernel` and :attr:`back`.
+    tables stay inspectable through :attr:`kernel`.
     """
 
     def __init__(self, nfa: NFA, n: int, kernel: CompiledDAG | None = None):
@@ -52,11 +52,6 @@ class uniform_run_sampler:
             )
         self.kernel = kernel
         self.total_runs = self.kernel.total_runs
-
-    @property
-    def back(self) -> list:
-        """The backward run table in the seed dict shape (diagnostics)."""
-        return self.kernel.backward_dicts()
 
     def __call__(self, rng: random.Random | int | None = None) -> Word:
         if self.total_runs == 0:

@@ -30,7 +30,6 @@ from repro.core.plan import (
     Concat,
     DocProduct,
     GraphProduct,
-    Intersect,
     LoweringStats,
     Plan,
     Product,
@@ -42,11 +41,9 @@ from repro.core.plan import (
     memoized_source,
 )
 from repro.core.exact import (
-    backward_run_table,
     count_accepting_runs_of_length,
     count_words_exact,
     count_words_ufa,
-    forward_run_table,
     length_spectrum,
     run_count_by_word,
 )
@@ -97,7 +94,6 @@ __all__ = [
     "Plan",
     "Atom",
     "Product",
-    "Intersect",
     "Union",
     "Concat",
     "Star",
@@ -115,8 +111,6 @@ __all__ = [
     "count_words_ufa",
     "count_words_exact",
     "count_accepting_runs_of_length",
-    "forward_run_table",
-    "backward_run_table",
     "length_spectrum",
     "run_count_by_word",
     "enumerate_words",

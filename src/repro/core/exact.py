@@ -15,44 +15,22 @@ Provided:
 * :func:`count_words_exact` — exact ``|L_n(N)|`` for *any* NFA via
   on-the-fly subset construction: exponential worst case, the baseline the
   FPRAS is measured against.
-* :func:`forward_run_table` / :func:`backward_run_table` — per-layer count
-  tables reused by the exact sampler and the enumerator.
-* :func:`length_spectrum` — counts across a range of lengths.
+* :func:`length_spectrum` — counts across a range of lengths, from one
+  kernel or one subset-construction pass.
 
-All table computation runs on the integer-indexed
-:class:`~repro.core.kernel.CompiledDAG` arrays; the dict-shaped tables
-these functions return are adapter views over the packed rows.
+The run-count DP runs on the integer-indexed
+:class:`~repro.core.kernel.CompiledDAG` arrays: its forward and backward
+tables are the kernel's packed rows (``forward_counts`` /
+``backward_counts``, indexed as ``layer_states``).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from repro.automata.nfa import NFA, State
+from repro.automata.nfa import NFA
 from repro.automata.unambiguous import require_unambiguous
-from repro.core.kernel import CompiledDAG, compile_nfa
-
-
-def forward_run_table(dag: CompiledDAG) -> list[dict[State, int]]:
-    """``table[t][q]`` = number of length-``t`` paths start → ``(t, q)``.
-
-    Counts *runs* (paths), not words; the two coincide exactly on
-    unambiguous automata, which is the content of Section 5.3.2.  The DP
-    runs over the integer-indexed :class:`CompiledDAG` kernel; this
-    adapter renders the array rows back into the per-state dict shape.
-    """
-    return dag.forward_dicts()
-
-
-def backward_run_table(dag: CompiledDAG) -> list[dict[State, int]]:
-    """``table[t][q]`` = number of length-``(n - t)`` paths ``(t, q)`` → finals.
-
-    The sampler's lookahead table: at layer ``t`` it tells each live state
-    how many accepting completions it has.  Computed on the kernel's flat
-    edge arrays; states with zero completions are omitted from the dicts,
-    matching the seed implementation.
-    """
-    return dag.backward_dicts()
+from repro.core.kernel import compile_nfa
 
 
 def count_accepting_runs_of_length(nfa: NFA, n: int) -> int:
@@ -84,18 +62,18 @@ def count_words_ufa(nfa: NFA, n: int, check: bool = True) -> int:
     return count_accepting_runs_of_length(nfa, n)
 
 
-def count_words_exact(nfa: NFA, n: int) -> int:
-    """Exact ``|L_n(N)|`` for an arbitrary NFA, via subset-construction DP.
+def _subset_layers(stripped: NFA, n: int) -> Iterator[dict[frozenset, int]]:
+    """Layers ``0..n`` of the subset-construction DP over the ε-free
+    ``stripped``.
 
     ``counts[S]`` = number of distinct length-``t`` words whose reachable
     state set is exactly ``S``; each word extends deterministically, so
-    summing over accepting subsets at layer ``n`` is exact.  The number of
-    distinct subsets encountered bounds the cost — exponential in the
-    worst case.  This is the ground-truth baseline for the FPRAS
-    experiments (and the reason an FPRAS is needed at all).
+    summing over accepting subsets at layer ``t`` (:func:`_accepted`)
+    gives ``|L_t(N)|`` exactly.  The number of distinct subsets
+    encountered bounds the cost — exponential in the worst case.
     """
-    stripped = nfa.without_epsilon()
     counts: dict[frozenset, int] = {frozenset({stripped.initial}): 1}
+    yield counts
     for _ in range(n):
         nxt: dict[frozenset, int] = {}
         for subset, ways in counts.items():
@@ -107,19 +85,43 @@ def count_words_exact(nfa: NFA, n: int) -> int:
                     key = frozenset(target)
                     nxt[key] = nxt.get(key, 0) + ways
         counts = nxt
-    return sum(ways for subset, ways in counts.items() if subset & stripped.finals)
+        yield counts
+
+
+def _accepted(counts: dict[frozenset, int], finals: frozenset) -> int:
+    """The words of one :func:`_subset_layers` layer that are accepted."""
+    return sum(ways for subset, ways in counts.items() if not finals.isdisjoint(subset))
+
+
+def count_words_exact(nfa: NFA, n: int) -> int:
+    """Exact ``|L_n(N)|`` for an arbitrary NFA, via subset-construction DP
+    (:func:`_subset_layers`).
+
+    This is the ground-truth baseline for the FPRAS experiments (and the
+    reason an FPRAS is needed at all).
+    """
+    stripped = nfa.without_epsilon()
+    for counts in _subset_layers(stripped, n):
+        pass
+    return _accepted(counts, stripped.finals)
 
 
 def length_spectrum(nfa: NFA, lengths: Sequence[int], exact_nfa: bool = False) -> dict[int, int]:
     """``{n: |L_n(N)|}`` for each requested length.
 
     With ``exact_nfa=False`` the automaton must be unambiguous (fast DP);
-    with ``exact_nfa=True`` the subset-construction count is used instead.
+    with ``exact_nfa=True`` the subset-construction counts are used
+    instead, every length read off one pass up to the longest.
     """
-    if exact_nfa:
-        return {n: count_words_exact(nfa, n) for n in lengths}
-    stripped = require_unambiguous(nfa, context="length spectrum")
     lengths = list(lengths)
+    if min(lengths, default=0) < 0:
+        raise ValueError("word length must be ≥ 0")
+    if exact_nfa:
+        stripped = nfa.without_epsilon()
+        layers = _subset_layers(stripped, max(lengths, default=0))
+        totals = [_accepted(counts, stripped.finals) for counts in layers]
+        return {n: totals[n] for n in lengths}
+    stripped = require_unambiguous(nfa, context="length spectrum")
     if not lengths:
         return {}
     # One reachable-mode compilation at the maximum length answers every

@@ -22,10 +22,12 @@ arrays:
   entry fits a machine word, spilling to plain Python lists when the
   bignum counts overflow 64 bits — exactness is never sacrificed;
 * a lazily built reverse CSR for backward walks (the FPRAS's
-  ``T_b(s_i^α)`` queries).
+  ``T_b(s_i^α)`` partitions, :meth:`CompiledDAG.predecessor_groups`).
 
-All computation streams over integer arrays.  Set-based views
-(``layer`` / ``successors`` / ``predecessors`` / ...) keep the
+All computation streams over integer arrays, and the paper's algorithms
+read the kernel at that level: CSR blocks, packed count rows and
+predecessor index groups.  The set-based views ``layer``, ``layers``,
+``layer_states``, ``successors`` and ``final_states`` keep the
 correspondence with the paper's ``s_t^j`` vertices direct: ``s_t^j`` is
 live ⟺ ``j in kernel.layer(t)``.
 
@@ -493,17 +495,9 @@ class CompiledDAG:
         """Live states at layer ``t`` in index (= repr) order."""
         return self._states[t]
 
-    def state_at(self, t: int, i: int) -> State:
-        """The state object behind index ``i`` of layer ``t``."""
-        return self._states[t][i]
-
     def index_of(self, t: int, state: State) -> int | None:
         """Local index of ``state`` at layer ``t`` (None when not live)."""
         return self._index[t].get(state)
-
-    def symbol_at(self, i: int) -> Symbol:
-        """The symbol object behind symbol index ``i``."""
-        return self.symbols[i]
 
     def out_edge_range(self, t: int, i: int) -> tuple[int, int]:
         """Offsets ``[start, end)`` of vertex ``(t, i)``'s edges in the flat arrays."""
@@ -555,12 +549,6 @@ class CompiledDAG:
         cached = (starts, r_symbol, r_src)
         self._redge[t] = cached
         return cached
-
-    def in_edges_idx(self, t: int, i: int) -> Iterator[tuple[int, int]]:
-        """Iterate ``(symbol_idx, src_idx)`` over edges into vertex ``(t, i)``."""
-        starts, r_symbol, r_src = self._reverse_edges(t)
-        for e in range(starts[i], starts[i + 1]):
-            yield r_symbol[e], r_src[e]
 
     def predecessor_groups(
         self, t: int, indices: Iterable[int]
@@ -698,30 +686,6 @@ class CompiledDAG:
             for t in range(self.n + 1)
         ]
 
-    def forward_dicts(self) -> list[dict[State, int]]:
-        """The forward table in the seed ``list[dict[State, int]]`` shape."""
-        forward = self.forward_counts()
-        return [
-            {
-                self._states[t][i]: ways
-                for i, ways in enumerate(forward[t])
-                if ways
-            }
-            for t in range(self.n + 1)
-        ]
-
-    def backward_dicts(self) -> list[dict[State, int]]:
-        """The backward table in the seed ``list[dict[State, int]]`` shape."""
-        backward = self.backward_counts()
-        return [
-            {
-                self._states[t][i]: ways
-                for i, ways in enumerate(backward[t])
-                if ways
-            }
-            for t in range(self.n + 1)
-        ]
-
     # ------------------------------------------------------------------
     # Uniform run sampling (unranking through the backward table)
     # ------------------------------------------------------------------
@@ -831,9 +795,8 @@ class CompiledDAG:
         Instead of copying the snapshot into fresh arrays, the CSR
         blocks and packed count rows become int64 memoryviews over the
         mapped file, so a warm start pages data in lazily on first
-        touch.  Requires a version ≥ 2 snapshot and an LP64 platform;
-        otherwise this quietly degrades to a full-copy restore (and the
-        mapping is closed).  See
+        touch.  Requires an LP64 platform; elsewhere this quietly
+        degrades to a full-copy restore (and the mapping is closed).  See
         :func:`repro.service.snapshot.kernel_from_mmap`.
         """
         from repro.service.snapshot import kernel_from_mmap
@@ -870,7 +833,8 @@ class CompiledDAG:
         return not self.final_indices(self.n)
 
     def successors(self, t: int, state: State) -> Iterator[tuple[Symbol, State]]:
-        """Edges from vertex ``(t, state)`` into layer ``t + 1`` (live only)."""
+        """Edges from vertex ``(t, state)`` into layer ``t + 1`` (live
+        only), in the CSR block's (repr, repr) order."""
         if t >= self.n:
             return
         i = self._index[t].get(state)
@@ -883,41 +847,6 @@ class CompiledDAG:
         start, end = self.out_edge_range(t, i)
         for e in range(start, end):
             yield symbols[edge_symbol[e]], states_next[edge_dst[e]]
-
-    def ordered_successors(self, t: int, state: State) -> list[tuple[Symbol, State]]:
-        """Successor edges in the fixed (repr, repr) total order.
-
-        The CSR blocks are already stored in that order, so this is a
-        plain materialization — no per-call sort.
-        """
-        return list(self.successors(t, state))
-
-    def predecessors(self, t: int, state: State, symbol: Symbol) -> frozenset[State]:
-        """Live states ``p`` at layer ``t - 1`` with ``p --symbol--> state``."""
-        if t <= 0:
-            return frozenset()
-        i = self._index[t].get(state)
-        if i is None:
-            return frozenset()
-        symbol_i = self._symbol_index.get(symbol)
-        if symbol_i is None:
-            return frozenset()
-        states_prev = self._states[t - 1]
-        return frozenset(
-            states_prev[src] for si, src in self.in_edges_idx(t, i) if si == symbol_i
-        )
-
-    def predecessor_sets(
-        self, t: int, states: frozenset[State]
-    ) -> dict[Symbol, frozenset[State]]:
-        """For each symbol b, the set ``T_b`` of layer-(t-1) predecessors (as states)."""
-        index = self._index[t]
-        indices = [index[state] for state in states if state in index]
-        states_prev = self._states[t - 1] if t >= 1 else ()
-        return {
-            symbol: frozenset(states_prev[i] for i in group)
-            for symbol, group in self.predecessor_groups(t, indices).items()
-        }
 
     def vertex_count(self) -> int:
         """Total number of live vertices across all layers."""

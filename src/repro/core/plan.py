@@ -349,10 +349,6 @@ class Product(Plan):
         return f"Product({self.left.describe()}, {self.right.describe()})"
 
 
-#: The intersection spelling of the same node.
-Intersect = Product
-
-
 class Union(Plan):
     """L(left) ∪ L(right) with the ε-fan-out performed on the fly.
 
@@ -851,7 +847,6 @@ __all__ = [
     "Plan",
     "Atom",
     "Product",
-    "Intersect",
     "Union",
     "Concat",
     "Star",

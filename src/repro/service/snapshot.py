@@ -32,8 +32,8 @@ tuples, frozensets (spanner marker sets) and plan product states
 round-trip by value, each with its exact type.
 
 A kernel repeats a few states over many layers (a product kernel of
-57,475 vertices has 785 distinct states), so version 3 encodes each
-distinct state once.  The table shares an entry between equal labels
+57,475 vertices has 785 distinct states), so the label table holds
+each distinct state once.  The table shares an entry between equal labels
 only where equality implies the same encoding: in layers of exact ints
 and strings, or of tuples of them.  A layer holding any other label,
 such as ``True``, ``1.0``, ``-0.0`` or a tuple holding one, gets an
@@ -49,11 +49,11 @@ strings skip the recursive codec.  On restore, every tagged tuple of
 scalars (strings, numbers, booleans, None) becomes its tuple without the
 codec.  Nested tuples, frozensets and ε take the codec both ways.
 
-Versions 1 and 2 (still written on request, and read) store every layer
-as its own list of encoded labels in the header, under ``states``;
-version 1 also leaves the payload unpadded.
+A snapshot of any other version is a :class:`SnapshotError`, so a
+:class:`~repro.service.store.KernelStore` quarantines it and the kernel
+is lowered again.
 
-Every version writes each layer and each CSR block in full, so a kernel
+The layout writes each layer and each CSR block in full, so a kernel
 whose equal layers share their objects (see :mod:`repro.core.kernel`)
 encodes to the same bytes as one that does not; the encoder packs each
 shared label-id row and block once, and a restore shares them again.
@@ -84,18 +84,14 @@ if TYPE_CHECKING:
 
 MAGIC = b"RPROKRN1"
 
-#: Version 2 pads the payload to an 8-byte file offset so every ``'q'``
-#: section is naturally aligned — what lets :func:`kernel_from_mmap`
-#: hand out int64 views straight over the mapped file.  Version 3 keeps
-#: that and replaces the per-layer label lists with one label table and
-#: per-layer label-id rows.  Versions 1 and 2 still load (version 1
-#: with a copying restore).
+#: The one layout written and read: one label table, per-layer label-id
+#: rows, and a payload padded to an 8-byte file offset.
 SNAPSHOT_VERSION = 3
 
-_VERSIONS = (1, 2, 3)
-
-#: Payload sections are little-endian int64 rows; version ≥ 2 aligns
-#: their start (and hence, all of them) to this boundary.
+#: Payload sections are little-endian int64 rows; the payload's start
+#: (and hence, every section's) is aligned to this boundary, which lets
+#: :func:`kernel_from_mmap` hand out int64 views straight over the
+#: mapped file.
 _ALIGN = 8
 
 #: Buffer borrowing assumes ``array('l')`` is 8 bytes (LP64): borrowed
@@ -172,7 +168,7 @@ def _encode_atoms(values: Iterable[object], memo: dict[Any, Any]) -> list[Any]:
 
 
 def _label_table(kernel: CompiledDAG) -> tuple[list[Any], list[bytes]]:
-    """The version-3 label table and every layer's label-id row (packed).
+    """The label table and every layer's label-id row (packed).
 
     Labels are numbered in order of first appearance, layer by layer.
     A layer under the kernel's exact-type rule (exact ints and strings,
@@ -236,29 +232,21 @@ def _decode_count_row(
     return row, end
 
 
-def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> bytes:
-    """Serialize ``kernel`` into the snapshot format (see module docs).
-
-    ``version`` selects the on-disk layout: 3 (the default) writes the
-    label table; 2 writes per-layer label lists, and 1 also leaves the
-    payload unpadded (both kept for compatibility).
-    """
-    if version not in _VERSIONS:
-        raise SnapshotError(f"unsupported snapshot version {version!r}")
-    header: dict[str, Any] = {"version": version, "n": kernel.n, "trimmed": kernel.trimmed}
+def kernel_to_bytes(kernel: CompiledDAG) -> bytes:
+    """Serialize ``kernel`` into the snapshot format (see module docs)."""
+    header: dict[str, Any] = {
+        "version": SNAPSHOT_VERSION,
+        "n": kernel.n,
+        "trimmed": kernel.trimmed,
+    }
     sections: list[bytes] = []
     try:
         memo: dict[Any, Any] = {}
         header["symbols"] = _encode_atoms(kernel.symbols, memo)
-        if version >= 3:
-            labels, rows = _label_table(kernel)
-            header["labels"] = _encode_atoms(labels, memo)
-            header["layers"] = [len(row) // _ITEMSIZE for row in rows]
-            sections.extend(rows)
-        else:
-            header["states"] = [
-                _encode_atoms(kernel.layer_states(t), memo) for t in range(kernel.n + 1)
-            ]
+        labels, rows = _label_table(kernel)
+        header["labels"] = _encode_atoms(labels, memo)
+        header["layers"] = [len(row) // _ITEMSIZE for row in rows]
+        sections.extend(rows)
     except InvalidAutomatonError as error:
         raise SnapshotError(f"kernel is not snapshot-serializable: {error}") from error
 
@@ -308,14 +296,11 @@ def kernel_to_bytes(kernel: CompiledDAG, version: int = SNAPSHOT_VERSION) -> byt
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode(
         "utf-8"
     )
-    prefix = [MAGIC, struct.pack("<I", len(header_bytes)), header_bytes]
-    if version >= 2:
-        # Align the payload start; every section is a whole number of
-        # int64s, so this one pad aligns them all.  The reader derives
-        # the pad width from the header length — it is not stored.
-        pad = (-(len(MAGIC) + 4 + len(header_bytes))) % _ALIGN
-        if pad:
-            prefix.append(b"\x00" * pad)
+    # Align the payload start; every section is a whole number of
+    # int64s, so this one pad aligns them all.  The reader derives the
+    # pad width from the header length — it is not stored.
+    pad = (-(len(MAGIC) + 4 + len(header_bytes))) % _ALIGN
+    prefix = [MAGIC, struct.pack("<I", len(header_bytes)), header_bytes, b"\x00" * pad]
     return b"".join(prefix + sections)
 
 
@@ -349,12 +334,13 @@ def kernel_from_bytes(
     blocks and packed count rows as int64 memoryviews over ``data``
     instead of copying them out — the caller keeps ``data`` (typically
     an mmap) alive; the kernel records it in ``_borrow_owner``.
-    Borrowing needs the aligned version-2 layout and an LP64 platform;
-    otherwise this silently falls back to the copying restore
-    (``_borrow_owner`` stays None).
+    Borrowing needs an LP64 platform; elsewhere this silently falls
+    back to the copying restore (``_borrow_owner`` stays None).  A
+    snapshot of another version than :data:`SNAPSHOT_VERSION` is a
+    :class:`SnapshotError`.
 
     The format does not record which layers the kernel shared; a
-    version-3 restore finds them again.  Layers with the same label-id
+    restore finds them again.  Layers with the same label-id
     row get one state tuple and one index map, decoded once.  In a
     copying restore, a CSR block whose layer pair repeats an earlier
     one takes that block's arrays if its bytes are the same, so no
@@ -373,41 +359,36 @@ def kernel_from_bytes(
     except (struct.error, ValueError) as error:
         raise SnapshotError(f"corrupt snapshot header: {error}") from error
     version = header.get("version") if isinstance(header, dict) else None
-    if version not in _VERSIONS:
+    if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {version!r}")
-    borrow = borrow and version >= 2 and _LP64
+    borrow = borrow and _LP64
     borrowed_any = False
 
     try:
         n = header["n"]
         symbols = _decode_atoms(header["symbols"])
         offset = header_start + header_len
-        if version >= 2:
-            offset += (-offset) % _ALIGN
+        offset += (-offset) % _ALIGN
+        labels = _decode_atoms(header["labels"])
         # twin[t]: the first layer with layer t's label-id row, whose
         # state tuple and index map layer t shares.
         twin: list[int] = []
-        if version >= 3:
-            labels = _decode_atoms(header["labels"])
-            states = []
-            firsts: dict[bytes, int] = {}
-            for t, size in enumerate(header["layers"]):
-                end = offset + size * _ITEMSIZE
-                if end > len(view):
-                    raise SnapshotError("truncated snapshot payload")
-                ids = view[offset:end]
-                offset = end
-                first = firsts.setdefault(ids.tobytes(), t)
-                twin.append(first)
-                if first != t:
-                    states.append(states[first])
-                    continue
-                # Unsigned: an id past the table, whatever its sign bit,
-                # raises IndexError (a corrupt body).
-                states.append(tuple(map(labels.__getitem__, ids.cast("Q"))))
-        else:
-            states = [_decode_atoms(layer) for layer in header["states"]]
-            twin.extend(range(len(states)))
+        states: list[tuple[Any, ...]] = []
+        firsts: dict[bytes, int] = {}
+        for t, size in enumerate(header["layers"]):
+            end = offset + size * _ITEMSIZE
+            if end > len(view):
+                raise SnapshotError("truncated snapshot payload")
+            ids = view[offset:end]
+            offset = end
+            first = firsts.setdefault(ids.tobytes(), t)
+            twin.append(first)
+            if first != t:
+                states.append(states[first])
+                continue
+            # Unsigned: an id past the table, whatever its sign bit,
+            # raises IndexError (a corrupt body).
+            states.append(tuple(map(labels.__getitem__, ids.cast("Q"))))
 
         def long_row(payload: memoryview) -> array[int]:
             # Snapshots store 'q' (8-byte) rows; on LP64 platforms 'l'
@@ -527,10 +508,10 @@ def kernel_from_mmap(
     first touch instead of copying the whole payload up front.  The
     mapping stays open for the kernel's lifetime (it is the kernel's
     ``_borrow_owner``); on Linux the file may be unlinked (store
-    eviction) while the kernel keeps using it.  ``borrow=False``, a
-    version-1 snapshot or a non-LP64 platform restore by copy, and the
-    mapping is closed at once: the copy is then read from the page
-    cache without a copy of the whole file first.
+    eviction) while the kernel keeps using it.  ``borrow=False`` or a
+    non-LP64 platform restore by copy, and the mapping is closed at
+    once: the copy is then read from the page cache without a copy of
+    the whole file first.
     """
     try:
         with open(path, "rb") as handle:

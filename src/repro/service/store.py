@@ -31,8 +31,9 @@ finished artifact:
   least-recently-*used* entries (access bumps mtime) are evicted, then
   the sidecars and aliases of fingerprints with no snapshot left;
 * **corruption recovery**: an unreadable entry, sidecar or alias
-  (truncated write, bad magic, garbage) is quarantined — deleted and
-  counted — and the caller simply rebuilds, as for a miss;
+  (truncated write, bad magic, garbage, a snapshot of another format
+  version) is quarantined — deleted and counted — and the caller simply
+  rebuilds, as for a miss;
 * **stats**: hits / misses / stores / evictions / corrupt / skipped /
   mmap-hit / alias-hit / alias-miss counts on :attr:`KernelStore.stats`.
 """
@@ -155,10 +156,11 @@ class KernelStore:
         When True, :meth:`get` restores kernels as zero-copy views over
         a memory map of the snapshot file — a warm start pages CSR
         arrays in lazily.  Safe alongside eviction on POSIX (an
-        unlinked mapping stays valid); old (version-1) snapshots
-        transparently fall back to the copying restore.  When False,
-        :meth:`get` copies the kernel out of the mapping and closes it,
-        so the kernel holds no file open.
+        unlinked mapping stays valid).  When False, :meth:`get` copies
+        the kernel out of the mapping and closes it, so the kernel
+        holds no file open.  Either way, a snapshot of another format
+        version is quarantined like any unreadable entry, and the
+        caller lowers the kernel again.
     """
 
     root: Path

@@ -319,7 +319,7 @@ def test_backend_counter_counts_each_kernel_once(monkeypatch, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Snapshot v2 + mmap tier
+# Snapshot + mmap tier
 # ----------------------------------------------------------------------
 
 
@@ -331,7 +331,16 @@ def built_kernel(n=20, trimmed=False):
     return nfa, kernel
 
 
-def test_snapshot_v2_payload_is_aligned():
+def with_snapshot_version(data: bytes, version: int) -> bytes:
+    """The snapshot ``data`` with its header's version rewritten to the
+    one-digit ``version``: every other byte, and so the payload's
+    alignment, stays as it is."""
+    start = len(MAGIC) + 4
+    assert data[start : start + 12] == b'{"version":3'
+    return data[:start] + b'{"version":%d' % version + data[start + 12 :]
+
+
+def test_snapshot_payload_is_aligned():
     _, kernel = built_kernel()
     data = kernel_to_bytes(kernel)
     assert data[: len(MAGIC)] == MAGIC
@@ -344,17 +353,25 @@ def test_snapshot_v2_payload_is_aligned():
     assert SNAPSHOT_VERSION == 3
 
 
-def test_snapshot_v2_roundtrip_and_v1_still_loads():
+def test_snapshot_of_another_version_is_rejected(tmp_path):
+    """Only the current layout loads: the same bytes under another
+    version are a SnapshotError, by copy and over an mmap."""
     _, kernel = built_kernel()
-    for version in (1, 2, 3):
-        restored = kernel_from_bytes(kernel_to_bytes(kernel, version=version))
-        assert restored._borrow_owner is None
-        assert [list(r) for r in restored.forward_counts()] == [
-            list(r) for r in kernel.forward_counts()
-        ]
-        assert restored.total_runs == kernel.total_runs
-    with pytest.raises(SnapshotError):
-        kernel_to_bytes(kernel, version=4)
+    data = kernel_to_bytes(kernel)
+    restored = kernel_from_bytes(data)
+    assert restored._borrow_owner is None
+    assert [list(r) for r in restored.forward_counts()] == [
+        list(r) for r in kernel.forward_counts()
+    ]
+    assert restored.total_runs == kernel.total_runs
+    for version in (1, 2, 4):
+        path = tmp_path / f"version{version}.kern"
+        path.write_bytes(with_snapshot_version(data, version))
+        message = f"unsupported snapshot version {version}"
+        with pytest.raises(SnapshotError, match=message):
+            kernel_from_bytes(path.read_bytes())
+        with pytest.raises(SnapshotError, match=message):
+            kernel_from_mmap(path)
 
 
 @pytest.mark.skipif(not LP64, reason="borrow mode requires LP64")
@@ -377,13 +394,14 @@ def test_from_mmap_borrows_and_answers_identically(tmp_path):
     assert mapped.spectrum_counts() == kernel.spectrum_counts()
 
 
-def test_mmap_v1_snapshot_degrades_to_copy(tmp_path):
+def test_mmap_without_borrow_restores_by_copy(tmp_path):
     _, kernel = built_kernel()
-    path = tmp_path / "legacy.kern"
-    path.write_bytes(kernel_to_bytes(kernel, version=1))
-    restored = kernel_from_mmap(path)
+    path = tmp_path / "copied.kern"
+    path.write_bytes(kernel_to_bytes(kernel))
+    restored = kernel_from_mmap(path, borrow=False)
     assert restored._borrow_owner is None  # copied; the mapping is closed
     assert restored.total_runs == kernel.total_runs
+    assert kernel_to_bytes(restored) == path.read_bytes()
 
 
 def test_mmap_corrupt_and_empty_files_raise(tmp_path):

@@ -8,11 +8,9 @@ from repro.automata.nfa import NFA, word
 from repro.automata.random_gen import ambiguity_blowup, divisibility_dfa, random_nfa, random_ufa
 from repro.baselines.naive import brute_force_count
 from repro.core.exact import (
-    backward_run_table,
     count_accepting_runs_of_length,
     count_words_exact,
     count_words_ufa,
-    forward_run_table,
     length_spectrum,
     run_count_by_word,
 )
@@ -90,31 +88,30 @@ class TestCountWordsExact:
 
 
 class TestTables:
+    """The kernel's packed count rows, indexed as ``layer_states``."""
+
     def test_forward_totals(self, even_zeros_dfa):
         dag = unroll(even_zeros_dfa, 4)
-        table = forward_run_table(dag)
+        table = dag.forward_counts()
         # Total runs of length t is 2^t for this complete DFA.
         for t in range(5):
-            assert sum(table[t].values()) == 2**t
+            assert sum(table[t]) == 2**t
 
     def test_backward_matches_forward(self, rng):
         """Σ_q fwd[t][q]·bwd[t][q] is the total accepting-run count, ∀t."""
         for _ in range(5):
             nfa = random_nfa(5, density=1.5, rng=rng)
             dag = unroll_trimmed(nfa, 6)
-            fwd = forward_run_table(dag)
-            bwd = backward_run_table(dag)
+            fwd = dag.forward_counts()
+            bwd = dag.backward_counts()
             total = count_accepting_runs_of_length(nfa.without_epsilon(), 6)
             for t in range(7):
-                crossing = sum(
-                    fwd[t].get(state, 0) * bwd[t].get(state, 0) for state in dag.layer(t)
-                )
-                assert crossing == total
+                assert sum(f * b for f, b in zip(fwd[t], bwd[t])) == total
 
     def test_backward_at_final_layer(self, even_zeros_dfa):
         dag = unroll_trimmed(even_zeros_dfa, 3)
-        bwd = backward_run_table(dag)
-        assert bwd[3] == {"even": 1}
+        bwd = dag.backward_counts()
+        assert dict(zip(dag.layer_states(3), bwd[3])) == {"even": 1}
 
 
 class TestSpectrumAndProfiles:
@@ -122,9 +119,21 @@ class TestSpectrumAndProfiles:
         spectrum = length_spectrum(even_zeros_dfa, range(5))
         assert spectrum == {0: 1, 1: 1, 2: 2, 3: 4, 4: 8}
 
-    def test_length_spectrum_exact_mode(self, endswith_one_nfa):
+    def test_length_spectrum_exact_mode(self, endswith_one_nfa, rng):
         spectrum = length_spectrum(endswith_one_nfa, [2, 3], exact_nfa=True)
         assert spectrum == {2: 3, 3: 7}
+        assert length_spectrum(endswith_one_nfa, [], exact_nfa=True) == {}
+        for exact_nfa in (False, True):
+            with pytest.raises(ValueError):
+                length_spectrum(endswith_one_nfa, [3, -1], exact_nfa=exact_nfa)
+        # One subset pass answers lengths in any order, repeated, as the
+        # per-length count does.
+        for _ in range(5):
+            nfa = random_nfa(6, density=1.8, rng=rng)
+            lengths = [7, 0, 3, 7, 1]
+            assert length_spectrum(nfa, lengths, exact_nfa=True) == {
+                n: count_words_exact(nfa, n) for n in lengths
+            }
 
     def test_run_count_by_word(self, endswith_one_nfa):
         profile = run_count_by_word(endswith_one_nfa, 3)

@@ -14,12 +14,7 @@ from repro.automata.nfa import NFA, word
 from repro.automata.operations import words_of_length
 from repro.automata.random_gen import random_nfa, random_ufa
 from repro.core.enumeration import enumerate_words_dag, enumerate_words_ufa
-from repro.core.exact import (
-    backward_run_table,
-    count_accepting_runs_of_length,
-    forward_run_table,
-    length_spectrum,
-)
+from repro.core.exact import count_accepting_runs_of_length, length_spectrum
 from repro.core.fpras import FprasParameters, FprasState
 from repro.core.kernel import CompiledDAG, compile_nfa
 from repro.core.unroll import unroll, unroll_trimmed
@@ -72,8 +67,30 @@ class SeedUnrolledDAG:
         return {a: group for a, group in groups.items() if group}
 
 
+def predecessor_sets(kernel, t, states):
+    """The kernel's ``T_b`` partition of ``states`` at layer ``t``:
+    :meth:`~CompiledDAG.predecessor_groups` of their indices, mapped
+    through ``layer_states(t - 1)``."""
+    previous = kernel.layer_states(t - 1)
+    indices = [kernel.index_of(t, state) for state in states]
+    return {
+        symbol: frozenset(previous[i] for i in group)
+        for symbol, group in kernel.predecessor_groups(t, indices).items()
+    }
+
+
+def count_table(kernel, rows):
+    """Packed count rows as ``{state: count}`` per layer, zipped with
+    ``layer_states``; zero counts are left out, as in the seed tables."""
+    return [
+        {state: ways for state, ways in zip(kernel.layer_states(t), row) if ways}
+        for t, row in enumerate(rows)
+    ]
+
+
 class TestStructureMatchesUnrolledDAG:
-    """The kernel's set-based views reproduce the seed set-based DAG exactly."""
+    """The kernel's views and index-level structure reproduce the seed
+    set-based DAG exactly."""
 
     @pytest.mark.parametrize("trimmed", [False, True])
     def test_random_nfas(self, trimmed, rng):
@@ -94,15 +111,16 @@ class TestStructureMatchesUnrolledDAG:
             )
             for t in range(5):
                 for state in dag.layer(t):
-                    assert kernel.ordered_successors(t, state) == dag.ordered_successors(
+                    assert list(kernel.successors(t, state)) == dag.ordered_successors(
                         t, state
                     )
             for t in range(1, 6):
                 layer = dag.layer(t)
-                assert kernel.predecessor_sets(t, layer) == dag.predecessor_sets(t, layer)
+                assert predecessor_sets(kernel, t, layer) == dag.predecessor_sets(t, layer)
                 for state in layer:
+                    groups = predecessor_sets(kernel, t, [state])
                     for symbol in nfa.alphabet:
-                        assert kernel.predecessors(t, state, symbol) == dag.predecessors(
+                        assert groups.get(symbol, frozenset()) == dag.predecessors(
                             t, state, symbol
                         )
 
@@ -113,7 +131,6 @@ class TestStructureMatchesUnrolledDAG:
             assert list(states) == sorted(states, key=repr)
             for i, state in enumerate(states):
                 assert kernel.index_of(t, state) == i
-                assert kernel.state_at(t, i) == state
 
     def test_epsilon_rejected(self):
         from repro.automata.nfa import EPSILON
@@ -125,9 +142,11 @@ class TestStructureMatchesUnrolledDAG:
 
 class TestCountTables:
     def test_dict_adapters_match_seed_shapes(self, even_zeros_dfa):
+        """The seed's dict-shaped tables, read off the packed rows through
+        ``layer_states`` (:func:`count_table`)."""
         dag = unroll_trimmed(even_zeros_dfa, 4)
-        forward = forward_run_table(dag)
-        backward = backward_run_table(dag)
+        forward = count_table(dag, dag.forward_counts())
+        backward = count_table(dag, dag.backward_counts())
         assert forward[0] == {"even": 1}
         assert backward[4] == {"even": 1}
         for t in range(5):
@@ -141,9 +160,10 @@ class TestCountTables:
         for _ in range(5):
             nfa = random_nfa(7, density=1.6, rng=rng).without_epsilon()
             kernel = compile_nfa(nfa, 6, trimmed=False)
+            reachable = unroll(nfa, 6)
             expected = sum(
                 ways
-                for state, ways in forward_run_table(unroll(nfa, 6))[6].items()
+                for state, ways in zip(reachable.layer_states(6), reachable.forward_counts()[6])
                 if state in nfa.finals
             )
             assert kernel.total_runs == expected

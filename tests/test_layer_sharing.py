@@ -8,7 +8,7 @@ kernel with a reference written out here that builds every layer on its
 own: forward reach and the Lemma 15 prune with one fresh frozenset per
 layer, each layer sorted by ``repr`` with its own index map, each CSR
 block from the source's edges, and the count tables by direct dynamic
-programming.  Snapshot bytes (v2 and v3) and seeded draws are compared
+programming.  Snapshot bytes and seeded draws are compared
 with a kernel lowered from the reference layers, which shares nothing,
 and copy and mmap restores must equal the lowered kernel.
 
@@ -164,8 +164,7 @@ def check_kernel(kernel, tmp_path, seed=7):
     plain = unshared_kernel(source, kernel.n, kernel.trimmed, layers)
     plain.lowering = kernel.lowering  # a plan lowering's stats, in the header
     assert_matches_reference(plain, ref)
-    for version in (2, 3):
-        assert kernel_to_bytes(kernel, version=version) == kernel_to_bytes(plain, version=version)
+    assert kernel_to_bytes(kernel) == kernel_to_bytes(plain)
     if kernel.total_runs:
         assert kernel.sample_batch(25, random.Random(seed)) == plain.sample_batch(
             25, random.Random(seed)
@@ -180,7 +179,6 @@ def check_kernel(kernel, tmp_path, seed=7):
     for restored in (kernel_from_bytes(data), kernel_from_mmap(path)):
         assert_matches_reference(restored, ref)
         assert kernel_to_bytes(restored) == data
-        assert kernel_to_bytes(restored, version=2) == kernel_to_bytes(plain, version=2)
 
 
 # ----------------------------------------------------------------------

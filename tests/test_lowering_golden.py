@@ -8,9 +8,9 @@ same kernels.  This module pins the SHA-256 of the snapshot bytes
 table) of each instance, the first words each instance enumerates, the
 words of the polynomial-delay enumerator and the answers of the
 existence test.  A change to layer contents, state order, edge order,
-count rows or lowering stats shows up as a digest mismatch.  The version-2 digests were recorded before the
-version-3 label table existed: they pin the kernels themselves, and a
-kernel restored from its version-3 snapshot must re-encode to them.
+count rows or lowering stats shows up as a digest mismatch, and a kernel
+restored from its snapshot, by copy or over an mmap, must re-encode to
+the same digest.
 Everything runs under the pure backend and, when NumPy is importable,
 under the NumPy backend: snapshot bytes do not depend on the backend.
 """
@@ -90,36 +90,8 @@ def _kernels(ws: WitnessSet):
     return kernel, reachable
 
 
-#: name → version-2 snapshot digests of (trimmed kernel + backward table,
+#: name → snapshot digests of (trimmed kernel + backward table,
 #: reachable kernel + forward table).
-KERNEL_DIGESTS = {
-    "k1": (
-        "54769efa9050096b151352889f40415a58362055e3a482583def55e30faf20c4",
-        "2638853769a5fd685741e03b7555d8b51f0cef2646d7c587eb062debf5730063",
-    ),
-    "spill": (
-        "ed2c3f113f732d97095498d2eeae4e101fe1f2b817b2278f1a92e88ac4785dd3",
-        "838f64c6bb3628a322dfff3f2c42180c5d1197fc455d08aeb8ff4362dd5e587c",
-    ),
-    "epsilon": (
-        "81132c46dae7f1824285c3cc7c23f11118b796499de24306c06e6ed9b3b61923",
-        "a137513a865ec56dedec8beba5010e7847d9fbf2a824f0ab64473e873b5c2856",
-    ),
-    "intersection": (
-        "a2ad391fc3458bef65816a8d24109a3d444db3884b5b10eb623ccc90cdc10395",
-        "887cea07e41cccb76b781f32466185d38f5b0fb1c23dfe3e2da3521b8f08df57",
-    ),
-    "rpq": (
-        "a7c5ed3004bd8cd8b63335c553abfddd946ea7995c2e3947192f5282f1f045d1",
-        "fd9bcef5b78da1e738cebeaccdaa0384b944d282880642554d45c05559829eb0",
-    ),
-    "spanner": (
-        "9d56781d335cd2d35fc1ecc3c82a0d4b179ea2b62371144a9753e2d39440a41d",
-        "0c932501e3e489c96a43f7e41d6b9b0f4e14bd831798452aab4a8ff506d9467b",
-    ),
-}
-
-#: The same kernels' version-3 snapshot digests (the default layout).
 KERNEL_DIGESTS_V3 = {
     "k1": (
         "deb99577733b7ba2dc15acc0284d077da1415974ea4bbed0589794d36b81f4da",
@@ -147,43 +119,32 @@ KERNEL_DIGESTS_V3 = {
     ),
 }
 
-#: name → (version 2, version 3) digests of the reachable kernel + forward
-#: table that ``spectrum(2n)`` reads on the unambiguous route: a kernel
-#: lowered at ``2n``.
+#: name → snapshot digest of the reachable kernel + forward table that
+#: ``spectrum(2n)`` reads on the unambiguous route: a kernel lowered at
+#: ``2n``.
 EXTENDED_DIGESTS = {
-    "spill": (
-        "3df4931ecdddf810cd18e675488afe496dd79f498f91a469409cee8c7a4257be",
-        "c9953c9043c9d468a77a2c4bc18cc23e2bae58a4180703613400b50f07da4688",
-    ),
-    "rpq": (
-        "4b4f946d330f53cc9afd5273226f723acd16081dc8e1fdb608759a9dcc29e5ff",
-        "e2c0f7248b5a2774a76d3b24bef49c5c7b1ea45ef03e6d90fe7a4fea7f933f37",
-    ),
+    "spill": "c9953c9043c9d468a77a2c4bc18cc23e2bae58a4180703613400b50f07da4688",
+    "rpq": "e2c0f7248b5a2774a76d3b24bef49c5c7b1ea45ef03e6d90fe7a4fea7f933f37",
 }
 
 
 def test_kernel_snapshots_match_golden(backend):
     for name, ws in _instances(backend).items():
-        kernels = _kernels(ws)
         assert (
-            tuple(_digest(kernel_to_bytes(kernel, version=2)) for kernel in kernels)
-            == KERNEL_DIGESTS[name]
-        ), name
-        assert (
-            tuple(_digest(kernel.to_bytes()) for kernel in kernels)
+            tuple(_digest(kernel.to_bytes()) for kernel in _kernels(ws))
             == KERNEL_DIGESTS_V3[name]
         ), name
 
 
 def test_v3_snapshots_restore_the_golden_kernels(backend, tmp_path):
-    """A kernel restored from its version-3 snapshot, by copy or over an
-    mmap, is the kernel the version-2 digests pin."""
+    """A kernel restored from its snapshot, by copy or over an mmap,
+    re-encodes to the golden digest."""
     for name, ws in _instances(backend).items():
-        for kernel, expected in zip(_kernels(ws), KERNEL_DIGESTS[name]):
+        for kernel, expected in zip(_kernels(ws), KERNEL_DIGESTS_V3[name]):
             path = tmp_path / f"{name}-{kernel.trimmed}.kern"
             path.write_bytes(kernel.to_bytes())
             for restored in (kernel_from_bytes(path.read_bytes()), kernel_from_mmap(path)):
-                assert _digest(kernel_to_bytes(restored, version=2)) == expected, name
+                assert _digest(kernel_to_bytes(restored)) == expected, name
 
 
 def test_extended_kernels_match_golden(backend):
@@ -193,10 +154,7 @@ def test_extended_kernels_match_golden(backend):
         reachable = ws._load_or_build_kernel(trimmed=False, n=2 * ws.n)
         counts = reachable.spectrum_counts()
         assert ws.spectrum(2 * ws.n) == dict(enumerate(counts)), name
-        assert (
-            _digest(kernel_to_bytes(reachable, version=2)),
-            _digest(reachable.to_bytes()),
-        ) == expected, name
+        assert _digest(reachable.to_bytes()) == expected, name
 
 
 def test_polynomial_delay_enumeration_matches_golden(backend):

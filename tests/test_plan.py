@@ -30,7 +30,6 @@ from repro.core.plan import (
     Concat,
     DocProduct,
     GraphProduct,
-    Intersect,
     Plan,
     Product,
     Relabel,
@@ -103,9 +102,6 @@ class TestPlanNodes:
         assert as_plan(plan) is plan
         with pytest.raises(InvalidAutomatonError):
             as_plan(42)
-
-    def test_intersect_alias(self):
-        assert Intersect is Product
 
     def test_plan_accepts_on_the_fly(self, left, right):
         plan = Product(left, right)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -15,7 +16,8 @@ from repro.automata.serialization import (
     nfa_to_json,
     unrolled_dag_to_dot,
 )
-from repro.core.unroll import unroll_trimmed
+from repro.core.plan import Product, as_plan, lower_plan
+from repro.core.unroll import unroll, unroll_trimmed
 from repro.errors import InvalidAutomatonError
 from repro.papers.figures import figure1_nfa
 
@@ -109,3 +111,25 @@ class TestDot:
             assert label in dot
         assert "q5" not in dot
         assert "rank=same" in dot
+
+    def test_unrolled_dag_dot_matches_golden(self):
+        """The DOT text of trimmed, reachable and plan kernels, pinned by
+        SHA-256: vertices in repr order, edges in CSR block order."""
+        figure1 = figure1_nfa().without_epsilon()
+        product = Product(as_plan("(ab|ba)*"), as_plan("(a|b)*aa(a|b)*"))
+        dags = {
+            "figure1-trimmed-3": unroll_trimmed(figure1, 3),
+            "figure1-reachable-5": unroll(figure1, 5),
+            "random-trimmed-6": unroll_trimmed(random_nfa(6, rng=20190621, density=1.8), 6),
+            "product-trimmed-8": lower_plan(product, 8, trimmed=True),
+        }
+        digests = {
+            name: hashlib.sha256(unrolled_dag_to_dot(dag).encode()).hexdigest()
+            for name, dag in dags.items()
+        }
+        assert digests == {
+            "figure1-trimmed-3": "65ad3ebb20ada8611054a278b03309c58a26e5ba98aff403cd014cb78291f6a2",
+            "figure1-reachable-5": "6e33b6a6809e99feedf025a188c93bfd06381c479b451630dda1bbbee03f3289",
+            "random-trimmed-6": "c4fd647229fff40b112480edfec80f4dce330aa27eb6bcae775a18c89c06ab49",
+            "product-trimmed-8": "5645d4139b6dda50f6979bb22c873abe8c246f7ac68ae5268c8e8d701fea872c",
+        }

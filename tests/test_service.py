@@ -39,6 +39,7 @@ from repro.service import (
 from repro.service.protocol import WitnessSetCache, execute_group, render_witness
 from repro.service.snapshot import kernel_from_mmap
 from repro.utils.rng import make_rng, spawn_seq, substreams
+from test_accel import with_snapshot_version
 
 SEED = 20190621
 
@@ -199,9 +200,8 @@ class TestSnapshotRoundTrip:
         kernel = compile_nfa(nfa, 4, trimmed=False)
         layers = [repr(kernel.layer_states(t)) for t in range(5)]
         assert "True" in layers[2] and "True" not in layers[1] + layers[3]
-        for version in (2, 3):
-            restored = kernel_from_bytes(kernel_to_bytes(kernel, version=version))
-            assert [repr(restored.layer_states(t)) for t in range(5)] == layers
+        restored = kernel_from_bytes(kernel_to_bytes(kernel))
+        assert [repr(restored.layer_states(t)) for t in range(5)] == layers
         product = lower_plan(Product(as_plan("(ab|ba)*"), as_plan("(ab)*(a|b)?")), 20, trimmed=True)
         data = kernel_to_bytes(product)
         (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
@@ -573,17 +573,15 @@ class TestWitnessSetStoreWiring:
         assert store.stats.alias_hits == 1 and store.stats.alias_misses == 0
 
     def test_restart_over_a_store_without_aliases(self, tmp_path):
-        """A store written before aliases existed (version-2 snapshots,
-        no alias files) is read as it is: the first restart fingerprints
-        its automaton, never strips or indexes it, rewrites no snapshot
-        and adds only the alias; the second restart is an alias hit."""
+        """A store written before aliases existed (snapshots, no alias
+        files) is read as it is: the first restart fingerprints its
+        automaton, never strips or indexes it, rewrites no snapshot and
+        adds only the alias; the second restart is an alias hit."""
         spec = _restart_spec("intersection")
         root = tmp_path / "kernels"
         cold_store = KernelStore(root)
         cold = witness_set_from_spec(spec, store=cold_store)
         answers = (cold.count(), cold.sample_batch(20, rng=5, use_substreams=True))
-        for path in cold_store.entries():
-            path.write_bytes(kernel_to_bytes(kernel_from_bytes(path.read_bytes()), version=2))
         for path in root.glob("*/*.alias"):
             path.unlink()
         snapshots = {path: path.read_bytes() for path in cold_store.entries()}
@@ -758,9 +756,12 @@ class TestWitnessSetStoreWiring:
     def test_seeded_outputs_match_across_restarts_and_snapshot_versions(
         self, tmp_path, kind
     ):
-        """Cold, warm from version-3 snapshots and warm from the same
-        kernels written as version 2 (by copy and by mmap) give the same
-        counts, seeded draws, enumeration pages and spectra."""
+        """Cold and warm sets (by copy and by mmap) give the same counts,
+        seeded draws, enumeration pages and spectra.  A store whose
+        snapshots carry an older layout's version (1 or 2) quarantines
+        each one it reads; the set lowers its kernels again and answers
+        as the cold set did, and the next restart reads the snapshots it
+        stored in their place."""
         spec = _restart_spec(kind)
 
         def outputs(store):
@@ -776,11 +777,23 @@ class TestWitnessSetStoreWiring:
 
         root = tmp_path / "kernels"
         cold = outputs(KernelStore(root))
-        assert outputs(KernelStore(root, mmap=True)) == cold
-        for path in KernelStore(root).entries():
-            path.write_bytes(kernel_to_bytes(kernel_from_bytes(path.read_bytes()), version=2))
         assert outputs(KernelStore(root)) == cold
         assert outputs(KernelStore(root, mmap=True)) == cold
+        for version, mmap in ((1, False), (2, True)):
+            entries = KernelStore(root).entries()
+            assert len(entries) == 2  # the trimmed and the reachable kernel
+            for path in entries:
+                path.write_bytes(with_snapshot_version(path.read_bytes(), version))
+            store = KernelStore(root, mmap=mmap)
+            assert outputs(store) == cold
+            assert store.stats.as_dict() == dict(
+                store.stats.as_dict(), hits=0, corrupt=2, stores=2
+            )
+            healed = KernelStore(root, mmap=mmap)
+            assert outputs(healed) == cold
+            assert healed.stats.as_dict() == dict(
+                healed.stats.as_dict(), hits=2, corrupt=0, stores=0
+            )
 
     def test_warm_first_sample_reads_the_stored_kernel(self, tmp_path):
         """A warm NFA-sourced set whose first query draws (no count

@@ -15,6 +15,7 @@ from repro.api import WitnessSet
 from repro.automata.nfa import NFA, word
 from repro.automata.operations import words_of_length
 from repro.automata.random_gen import random_ufa
+from repro.automata.regex import compile_regex
 from repro.automata.unambiguous import is_unambiguous
 from repro.core.exact import count_words_exact
 from repro.core.fpras import FprasParameters
@@ -208,6 +209,21 @@ class TestSpectrumPastN:
         before = ws.describe()["lowering_seconds"]
         ws.spectrum(12)
         assert ws.describe()["lowering_seconds"] > before
+
+    def test_a_shorter_bound_reads_the_longest_spectrum(self, tmp_path):
+        """After ``spectrum(160)``, ``spectrum(150)`` is a slice of that
+        answer: it lowers nothing and stores nothing."""
+        store = KernelStore(tmp_path / "kernels")
+        nfa = compile_regex("(ab|ba)*(a|b)?", alphabet="ab")
+        ws = WitnessSet.from_nfa(nfa, 12, store=store)
+        ws.spectrum(160)
+        before = (ws.describe()["lowering_seconds"], store.stats.stores)
+        fresh = WitnessSet.from_nfa(nfa, 12, store=False).spectrum(150)
+        assert ws.spectrum(150) == fresh
+        assert ws.spectrum() == {length: fresh[length] for length in range(13)}
+        assert (ws.describe()["lowering_seconds"], store.stats.stores) == before
+        # One cached spectrum, the longest, not one per bound.
+        assert [key for key in ws._cache if "spectrum" in repr(key)] == ["spectrum"]
 
     def test_warm_restart_answers_from_the_store(self, tmp_path):
         """A warm set answers a spectrum past n from the reachable kernel

@@ -44,9 +44,13 @@ class TestUnroll:
         assert not unroll(nfa.without_epsilon(), 2).is_empty
 
     def test_predecessor_sets(self, even_zeros_dfa):
+        """``T_b`` of ``{odd}`` at layer 1: its predecessor index groups,
+        mapped through layer 0's states."""
         dag = unroll(even_zeros_dfa, 2)
-        preds = dag.predecessor_sets(1, frozenset({"odd"}))
-        assert preds == {"0": frozenset({"even"})}
+        groups = dag.predecessor_groups(1, [dag.index_of(1, "odd")])
+        previous = dag.layer_states(0)
+        preds = {symbol: {previous[i] for i in group} for symbol, group in groups.items()}
+        assert preds == {"0": {"even"}}
 
     def test_successors_restricted_to_live(self):
         nfa = NFA(
