@@ -103,6 +103,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError("must be strictly between 0 and 1")
+    return value
+
+
 def _require_length(args) -> int:
     if args.length is not None:
         return args.length
@@ -531,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="use the FPRAS (alias for --backend fpras)")
     count.add_argument("--backend", default=None,
                        help="solver backend: %s" % ", ".join(backends.available()))
-    count.add_argument("--delta", type=float, default=0.1)
+    count.add_argument("--delta", type=_probability, default=0.1)
     count.add_argument("--sketch-size", type=int, default=64)
     count.add_argument("--seed", type=int, default=None)
     count.set_defaults(run=_command_count)
@@ -542,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--batch", type=_nonnegative, default=None, metavar="K",
                         help="draw K witnesses in one batched kernel pass "
                              "(instead of K independent --count draws)")
-    sample.add_argument("--delta", type=float, default=0.1)
+    sample.add_argument("--delta", type=_probability, default=0.1)
     sample.add_argument("--seed", type=int, default=None)
     sample.set_defaults(run=_command_sample)
 
@@ -620,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--host", default="127.0.0.1")
     query.add_argument("--backend", default=None)
     query.add_argument("--approx", action="store_true")
-    query.add_argument("--delta", type=float, default=0.1)
+    query.add_argument("--delta", type=_probability, default=0.1)
     query.add_argument("--seed", type=_nonnegative, default=None)
     query.add_argument("--count", type=_nonnegative, default=1)
     query.add_argument("--batch", type=_nonnegative, default=None, metavar="K")

@@ -43,6 +43,16 @@ states that are exactly ``int`` or ``str``, or only tuples of them.
 being interchangeable, so a source that reaches such states is lowered
 unshared.
 
+A shared lowering numbers the kernel's distinct states once, sorted by
+``repr``, and everything after the unrolling runs on those ids: a
+distinct layer is an ascending id row (``repr`` is injective on exact
+states, so that is the layer's own ``repr`` order), each state's
+out-edges are sorted once as ``(symbol index, target id)`` pairs, a CSR
+block keeps those whose target is live in the next layer, and
+``final_indices`` asks ``state in finals`` once per distinct state.  An
+unshared lowering sorts, indexes and reads the edges of each layer on
+its own, so equal states of other types never share an id.
+
 A kernel is a value: it is built once at its length, by the lowering or
 by a snapshot restore, and never changed after, so a shared block is
 never written.  A query at another length (a spectrum past ``n``) reads
@@ -61,7 +71,7 @@ carry their :class:`~repro.core.plan.LoweringStats` in
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from itertools import chain, compress
 from random import Random
 from typing import (
     TYPE_CHECKING,
@@ -168,14 +178,26 @@ def _pack_counts(counts: list[int]) -> CountRow:
 def unroll_layers(
     source: AutomatonSource, n: int, trimmed: bool
 ) -> tuple[list[frozenset[State]], list[frozenset[State]]]:
-    """The live layers of ``source`` unrolled ``n`` times (Section 6.2).
+    """The live layers of ``source`` unrolled ``n`` times (Section 6.2):
+    ``(forward, live)``, as :func:`_unroll` computes them."""
+    forward, live, _ = _unroll(source, n, trimmed)
+    return forward, live
 
-    Returns ``(forward, live)``.  ``forward[t]`` holds the states reached
-    from ``{source.initial}`` in exactly ``t`` steps.  ``live`` is
+
+def _unroll(
+    source: AutomatonSource, n: int, trimmed: bool
+) -> tuple[list[frozenset[State]], list[frozenset[State]], bool]:
+    """The live layers of ``source`` unrolled ``n`` times (Section 6.2),
+    and whether they were shared.
+
+    Returns ``(forward, live, shared)``.  ``forward[t]`` holds the states
+    reached from ``{source.initial}`` in exactly ``t`` steps.  ``live`` is
     ``forward`` itself (the reachable view of Algorithm 5, step 3) or,
     when ``trimmed``, its Lemma 15 pruning: a state stays live at layer
     ``t`` iff it also reaches a final state in the remaining ``n - t``
-    steps.
+    steps.  ``shared`` is true when layer 0 and every successor set
+    passed the exact-type rule, so that every state is exactly an
+    ``int`` or ``str``, or a tuple of them.
 
     A state's successors do not depend on its layer, so each state's
     successor set is computed once per call and shared by every layer
@@ -227,7 +249,7 @@ def unroll_layers(
         forward = reach(False)
         assert forward is not None  # only a sharing pass gives up
     if not trimmed:
-        return forward, forward
+        return forward, forward, share
     finals = source.finals
     # Built back to front, then reversed into layer order.
     last = frozenset(state for state in forward[n] if state in finals)
@@ -244,7 +266,7 @@ def unroll_layers(
                 kept = pruned[layer, later] = interned.setdefault(kept, kept)
         live.append(kept)
     live.reverse()
-    return forward, live
+    return forward, live, share
 
 
 class CompiledDAG:
@@ -270,6 +292,12 @@ class CompiledDAG:
         (the ``live`` half of :func:`unroll_layers`, which
         :func:`~repro.core.plan.lower_plan` computes for its stats);
         when omitted they are computed from the source.
+    exact:
+        With ``layers``: whether their unrolling was shared, so that
+        every state is exactly an ``int`` or ``str``, or a tuple of them
+        (the third value of :func:`_unroll`).  Such states are numbered
+        once for the whole kernel; without the promise each layer is
+        sorted and indexed on its own.
 
     Layers that are the same frozenset (:func:`unroll_layers` interns
     equal layers under the exact-type rule) share one sorted state tuple,
@@ -278,6 +306,11 @@ class CompiledDAG:
     same twins share one CSR block.  Count rows stay per layer.  A
     kernel never changes its length or layers after construction, so no
     shared object is mutated.
+
+    A kernel of exact states keeps its numbering: ``_labels`` holds its
+    distinct states sorted by ``repr``, and ``_ids[t]`` layer ``t``'s
+    states as ascending ids into it, an ``array('l')``.  Both are None
+    on other kernels and on restored ones.
     """
 
     __slots__ = (
@@ -289,6 +322,9 @@ class CompiledDAG:
         "_states",
         "_index",
         "_twin",
+        "_labels",
+        "_ids",
+        "_final_flags",
         "_edge_start",
         "_edge_symbol",
         "_edge_dst",
@@ -312,6 +348,9 @@ class CompiledDAG:
     _states: list[tuple[State, ...]]
     _index: list[dict[State, int]]
     _twin: list[int]
+    _labels: tuple[State, ...] | None
+    _ids: list[array[int]] | None
+    _final_flags: bytes | None
     _edge_start: list[_IntArray]
     _edge_symbol: list[_IntArray]
     _edge_dst: list[_IntArray]
@@ -332,6 +371,7 @@ class CompiledDAG:
         n: int,
         trimmed: bool,
         layers: Sequence[frozenset[State]] | None = None,
+        exact: bool = False,
     ) -> None:
         if nfa.has_epsilon:
             raise InvalidAutomatonError("kernel compilation requires an ε-free NFA")
@@ -341,17 +381,20 @@ class CompiledDAG:
         self.n = n
         self.trimmed = trimmed
         if layers is None:
-            _, layers = unroll_layers(nfa, n, trimmed)
+            _, layers, exact = _unroll(nfa, n, trimmed)
         self.symbols = tuple(sorted(nfa.alphabet, key=repr))
         self._symbol_index = {s: i for i, s in enumerate(self.symbols)}
         self._states = []
         self._index = []
         self._twin = []
+        self._labels = None
+        self._ids = None
+        self._final_flags = None
         self._edge_start = []
         self._edge_symbol = []
         self._edge_dst = []
         self._layer_sets = {}
-        self._add_layers(layers, nfa)
+        self._add_layers(layers, nfa, exact)
         self._redge = {}
         self._forward = None
         self._backward = None
@@ -422,66 +465,132 @@ class CompiledDAG:
         ).inc()
 
     def _add_layers(
-        self, layers: Iterable[frozenset[State]], source: AutomatonSource
+        self, layers: Sequence[frozenset[State]], source: AutomatonSource, exact: bool
     ) -> None:
         """Lay out ``layers``, each with the CSR block from the layer
         before it, read from ``source``'s edges.
 
         A layer that is the same object as an earlier one takes that
-        layer's state tuple and index map; a layer pair whose twins
+        layer's state tuple, index map and ids; a layer pair whose twins
         repeat an earlier pair's takes that pair's CSR block.
+
+        With ``exact``, the distinct states are sorted by ``repr`` once,
+        and a distinct layer's state tuple is its ids in ascending order.
+        ``repr`` is injective on exact states, so that is the layer's own
+        ``repr`` order.  Each state that has out-edges in a block gets its
+        edges once, as symbol indices and target ids sorted together.
+        Otherwise each layer is sorted on its own.
         """
         states, index, twin = self._states, self._index, self._twin
         seen: dict[frozenset[State], tuple[frozenset[State], int]] = {}
-        blocks: dict[tuple[int, int], int] = {}
-        for layer in layers:
-            t = len(states)
+        for t, layer in enumerate(layers):
             entry = seen.get(layer)
             if entry is not None and entry[0] is layer:
-                first = entry[1]
+                twin.append(entry[1])
+            else:
+                seen[layer] = (layer, t)
+                twin.append(t)
+        if exact:
+            labels = self._labels = tuple(
+                sorted(frozenset().union(*(layer for layer, _ in seen.values())), key=repr)
+            )
+            number = dict(zip(labels, range(len(labels))))
+            ids: list[array[int]] = []
+            self._ids = ids
+        for t, first in enumerate(twin):
+            if first != t:
                 states.append(states[first])
                 index.append(index[first])
-            else:
-                first = t
-                seen[layer] = (layer, t)
-                ordered = tuple(sorted(layer, key=repr))
-                states.append(ordered)
-                index.append(_index_map(ordered))
-            twin.append(first)
-            if not t:
+                if exact:
+                    ids.append(ids[first])
                 continue
-            block = blocks.setdefault((twin[t - 1], first), t - 1)
+            if exact:
+                row = array("l", sorted(map(number.__getitem__, layers[t])))
+                ids.append(row)
+                ordered = tuple(map(labels.__getitem__, row))
+            else:
+                ordered = tuple(sorted(layers[t], key=repr))
+            states.append(ordered)
+            index.append(_index_map(ordered))
+        edges = self._state_edges(source, number) if exact else None
+        blocks: dict[tuple[int, int], int] = {}
+        for t in range(1, len(twin)):
+            block = blocks.setdefault((twin[t - 1], twin[t]), t - 1)
             if block == t - 1:
-                self._append_edge_layer(t - 1, source)
+                self._append_edge_layer(t - 1, source, edges)
             else:
                 for arrays in (self._edge_start, self._edge_symbol, self._edge_dst):
                     arrays.append(arrays[block])
 
-    def _append_edge_layer(self, t: int, source: AutomatonSource) -> None:
-        """Build the CSR edge block for layer ``t`` → ``t + 1``."""
-        index_next = self._index[t + 1]
-        symbol_index = self._symbol_index
-        offsets = array("l", [0])
-        edge_symbol = array("l")
-        edge_dst = array("l")
+    def _state_edges(
+        self, source: AutomatonSource, number: dict[State, int]
+    ) -> list[list[tuple[int, int]]]:
+        """Per state id, the state's out-edges into the kernel as
+        ``(symbol index, target id)`` pairs, sorted, for every state with
+        out-edges in some block (an empty list for the others)."""
+        assert self._labels is not None and self._ids is not None
+        labels, symbol_index = self._labels, self._symbol_index
+        edges: list[list[tuple[int, int]]] = [[] for _ in labels]
         out_edges = source.out_edges
-        for state in self._states[t]:
-            edges = []
-            for symbol, target in out_edges(state):
-                j = index_next.get(target)
+        sources = set(chain.from_iterable(map(self._ids.__getitem__, set(self._twin[:-1]))))
+        for i in sorted(sources):
+            pairs = edges[i]
+            for symbol, target in out_edges(labels[i]):
+                j = number.get(target)
                 if j is not None:
-                    edges.append((symbol_index[symbol], j))
-            # Symbol indices and dst indices are both assigned in repr
-            # order, so this integer sort is the (repr(symbol),
-            # repr(state)) order Algorithm 1 walks.
-            edges.sort()
-            for symbol_i, j in edges:
-                edge_symbol.append(symbol_i)
-                edge_dst.append(j)
-            offsets.append(len(edge_symbol))
-        self._edge_start.append(offsets)
-        self._edge_symbol.append(edge_symbol)
-        self._edge_dst.append(edge_dst)
+                    pairs.append((symbol_index[symbol], j))
+            pairs.sort()
+        return edges
+
+    def _append_edge_layer(
+        self,
+        t: int,
+        source: AutomatonSource,
+        edges: list[list[tuple[int, int]]] | None = None,
+    ) -> None:
+        """Build the CSR edge block for layer ``t`` → ``t + 1``.
+
+        Symbol indices and a layer's positions are both assigned in
+        ``repr`` order, so edges sorted by ``(symbol index, position)``
+        are in the ``(repr(symbol), repr(state))`` order Algorithm 1
+        walks.  With the per-state ``edges`` of :meth:`_state_edges`, the
+        block keeps the edges whose target is live at ``t + 1``, through
+        the next layer's id → position array (−1 where a state is
+        absent).  A layer's positions ascend with its ids, so the order
+        holds.  Otherwise each state's edges are looked up in the next
+        layer's index map and sorted here.
+        """
+        starts, symbols, dsts = [0], [], []
+        if edges is not None:
+            assert self._ids is not None
+            position = [-1] * len(edges)
+            for p, j in enumerate(self._ids[t + 1]):
+                position[j] = p
+            for i in self._ids[t]:
+                for symbol_i, j in edges[i]:
+                    p = position[j]
+                    if p >= 0:
+                        symbols.append(symbol_i)
+                        dsts.append(p)
+                starts.append(len(dsts))
+        else:
+            index_next = self._index[t + 1]
+            symbol_index = self._symbol_index
+            out_edges = source.out_edges
+            for state in self._states[t]:
+                pairs = []
+                for symbol, target in out_edges(state):
+                    j = index_next.get(target)
+                    if j is not None:
+                        pairs.append((symbol_index[symbol], j))
+                pairs.sort()
+                for symbol_i, j in pairs:
+                    symbols.append(symbol_i)
+                    dsts.append(j)
+                starts.append(len(dsts))
+        self._edge_start.append(array("l", starts))
+        self._edge_symbol.append(array("l", symbols))
+        self._edge_dst.append(array("l", dsts))
 
     # ------------------------------------------------------------------
     # Integer-level structure
@@ -505,12 +614,25 @@ class CompiledDAG:
         return starts[i], starts[i + 1]
 
     def final_indices(self, t: int) -> tuple[int, ...]:
-        """Indices of accepting states at layer ``t`` (ascending)."""
+        """Indices of accepting states at layer ``t`` (ascending).
+
+        A kernel with ids asks ``state in finals`` once per distinct
+        state, the first time any layer's finals are read."""
         cached = self._finals_idx.get(t)
         if cached is None:
             twin = self._twin[t]
             if twin != t:
                 cached = self.final_indices(twin)
+            elif self._ids is not None:
+                flags = self._final_flags
+                if flags is None:
+                    assert self._labels is not None
+                    finals = self.nfa.finals
+                    flags = self._final_flags = bytes(
+                        state in finals for state in self._labels
+                    )
+                row = self._ids[t]
+                cached = tuple(compress(range(len(row)), map(flags.__getitem__, row)))
             else:
                 finals = self.nfa.finals
                 cached = tuple(

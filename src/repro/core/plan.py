@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator, Mapping, TypeAlias, cast
 
 from repro.automata.nfa import NFA, State, Symbol
-from repro.core.kernel import CompiledDAG, unroll_layers
+from repro.core.kernel import CompiledDAG, _unroll
 from repro.errors import InvalidAutomatonError
 
 if TYPE_CHECKING:
@@ -821,8 +821,8 @@ def lower_plan(
     if adjacency is None:
         adjacency = {}
     source = _MemoSource(plan, adjacency)
-    forward, live = unroll_layers(source, n, trimmed)
-    kernel = CompiledDAG(source, n, trimmed, layers=live)
+    forward, live, exact = _unroll(source, n, trimmed)
+    kernel = CompiledDAG(source, n, trimmed, layers=live, exact=exact)
     if isinstance(plan, Atom):
         return kernel
     reached: set[State] = set()

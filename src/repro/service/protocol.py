@@ -488,12 +488,39 @@ class WitnessSetCache:
         return stats
 
 
+#: Keywords a ``count`` request sets through its own fields (``method``
+#: and ``epsilon`` are ``WitnessSet.count``'s aliases of two of them).
+_COUNT_KEYWORDS = frozenset({"backend", "method", "delta", "epsilon", "rng"})
+
+
+def _count_args(request: dict[str, Any]) -> tuple[float | None, int | None, dict[str, Any]]:
+    """A count request's ``(delta, seed, options)``, or ``ProtocolError``.
+
+    ``delta`` is absent, null, or a number (not a boolean) strictly
+    between 0 and 1; ``options`` is absent, null, or an object that names
+    none of :data:`_COUNT_KEYWORDS`.
+    """
+    delta = request.get("delta")
+    if delta is not None and (
+        not isinstance(delta, (int, float)) or isinstance(delta, bool) or not 0 < delta < 1
+    ):
+        raise ProtocolError("delta must be a number strictly between 0 and 1")
+    options = request.get("options")
+    if options is None:
+        options = {}
+    elif not isinstance(options, dict):
+        raise ProtocolError("options must be an object")
+    named = sorted(_COUNT_KEYWORDS.intersection(options))
+    if named:
+        raise ProtocolError(f"options may not set {', '.join(named)}")
+    return delta, _positive_int_or_none(request, "seed"), dict(options)
+
+
 def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
     op = request["op"]
     if op == "count":
         backend = request.get("backend") or "exact"
-        options = dict(request.get("options") or {})
-        seed = _positive_int_or_none(request, "seed")
+        delta, seed, options = _count_args(request)
         from repro import backends as _backends
 
         if _backends.get(backend).exact:
@@ -504,7 +531,7 @@ def _execute_one(ws: WitnessSet, request: dict[str, Any]) -> Any:
         # which requests ran first.
         return ws.count(
             backend,
-            delta=request.get("delta"),
+            delta=delta,
             rng=RESIDENT_SEED if seed is None else seed,
             **options,
         )

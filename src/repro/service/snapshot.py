@@ -173,27 +173,36 @@ def _label_table(kernel: CompiledDAG) -> tuple[list[Any], list[bytes]]:
     Labels are numbered in order of first appearance, layer by layer.
     A layer under the kernel's exact-type rule (exact ints and strings,
     or tuples of them) shares one entry per distinct label.  Any other
-    layer gets an entry per label: equal labels of other types may
-    encode differently.  A layer that shares its twin's state tuple has
-    its twin's ids, so its row is packed once.
+    layer gets an entry per label at each occurrence: equal labels of
+    other types may encode differently.  A layer that shares its twin's
+    state tuple has its twin's ids, so its row is packed once.
+
+    A kernel that numbered its states (``kernel._ids``, see
+    :class:`~repro.core.kernel.CompiledDAG`) is renumbered through its
+    ids, not its states: its states are all exact, so its layers pass
+    the rule unless the kernel mixes ints or strings with tuples.
     """
-    ids: dict[Any, int] = {}
     labels: list[Any] = []
     rows: list[bytes] = []
     exact: list[bool] = []
+    id_rows = kernel._ids
+    uniform = kernel._labels is not None and _exact_layer(kernel._labels)
+    # Label number by state, or by state id on a numbered kernel.
+    numbers: dict[Any, int] = {}
     for t in range(kernel.n + 1):
         layer = kernel.layer_states(t)
         twin = kernel._twin[t]
         shared = twin != t and kernel.layer_states(twin) is layer
-        exact.append(exact[twin] if shared else _exact_layer(layer))
+        exact.append(exact[twin] if shared else uniform or _exact_layer(layer))
         if shared and exact[t]:
             rows.append(rows[twin])
         elif exact[t]:
-            for label in layer:
-                if label not in ids:
-                    ids[label] = len(labels)
+            keys = layer if id_rows is None else id_rows[t]
+            for key, label in zip(keys, layer):
+                if key not in numbers:
+                    numbers[key] = len(labels)
                     labels.append(label)
-            rows.append(array("Q", map(ids.__getitem__, layer)).tobytes())
+            rows.append(array("Q", map(numbers.__getitem__, keys)).tobytes())
         else:
             rows.append(array("Q", range(len(labels), len(labels) + len(layer))).tobytes())
             labels.extend(layer)
@@ -265,7 +274,14 @@ def kernel_to_bytes(kernel: CompiledDAG) -> bytes:
             packed.append(packed[first])
             edges.append(edges[first])
         else:
-            block = tuple(array("q", part[t]).tobytes() for part in arrays)
+            # 'l' arrays on LP64 and borrowed int64 views are already
+            # the payload's 8-byte items.
+            block = tuple(
+                part[t].tobytes()
+                if part[t].itemsize == _ITEMSIZE
+                else array("q", part[t]).tobytes()
+                for part in arrays
+            )
             packed.append(block)
             start, symbol, dst = (len(row) // _ITEMSIZE for row in block)
             edges.append({"start": start, "symbol": symbol, "dst": dst})
@@ -481,6 +497,9 @@ def kernel_from_bytes(
     kernel._states = states
     kernel._index = index
     kernel._twin = twin
+    kernel._labels = None
+    kernel._ids = None
+    kernel._final_flags = None
     kernel._edge_start = edge_start
     kernel._edge_symbol = edge_symbol
     kernel._edge_dst = edge_dst

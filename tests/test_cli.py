@@ -442,6 +442,27 @@ class TestServeAndQuery:
         assert excinfo.value.code == 2
         assert "must be ≥ 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["0", "1", "-0.2", "1.5", "nan", "inf", "x"])
+    @pytest.mark.parametrize("command", ["count", "sample", "query"])
+    def test_delta_outside_the_open_unit_interval_is_a_usage_error(
+        self, capsys, monkeypatch, command, delta
+    ):
+        """``--delta`` must lie strictly between 0 and 1: anything else is
+        a usage error (exit 2), not a traceback, and ``query`` exits
+        before any connection is made."""
+        from repro.service import client
+
+        monkeypatch.setattr(client, "ServiceClient", None)  # a connection would raise
+        argv = {
+            "count": ["count", "--backend", "fpras"],
+            "sample": ["sample"],
+            "query": ["query", "count", "--port", "1", "--backend", "fpras"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--regex", "(a|b)*a(a|b)*", "--alphabet", "ab", "-n", "6", "--delta", delta])
+        assert excinfo.value.code == 2
+        assert "--delta" in capsys.readouterr().err
+
 
 class TestServeStdio:
     """``repro serve`` without ``--port``: stdin and stdout are the

@@ -22,6 +22,7 @@ import itertools
 import json
 import random
 import struct
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -314,6 +315,138 @@ class TestAgainstReference:
             kernel = compile_nfa(nfa, 30, trimmed=trimmed)
             assert kernel._twin[5] == 2 and kernel.layer_states(5) is kernel.layer_states(2)
             check_kernel(kernel, tmp_path)
+
+
+# ----------------------------------------------------------------------
+# The integer lowering against the per-layer reference
+# ----------------------------------------------------------------------
+
+
+def _equal_values(value):
+    """``value`` and the values equal to it of other types: ``1`` /
+    ``True`` / ``1.0``, ``0`` / ``False`` / ``0.0`` / ``-0.0``, and a
+    tuple with its first item replaced by one of those."""
+    if isinstance(value, tuple):
+        return [value] + [(item,) + value[1:] for item in _equal_values(value[0])[1:]]
+    return {0: [0, False, 0.0, -0.0], 1: [1, True, 1.0]}.get(value, [value])
+
+
+#: Pairwise unequal states: ints, strings, flat tuples and tuples of tuples.
+_STATES = [0, 1, 2, "s", "t", (0, "x"), (1, 2), ("y", 2), ((1, 2), 3), ((0, "x"), "z")]
+
+
+@st.composite
+def mixed_state_nfas(draw, max_states=5):
+    """NFAs whose states mix ints, strings, tuples and nested tuples.
+    Unless ``exact`` is drawn, the transitions, finals and initial state
+    may name a state through an equal value of another type."""
+    m = draw(st.integers(1, max_states))
+    states = draw(st.lists(st.sampled_from(_STATES), min_size=m, max_size=m, unique=True))
+    exact = draw(st.booleans())
+
+    def name(i):
+        return states[i] if exact else draw(st.sampled_from(_equal_values(states[i])))
+
+    rows = draw(
+        st.lists(
+            st.tuples(st.integers(0, m - 1), st.sampled_from("ab"), st.integers(0, m - 1)),
+            max_size=3 * m,
+        )
+    )
+    finals = draw(st.lists(st.integers(0, m - 1), max_size=m))
+    return NFA(states, "ab", [(name(s), a, name(t)) for s, a, t in rows], name(0), map(name, finals))
+
+
+def _exact_state(state):
+    return type(state) in (int, str) or (
+        type(state) is tuple and all(type(item) in (int, str) for item in state)
+    )
+
+
+def reference_label_table(states):
+    """The v3 label table of per-layer ``states``, numbered through one
+    dict: a layer of exact ints and strings, or of tuples of them, shares
+    an entry per label, any other layer gets fresh entries."""
+    ids, labels, rows = {}, [], []
+    for layer in states:
+        kinds = set(map(type, layer))
+        if kinds <= {int, str} or (kinds == {tuple} and all(map(_exact_state, layer))):
+            for label in layer:
+                if label not in ids:
+                    ids[label] = len(labels)
+                    labels.append(label)
+            rows.append([ids[label] for label in layer])
+        else:
+            rows.append(list(range(len(labels), len(labels) + len(layer))))
+            labels.extend(layer)
+    return labels, rows
+
+
+def check_numbered(kernel, tmp_path):
+    """``kernel`` against the per-layer reference (:func:`check_kernel`),
+    its label table against :func:`reference_label_table`, and its state
+    numbering, where it has one, against its layers."""
+    from repro.service.snapshot import _label_table
+
+    check_kernel(kernel, tmp_path)
+    states = [kernel.layer_states(t) for t in range(kernel.n + 1)]
+    labels, rows = _label_table(kernel)
+    ref_labels, ref_rows = reference_label_table(states)
+    assert repr(labels) == repr(ref_labels)
+    assert [list(array("Q", row)) for row in rows] == ref_rows
+    if kernel._ids is None:
+        return
+    # Only a kernel whose states are all exact numbers them.
+    assert all(map(_exact_state, itertools.chain.from_iterable(states)))
+    numbering = kernel._labels
+    assert list(numbering) == sorted(numbering, key=repr)
+    assert len(set(map(repr, numbering))) == len(numbering)
+    for t, row in enumerate(kernel._ids):
+        assert list(row) == sorted(set(row))
+        assert repr(tuple(numbering[i] for i in row)) == repr(states[t])
+
+
+class TestIntegerLowering:
+    @SETTINGS
+    @given(nfa=mixed_state_nfas(), n=st.integers(0, 12), trimmed=st.booleans())
+    def test_mixed_states(self, nfa, n, trimmed, tmp_path):
+        check_numbered(compile_nfa(nfa, n, trimmed=trimmed), tmp_path)
+
+    @SETTINGS
+    @given(
+        left=st.one_of(mixed_state_nfas(3), random_nfas(max_states=3)),
+        right=st.one_of(mixed_state_nfas(3), random_nfas(max_states=3)),
+        n=st.integers(0, 12),
+        trimmed=st.booleans(),
+    )
+    def test_mixed_products(self, left, right, n, trimmed, tmp_path):
+        check_numbered(lower_plan(Product(left, right), n, trimmed=trimmed), tmp_path)
+
+    @pytest.mark.parametrize("pattern", REGEXES)
+    def test_regex_products_are_numbered(self, pattern, tmp_path):
+        plan = Product(as_plan(pattern), as_plan("(a|b|c)*(ab|ba)(a|b|c)*"))
+        for trimmed in (True, False):
+            kernel = lower_plan(plan, 30, trimmed=trimmed)
+            assert kernel._ids is not None
+            check_numbered(kernel, tmp_path)
+
+    def test_finals_are_asked_once_per_state(self, monkeypatch):
+        """Lowering a product and encoding it asks its lazy finals at most
+        twice per distinct state: once for the last layer's prune, once
+        for the kernel's numbering."""
+        from repro.automata.random_gen import random_ufa
+        from repro.core.plan import _LazyFinals
+
+        left, right = (
+            random_ufa(12, rng=seed, ensure_nonempty_length=200) for seed in (2, 102)
+        )
+        calls = _spy(monkeypatch, _LazyFinals, "__contains__")
+        kernel = lower_plan(Product(left, right), 200, trimmed=True)
+        kernel_to_bytes(kernel)
+        distinct = frozenset().union(*kernel.layers)
+        # Distinct layers hold each state many times over.
+        assert sum(map(len, map(kernel.layer_states, set(kernel._twin)))) > 4 * len(distinct)
+        assert len(calls) <= 2 * len(distinct)
 
 
 class TestUnrolling:

@@ -1078,6 +1078,62 @@ class TestEngine:
         assert not response["ok"] and response["error_type"] == "ProtocolError"
         assert "max_length" in response["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("delta", "0.3"),
+            ("delta", [0.3]),
+            ("delta", True),
+            ("delta", 0),
+            ("delta", 1),
+            ("delta", -0.2),
+            ("delta", float("nan")),
+            ("delta", float("inf")),
+            ("options", "x"),
+            ("options", [1]),
+            ("options", {"rng": 5}),
+            ("options", {"delta": 0.2}),
+            ("options", {"epsilon": 0.2}),
+            ("options", {"backend": "exact"}),
+            ("options", {"method": "fpras"}),
+        ],
+    )
+    def test_bad_count_argument_is_a_protocol_error(self, field, value):
+        """A count's ``delta`` must be a number strictly between 0 and 1
+        (``true`` is not δ = 1, and ``"0.3"`` is not 0.3), and its
+        ``options`` an object that sets none of the request's own
+        keywords, on every backend."""
+        requests = [
+            {"id": 1, "op": "count", "spec": SPEC, "backend": "fpras", field: value},
+            {"id": 2, "op": "count", "spec": SPEC, "backend": "montecarlo", field: value},
+            {"id": 3, "op": "count", "spec": SPEC2, field: value},
+        ]
+        with Engine(workers=0) as engine:
+            responses = engine.execute(requests)
+        for response in responses:
+            assert not response["ok"] and response["error_type"] == "ProtocolError"
+            assert field in response["error"]
+
+    def test_good_count_arguments_still_answer(self):
+        requests = [
+            {"id": 1, "op": "count", "spec": SPEC, "backend": "fpras", "delta": 0.3, "seed": 1},
+            {"id": 2, "op": "count", "spec": SPEC, "delta": None, "options": None},
+            {
+                "id": 3,
+                "op": "count",
+                "spec": SPEC,
+                "backend": "montecarlo",
+                "delta": 0.5,
+                "seed": 2,
+                "options": {"samples": 500},
+            },
+        ]
+        with Engine(workers=0) as engine:
+            responses = engine.execute(requests)
+        assert all(response["ok"] for response in responses)
+        assert responses[1]["result"] == 32
+        assert 0 < responses[0]["result"] and 0 < responses[2]["result"]
+
     def test_shared_store_across_workers(self, tmp_path):
         root = tmp_path / "kernels"
         requests = [{"id": 1, "op": "count", "spec": SPEC}]
